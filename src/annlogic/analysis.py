@@ -152,31 +152,28 @@ def parse_hypothesis(text: str, names: list[str]) -> HypothesisAst:
     return _Parser(_tokenize(text), list(names)).parse()
 
 
-def _eval_bool(ast: HypothesisAst, assignment: dict[str, bool]) -> bool:
+def _truth(ast: HypothesisAst, columns: dict[str, np.ndarray]) -> np.ndarray:
     if isinstance(ast, Atom):
-        return assignment[ast.name]
+        return columns[ast.name]
     if isinstance(ast, Not):
-        return not _eval_bool(ast.child, assignment)
+        return ~_truth(ast.child, columns)
     if isinstance(ast, And):
-        return _eval_bool(ast.left, assignment) and _eval_bool(ast.right, assignment)
+        return _truth(ast.left, columns) & _truth(ast.right, columns)
     if isinstance(ast, Or):
-        return _eval_bool(ast.left, assignment) or _eval_bool(ast.right, assignment)
+        return _truth(ast.left, columns) | _truth(ast.right, columns)
     if isinstance(ast, Xor):
-        return _eval_bool(ast.left, assignment) != _eval_bool(ast.right, assignment)
+        return _truth(ast.left, columns) ^ _truth(ast.right, columns)
     raise TypeError(f"not an AST node: {ast!r}")
 
 
 def ast_to_minterms(ast: HypothesisAst, names: list[str]) -> LogicExpressionBits:
     """Truth-table the formula over all 2^n assignments (attribute 1 on
-    the most significant index bit)."""
+    the most significant index bit), one boolean column per attribute;
+    a repeated name binds its last column."""
     n = len(names)
-    bits = []
-    for k in range(2**n):
-        assignment = {
-            name: bool((k >> (n - 1 - j)) & 1) for j, name in enumerate(names)
-        }
-        bits.append(int(_eval_bool(ast, assignment)))
-    return LogicExpressionBits(tuple(bits), n)
+    col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
+    columns = {name: col[j] for j, name in enumerate(names)}
+    return LogicExpressionBits(tuple(_truth(ast, columns).astype(int).tolist()), n)
 
 
 @dataclass(frozen=True)

@@ -98,26 +98,46 @@ def _parse_levels(text, bcl_max):
     return levels
 
 
-def _cell_weights_from_args(args, names_hint=None):
+def _names_and_rows(args):
+    """Attribute names and rows from --data, else names from --names (where
+    the command has it), else (None, None)."""
+    if args.data:
+        return load_dataset(args.data, args.label)
+    names = getattr(args, "names", None)
+    if names:
+        return [t.strip() for t in names.split(",") if t.strip()], None
+    return None, None
+
+
+def _cell_weights_from_args(args):
     """Resolve the cell weights either from a weights override file or by
-    extraction from the model; returns (weights, names, threshold)."""
-    if getattr(args, "weights_override", None):
+    extraction from the model; returns (weights, names, threshold,
+    fuzzifier, rows).  The fuzzifier is None for a weights override, and
+    rows are None without --data."""
+    names, samples = _names_and_rows(args)
+    spec = None
+    if args.weights_override:
         cw = load_weights_file(args.weights_override)
-        names = names_hint or [f"a{j + 1}" for j in range(cw.n)]
-        threshold = getattr(args, "threshold", None)
-        return cw, names, threshold if threshold is not None else 0.5
-    if not getattr(args, "model", None):
+        threshold = 0.5 if args.threshold is None else args.threshold
+    elif not args.model:
         raise CliError("either --model or --weights-override is required")
-    ann, spec = _load_model(args.model)
-    if args.cell is None:
-        raise CliError("--cell is required when extracting from a model")
-    try:
-        cell = partition.CellId(args.cell, ann.relu_count)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    cw = partition.extract_cell_weights(ann, cell)
-    names = names_hint or [f"a{j + 1}" for j in range(cw.n)]
-    return cw, names, ann.threshold
+    else:
+        ann, spec = _load_model(args.model)
+        if args.cell is None:
+            raise CliError("--cell is required when extracting from a model")
+        try:
+            cell = partition.CellId(args.cell, ann.relu_count)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        cw = partition.extract_cell_weights(ann, cell)
+        threshold = ann.threshold
+    if names is None:
+        names = [f"a{j + 1}" for j in range(cw.n)]
+    elif len(names) != cw.n:
+        raise CliError(
+            f"{len(names)} attribute names given for a cell over {cw.n} attributes"
+        )
+    return cw, names, threshold, spec, samples
 
 
 def _fmt(x, nd=3):
@@ -177,16 +197,8 @@ def _write_csv(path, header, rows):
 
 
 def cmd_explain(args):
-    names_hint = None
-    samples = None
-    spec = None
-    if args.data:
-        names_hint, raw = load_dataset(args.data, args.label)
-        samples = raw
-    cw, names, threshold = _cell_weights_from_args(args, names_hint)
-    if args.model and spec is None and args.data:
-        _, spec = _load_model(args.model)
-    scaled = logiccode.scale_weights([cw], threshold, scope=args.scope)[0]
+    cw, names, threshold, spec, samples = _cell_weights_from_args(args)
+    scaled = logiccode.scale_weights([cw], threshold)[0]
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
     recon = bt.reconstruction()
@@ -231,7 +243,7 @@ def cmd_explain(args):
         )
     for bcl in range(args.bcl_max + 1):
         expr = logiccode.level_expression(bt, bcl)
-        tree = qldt.build_qldt(expr, names)
+        tree = qldt.build_qldt(expr)
         dot_path = out_dir / f"level_{bcl}.dot"
         dot_path.write_text(qldt.render(tree, names, format="dot"))
         print(f"tree level 2^-{bcl}: {dot_path}")
@@ -247,10 +259,7 @@ def cmd_explain(args):
 
 
 def cmd_shapley(args):
-    names_hint = None
-    if args.data:
-        names_hint, _ = load_dataset(args.data, args.label)
-    cw, names, _ = _cell_weights_from_args(args, names_hint)
+    cw, names, *_ = _cell_weights_from_args(args)
     result = partition.shapley(cw)
     rows = []
     for name, value in zip(names, result.values):
@@ -269,24 +278,24 @@ def _resolve_keep(keep_arg, names):
             keep.append(names.index(tok))
         else:
             try:
-                keep.append(int(tok) - 1)
+                index = int(tok)
             except ValueError:
                 raise CliError(f"unknown attribute {tok!r}") from None
+            if not 1 <= index <= len(names):
+                raise CliError(f"attribute index {index} outside 1..{len(names)}")
+            keep.append(index - 1)
     return keep
 
 
 def cmd_project(args):
-    names_hint = None
-    if args.data:
-        names_hint, _ = load_dataset(args.data, args.label)
-    cw, names, threshold = _cell_weights_from_args(args, names_hint)
+    cw, names, threshold, *_ = _cell_weights_from_args(args)
     keep = _resolve_keep(args.keep, names)
     try:
         projected = logiccode.project(cw, keep)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     kept_names = [names[j] for j in sorted(keep)]
-    scaled = logiccode.scale_weights([projected], threshold, scope="per-cell")[0]
+    scaled = logiccode.scale_weights([projected], threshold)[0]
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
     print(f"kept={','.join(kept_names)}")
@@ -308,20 +317,16 @@ def cmd_project(args):
 
 
 def cmd_hypothesis(args):
-    names = None
-    if args.data:
-        names, _ = load_dataset(args.data, args.label)
-    elif args.names:
-        names = [t.strip() for t in args.names.split(",") if t.strip()]
     try:
         if args.hypothesis2 is not None:
+            names, _ = _names_and_rows(args)
             if names is None:
                 raise CliError("--names or --data required with --hypothesis2")
             h2 = analysis.parse_hypothesis(args.hypothesis2, names)
             e = analysis.ast_to_minterms(h2, names)
         else:
-            cw, names, threshold = _cell_weights_from_args(args, names)
-            scaled = logiccode.scale_weights([cw], threshold, scope=args.scope)[0]
+            cw, names, threshold, *_ = _cell_weights_from_args(args)
+            scaled = logiccode.scale_weights([cw], threshold)[0]
             bt = logiccode.bitcode(scaled, args.bcl_max)
             e = logiccode.level_expression(bt, args.level)
         h = analysis.parse_hypothesis(args.hypothesis, names)
@@ -341,11 +346,8 @@ def cmd_hypothesis(args):
 
 
 def cmd_trend(args):
-    names_hint = None
-    if args.data:
-        names_hint, _ = load_dataset(args.data, args.label)
-    cw, names, threshold = _cell_weights_from_args(args, names_hint)
-    scaled = logiccode.scale_weights([cw], threshold, scope=args.scope)[0]
+    cw, names, threshold, *_ = _cell_weights_from_args(args)
+    scaled = logiccode.scale_weights([cw], threshold)[0]
     bt = logiccode.bitcode(scaled, args.bcl_max)
     vary = _resolve_keep(args.vary, names)
     levels = _parse_levels(args.levels, args.bcl_max)
@@ -400,7 +402,7 @@ def cmd_classify(args):
     return 0
 
 
-def _add_cell_source_args(p, with_scope=True):
+def _add_cell_source_args(p, with_bcl_max=True):
     p.add_argument("--model", help="model JSON file")
     p.add_argument("--cell", type=int, help="partition cell number")
     p.add_argument("--weights-override",
@@ -409,10 +411,9 @@ def _add_cell_source_args(p, with_scope=True):
                    help="classifier threshold when using --weights-override")
     p.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
     p.add_argument("--label", default="label", help="label column name")
-    if with_scope:
-        p.add_argument("--scope", choices=["joint", "per-cell"],
-                       default="per-cell", help="weight scaling scope")
-        p.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX)
+    if with_bcl_max:
+        p.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX,
+                       help=f"finest bit level, 0..{logiccode.MAX_BCL}")
 
 
 def build_parser():
@@ -446,13 +447,12 @@ def build_parser():
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("shapley", help="attribute Shapley values of a cell")
-    _add_cell_source_args(p, with_scope=False)
+    _add_cell_source_args(p, with_bcl_max=False)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("project", help="marginalize a cell onto attributes")
-    _add_cell_source_args(p, with_scope=False)
-    p.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX)
+    _add_cell_source_args(p)
     p.add_argument("--keep", required=True, help="comma-separated attributes")
     p.set_defaults(func=cmd_project)
 

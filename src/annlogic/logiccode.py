@@ -12,6 +12,7 @@ from .encoding import MintermVector
 from .partition import CellId, CellWeights
 
 DEFAULT_BCL_MAX = 3
+MAX_BCL = 52
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,13 @@ def scale_weights(
 
 def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:
     """Round each weight to the nearest multiple of 2^-bcl_max (ties up)
-    and expand it MSB-first over levels 2^0 .. 2^-bcl_max."""
-    if bcl_max < 0:
-        raise ValueError("bcl_max must be non-negative")
-    step = 2**bcl_max
-    quantized = [int(np.floor(w * step + 0.5)) for w in sw.weights]
-    rows = []
-    for bcl in range(bcl_max + 1):
-        rows.append(tuple((q >> (bcl_max - bcl)) & 1 for q in quantized))
-    return BitTensor(tuple(rows))
+    and expand it MSB-first over levels 2^0 .. 2^-bcl_max.  bcl_max is
+    bounded by the 52-bit float mantissa, so the integer codes are exact."""
+    if not 0 <= bcl_max <= MAX_BCL:
+        raise ValueError(f"bcl_max must lie in 0..{MAX_BCL}, got {bcl_max}")
+    q = np.floor(sw.as_array() * 2**bcl_max + 0.5).astype(np.int64)
+    shifts = np.arange(bcl_max, -1, -1)
+    return BitTensor(tuple(map(tuple, ((q >> shifts[:, None]) & 1).tolist())))
 
 
 def level_expression(bt: BitTensor, bcl: int) -> LogicExpressionBits:
@@ -226,14 +225,6 @@ def project(cw: CellWeights, keep: list[int]) -> CellWeights:
         raise ValueError("keep set must be non-empty")
     if len(set(keep)) != len(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
-    kept = sorted(keep)
-    m = len(kept)
-    out = np.zeros(2**m)
-    w = cw.as_array()
-    for k in range(2**n):
-        kappa = 0
-        for pos, j in enumerate(kept):
-            bit = (k >> (n - 1 - j)) & 1
-            kappa |= bit << (m - 1 - pos)
-        out[kappa] += w[k]
-    return CellWeights(tuple(float(v) for v in out), None)
+    dropped = tuple(j for j in range(n) if j not in keep)
+    out = cw.as_array().reshape((2,) * n).sum(axis=dropped).ravel()
+    return CellWeights(tuple(out.tolist()), None)

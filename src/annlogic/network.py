@@ -38,6 +38,8 @@ class SimpleAnn:
         if not pre or not post:
             raise ModelFormatError("need at least one layer before and after ReLU")
         chain = list(pre) + list(post)
+        if any(w.ndim != 2 for w in chain):
+            raise ModelFormatError("every weight matrix must be 2-D")
         for a, b in zip(chain, chain[1:]):
             if b.shape[1] != a.shape[0]:
                 raise ModelFormatError(
@@ -239,6 +241,8 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
             doc = json.load(fh, parse_constant=_reject_nonfinite)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"malformed model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model file must hold a JSON object")
     for field_name in ("input_size", "relu_count", "pre_layers", "post_layers",
                        "threshold"):
         if field_name not in doc:
@@ -248,9 +252,10 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
     try:
         pre = tuple(np.array(w, dtype=float) for w in doc["pre_layers"])
         post = tuple(np.array(w, dtype=float) for w in doc["post_layers"])
-    except ValueError as exc:
-        raise ModelFormatError(f"ragged weight matrix: {exc}") from exc
-    ann = SimpleAnn(pre, post, float(doc["threshold"]))
+        threshold = float(doc["threshold"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad weight matrix or threshold: {exc}") from exc
+    ann = SimpleAnn(pre, post, threshold)
     if ann.input_size != doc["input_size"] or ann.relu_count != doc["relu_count"]:
         raise ModelFormatError("declared sizes do not match matrix shapes")
     fz = doc.get("fuzzifier")

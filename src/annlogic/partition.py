@@ -152,36 +152,19 @@ def compose_cell_weights(singles: list[CellWeights], cell: CellId) -> CellWeight
     return CellWeights(tuple(float(v) for v in total), cell)
 
 
-def shapley(cw: CellWeights, n: int | None = None) -> ShapleyResult:
+def shapley(cw: CellWeights) -> ShapleyResult:
     """Exact Shapley values of the attributes under the coalition value
-    v(S) = weight of the minterm whose non-negated attributes are S."""
-    if n is None:
-        n = cw.n
-    if len(cw.weights) != 2**n:
-        raise ValueError("weight length must be 2^n")
-    w = cw.as_array()
-
-    def minterm_of(subset_mask: int) -> int:
-        # subset bit j (0-based attribute) -> index bit n-1-j (MSB-first)
-        k = 0
-        for j in range(n):
-            if subset_mask >> j & 1:
-                k |= 1 << (n - 1 - j)
-        return k
-
-    fact = [math.factorial(m) for m in range(n + 1)]
-    values = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        sh = 0.0
-        for mask in range(1 << (n - 1)):
-            s = 0
-            size = 0
-            for idx, j in enumerate(others):
-                if mask >> idx & 1:
-                    s |= 1 << j
-                    size += 1
-            coef = fact[n - 1 - size] * fact[size] / fact[n]
-            sh += coef * (w[minterm_of(s | (1 << i))] - w[minterm_of(s)])
-        values.append(float(sh))
-    return ShapleyResult(tuple(values))
+    v(S) = weight of the minterm whose non-negated attributes are S, as
+    Harsanyi dividends: Sh_i = sum over S containing i of m(S)/|S|, where
+    m is the Moebius transform of v, taken as (lo, hi - lo) on each axis
+    of the (2,)*n weight tensor."""
+    n = cw.n
+    m = cw.as_array().reshape((2,) * n)
+    for axis in range(n):
+        lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
+        m = np.stack((lo, hi - lo), axis=axis)
+    size = np.indices((2,) * n).sum(axis=0)
+    share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
+    return ShapleyResult(
+        tuple(float(np.take(share, 1, axis=i).sum()) for i in range(n))
+    )

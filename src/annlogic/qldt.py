@@ -1,8 +1,8 @@
 """Binary logic trees over minterm bit vectors.
 
 A tree is just another representation of an expression's active-minterm
-set: it is induced like a decision tree from the 2^n (bit code, active?)
-rows, but evaluated by summing, over all paths to active leaves, the
+set: it is induced like a decision tree from the (2,)*n boolean truth
+tensor, but evaluated by summing, over all paths to active leaves, the
 products of the degrees (solid edge) or their complements (dashed edge).
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .encoding import FuzzifiedObject
 from .logiccode import LogicExpressionBits
@@ -38,40 +40,38 @@ def _entropy(pos: int, total: int) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
-def build_qldt(e: LogicExpressionBits, names: list[str] | None = None) -> QldtNode:
+def build_qldt(e: LogicExpressionBits) -> QldtNode:
     """Induce a lossless tree from the expression's truth table.  Splits
     maximize information gain, ties go to the lowest attribute index;
     pure subtrees and splits with identical children collapse."""
-    n = e.n
-    rows = [(k, e.active[k]) for k in range(2**n)]
-    return _grow(rows, n, frozenset())
+    truth = np.asarray(e.active, dtype=bool).reshape((2,) * e.n)
+    return _grow(truth, tuple(range(e.n)))
 
 
-def _grow(rows, n, used) -> QldtNode:
-    labels = [y for _, y in rows]
-    pos = sum(labels)
+def _grow(truth: np.ndarray, attributes: tuple[int, ...]) -> QldtNode:
+    """Tree of a boolean tensor whose axes are `attributes`, in order."""
+    total = truth.size
+    pos = int(np.count_nonzero(truth))
     if pos == 0:
         return Leaf(False)
-    if pos == len(rows):
+    if pos == total:
         return Leaf(True)
-    base = _entropy(pos, len(rows))
-    best_gain, best_attr = -1.0, -1
-    for j in range(n):
-        if j in used:
-            continue
-        lo = [(k, y) for k, y in rows if not (k >> (n - 1 - j)) & 1]
-        hi = [(k, y) for k, y in rows if (k >> (n - 1 - j)) & 1]
+    base = _entropy(pos, total)
+    half = total // 2
+    best_gain, best_axis = -1.0, -1
+    for axis in range(truth.ndim):
+        hi = int(np.count_nonzero(np.take(truth, 1, axis=axis)))
         gain = base
-        for part in (lo, hi):
-            gain -= len(part) / len(rows) * _entropy(sum(y for _, y in part), len(part))
+        for part_pos in (pos - hi, hi):
+            gain -= half / total * _entropy(part_pos, half)
         if gain > best_gain + 1e-12:
-            best_gain, best_attr = gain, j
-    j = best_attr
-    lo = _grow([(k, y) for k, y in rows if not (k >> (n - 1 - j)) & 1], n, used | {j})
-    hi = _grow([(k, y) for k, y in rows if (k >> (n - 1 - j)) & 1], n, used | {j})
+            best_gain, best_axis = gain, axis
+    rest = attributes[:best_axis] + attributes[best_axis + 1:]
+    lo = _grow(np.take(truth, 0, axis=best_axis), rest)
+    hi = _grow(np.take(truth, 1, axis=best_axis), rest)
     if lo == hi:
         return lo
-    return Split(j, lo, hi)
+    return Split(attributes[best_axis], lo, hi)
 
 
 def eval_qldt(t: QldtNode, f: FuzzifiedObject) -> float:

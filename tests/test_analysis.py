@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annlogic.analysis import (
     And,
@@ -15,6 +17,7 @@ from annlogic.analysis import (
     trend_grid,
 )
 from annlogic.logiccode import BitTensor, LogicExpressionBits, ScalingParams
+from oracles import truth_table_loop
 
 AB = ["a", "b"]
 
@@ -90,6 +93,28 @@ class TestAstToMinterms:
         ]
         for lhs, rhs in pairs:
             assert bits(lhs, names).active == bits(rhs, names).active
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6), st.data())
+    def test_matches_per_assignment_oracle(self, names, data):
+        # Names may repeat; a repeated name binds its last column.
+        def binary(op):
+            return lambda children: st.tuples(children, children).map(
+                lambda lr: op(*lr)
+            )
+
+        ast = data.draw(
+            st.recursive(
+                st.sampled_from(names).map(Atom),
+                lambda c: st.one_of(
+                    c.map(Not), binary(And)(c), binary(Or)(c), binary(Xor)(c)
+                ),
+                max_leaves=12,
+            )
+        )
+        got = ast_to_minterms(ast, names)
+        assert got.n == len(names)
+        assert got.active == truth_table_loop(ast, names)
 
 
 class TestCompare:

@@ -1,9 +1,10 @@
 import csv
+import json
 
 import pytest
 
 from annlogic.cli import main
-from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS
+from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, synthetic_banknote
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +197,52 @@ class TestClassify:
         assert set(preds) <= {"0", "1"}
         acc = float(captured.err.split("accuracy=")[1])
         assert acc >= 0.95
+
+
+def _model_doc(pre_layers):
+    return {"input_size": 4, "relu_count": 1, "pre_layers": pre_layers,
+            "post_layers": [[[1.0]]], "threshold": 0.5}
+
+
+BAD_INPUTS = {
+    "model-not-an-object": (
+        {"model.json": "3"}, ["explain", "--model", "model.json", "--cell", "0"]),
+    "model-layers-not-a-list": (
+        {"model.json": json.dumps(_model_doc(3))},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-1d-matrix": (
+        {"model.json": json.dumps(_model_doc([[0.1, 0.2, 0.3, 0.4]]))},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "trend-fixed-index-0": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+             "--fixed", "0=0.3"]),
+    "trend-fixed-index-past-n": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+             "--fixed", "9=0.3"]),
+    "explain-bcl-max-2000": (
+        {}, ["explain", "--weights-override", "ref16.txt", "--bcl-max", "2000",
+             "--out-dir", "out"]),
+    "shapley-data-wider-than-cell": (
+        {"w2.txt": "0.9,0.4,0.7,0.8"},
+        ["shapley", "--weights-override", "w2.txt", "--data", "bank.csv"]),
+    "explain-data-wider-than-cell": (
+        {"w2.txt": "0.9,0.4,0.7,0.8"},
+        ["explain", "--weights-override", "w2.txt", "--data", "bank.csv",
+         "--out-dir", "out"]),
+}
+
+
+@pytest.mark.parametrize("files,argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
+                                               files, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
+    synthetic_banknote(tmp_path / "bank.csv", rows=20)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

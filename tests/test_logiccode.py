@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annlogic.encoding import FuzzifiedObject, minterm_transform
 from annlogic.logiccode import (
@@ -19,6 +21,7 @@ from annlogic.logiccode import (
 )
 from annlogic.partition import CellWeights
 from conftest import REF16_WEIGHTS, random_minterm
+from oracles import bitcode_loop, project_loop, weight_vectors
 
 
 def scaled(weights, tau=0.5):
@@ -107,6 +110,23 @@ class TestBitcode:
     def test_out_of_range_weight(self):
         with pytest.raises(ValueError):
             ScaledCellWeights((1.2, 0.0), ScalingParams(0, 1, 0.5), None)
+
+    @pytest.mark.parametrize("bcl_max", [-1, 53, 2000])
+    def test_bcl_max_out_of_range(self, bcl_max):
+        with pytest.raises(ValueError, match="0..52"):
+            bitcode(scaled((0.3, 1.0)), bcl_max)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(st.floats(0, 1), min_size=2**n, max_size=2**n)
+        ),
+        st.integers(0, 52),
+    )
+    def test_matches_loop_within_error_bound(self, w, bcl_max):
+        bt = bitcode(scaled(w), bcl_max)
+        assert bt.bits == bitcode_loop(w, bcl_max)
+        assert np.all(np.abs(bt.reconstruction() - w) <= 2.0 ** -(bcl_max + 1))
 
 
 class TestLevelExpression:
@@ -288,3 +308,14 @@ class TestProject:
             lhs = float(np.dot(projected_c.as_array() / 2.0, reduced.as_array()))
             rhs = float(np.dot(wc, full.as_array()))
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(weight_vectors(5), st.data())
+    def test_matches_loop_and_keeps_weight_sum(self, w, data):
+        n = len(w).bit_length() - 1
+        keep = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        )
+        projected = project(CellWeights(w), keep).weights
+        assert projected == pytest.approx(project_loop(w, n, keep), abs=1e-9)
+        assert math.isclose(sum(projected), sum(w), abs_tol=1e-9)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from annlogic.network import ReluStatus, SimpleAnn, forward, relu_status
 from annlogic.partition import (
@@ -15,6 +16,7 @@ from annlogic.partition import (
     shapley,
 )
 from conftest import random_minterm, random_simple_ann
+from oracles import shapley_permutation_oracle, weight_vectors
 
 
 class TestCellNumber:
@@ -142,26 +144,6 @@ class TestComposeCellWeights:
             compose_cell_weights(singles, CellId(7, 3))
 
 
-def shapley_permutation_oracle(weights, n):
-    """Average marginal contribution over all n! attribute orderings."""
-
-    def v(subset):
-        k = 0
-        for j in subset:
-            k |= 1 << (n - 1 - j)
-        return weights[k]
-
-    totals = [0.0] * n
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        so_far = set()
-        for j in perm:
-            before = v(so_far)
-            so_far.add(j)
-            totals[j] += v(so_far) - before
-    return [t / len(perms) for t in totals]
-
-
 class TestShapley:
     def test_worked_example(self):
         result = shapley(CellWeights((0.9, 0.4, 0.7, 0.8)))
@@ -188,6 +170,10 @@ class TestShapley:
             result = shapley(CellWeights(w))
             assert math.isclose(sum(result.values), w[7] - w[0], abs_tol=1e-9)
 
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            shapley(CellWeights((1.0, 2.0, 3.0, 4.0)), n=3)
+    @settings(deadline=None)
+    @given(weight_vectors(5))
+    def test_dividends_match_permutation_oracle(self, w):
+        values = shapley(CellWeights(w)).values
+        n = len(values)
+        assert math.isclose(sum(values), w[-1] - w[0], abs_tol=1e-9)
+        assert values == pytest.approx(shapley_permutation_oracle(w, n), abs=1e-9)

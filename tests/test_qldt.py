@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annlogic.encoding import FuzzifiedObject, minterm_bits, minterm_transform
 from annlogic.logiccode import LogicExpressionBits, eval_expression
 from annlogic.qldt import Leaf, Split, build_qldt, eval_qldt, render
+from oracles import qldt_rows
 
 
 def expr(bits):
@@ -58,6 +61,16 @@ class TestBuildQldt:
         # xor: zero gain for both attributes, lowest index splits first
         tree = build_qldt(expr((0, 1, 1, 0)))
         assert isinstance(tree, Split) and tree.attribute == 0
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=2**n, max_size=2**n)
+        )
+    )
+    def test_matches_row_list_oracle(self, bits):
+        e = expr(bits)
+        assert build_qldt(e) == qldt_rows(e.active, e.n)
 
 
 class TestEvalQldt:
