@@ -9,18 +9,13 @@ grids, and hypothesis comparisons.
 """
 
 from .encoding import (
-    FuzzifiedObject,
     FuzzifierSpec,
-    LabeledSample,
-    MintermVector,
-    RawObject,
     fit_fuzzifier,
     fuzzify,
     minterm_bits,
     minterm_transform,
 )
 from .network import (
-    ReluStatus,
     SimpleAnn,
     TrainConfig,
     classify,
@@ -36,7 +31,6 @@ from .partition import (
     PartitionReport,
     ShapleyResult,
     cell_number,
-    compose_cell_weights,
     extract_cell_weights,
     partition_dataset,
     shapley,

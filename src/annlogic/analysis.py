@@ -9,7 +9,7 @@ from typing import Union
 
 import numpy as np
 
-from .encoding import FuzzifiedObject, minterm_transform
+from .encoding import minterm_transform
 from .logiccode import BitTensor, LogicExpressionBits, ScalingParams, approx_forward
 
 
@@ -237,7 +237,7 @@ def trend_grid(
 ) -> TrendGrid:
     """Evaluate the level-restricted approximation over a uniform [0,1]
     grid of one or two varied attributes; the rest sit at fixed degrees
-    (default 0.5)."""
+    (default 0.5).  Degrees outside [0,1] are a ValueError."""
     n = bt.n
     if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
         raise ValueError("vary must name one or two distinct attributes")
@@ -250,23 +250,12 @@ def trend_grid(
     if levels is None:
         levels = list(range(bt.bcl_max + 1))
     axis = np.linspace(0.0, 1.0, resolution)
-
-    def value_at(degrees):
-        mt = minterm_transform(FuzzifiedObject(tuple(degrees)))
-        return approx_forward(bt, mt, levels)
-
-    if len(vary) == 1:
-        values = np.empty(resolution)
-        for ia, a in enumerate(axis):
-            d = list(base)
-            d[vary[0]] = a
-            values[ia] = value_at(d)
-    else:
-        values = np.empty((resolution, resolution))
-        for ia, a in enumerate(axis):
-            for ib, b in enumerate(axis):
-                d = list(base)
-                d[vary[0]] = a
-                d[vary[1]] = b
-                values[ia, ib] = value_at(d)
+    shape = (resolution,) * len(vary)
+    degrees = np.tile(base, shape + (1,))
+    for j, grid in zip(vary, np.meshgrid(*[axis] * len(vary), indexing="ij")):
+        degrees[..., j] = grid
+    # one minterm expansion per grid point
+    values = np.array([
+        approx_forward(bt, minterm_transform(d), levels) for d in degrees.reshape(-1, n)
+    ]).reshape(shape)
     return TrendGrid(tuple(vary), tuple(axis), tuple(base), tuple(levels), values)

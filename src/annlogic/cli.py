@@ -7,12 +7,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, logiccode, network, partition, qldt
 from .encoding import (
-    LabeledSample,
-    RawObject,
+    MAX_ATTRIBUTES,
     fit_fuzzifier,
     fuzzify,
     minterm_bits,
@@ -25,47 +27,55 @@ class CliError(Exception):
 
 
 def load_dataset(path, label_column):
-    """Read a CSV with header; returns (attribute names, samples)."""
+    """Read a CSV with a header row; returns (attribute names, X, y): the
+    (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
+    numbered as in the file, the header being row 1; blank rows are
+    skipped.  The csv reader parses every unquoted field as a number."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"dataset file not found: {path}")
     with open(p, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise CliError(f"dataset file is empty: {path}") from None
         if label_column not in header:
             raise CliError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-        names = [h for i, h in enumerate(header) if i != label_idx]
-        samples = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                label_raw = float(row[label_idx])
-            except (ValueError, IndexError):
-                raise CliError(f"bad label in row {row_no}: {row}") from None
-            if label_raw not in (0.0, 1.0):
-                raise CliError(
-                    f"label must be 0 or 1, got {row[label_idx]!r} in row {row_no}"
-                )
-            values = tuple(
-                float(v) for i, v in enumerate(row) if i != label_idx
+        if len(header) - 1 > MAX_ATTRIBUTES:
+            raise CliError(
+                f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
-            samples.append(LabeledSample(RawObject(values), int(label_raw)))
-    return names, samples
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+        try:
+            records = list(reader)
+        except ValueError as exc:
+            raise CliError(f"row {reader.line_num + 1}: {exc}") from None
+    width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    filled = width > 0
+    row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
+    _reject_rows(width[filled] != len(header), row_no,
+                 f"has a column count other than the header's {len(header)}")
+    try:
+        table = np.array(list(compress(records, filled)), dtype=float)
+    except ValueError as exc:
+        raise CliError(f"non-numeric value: {exc}") from None
+    table = table.reshape(-1, len(header))
+    _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
+    label_idx = header.index(label_column)
+    labels = table[:, label_idx]
+    _reject_rows(~np.isin(labels, (0.0, 1.0)), row_no, "has a label other than 0 or 1")
+    names = header[:label_idx] + header[label_idx + 1:]
+    return names, np.delete(table, label_idx, axis=1), labels.astype(int)
 
 
-def minterm_samples(samples, spec):
-    return [
-        (minterm_transform(fuzzify(s.object, spec)), s.label) for s in samples
-    ]
+def _reject_rows(bad, row_no, what):
+    if bad.any():
+        raise CliError(f"row {row_no[np.argmax(bad)]} {what}")
 
 
 def load_weights_file(path):
-    """One weight per line, or comma-separated; length must be 2^n."""
+    """One weight per line, or comma-separated; length must be 2^n with
+    n <= MAX_ATTRIBUTES."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"weights file not found: {path}")
@@ -73,6 +83,11 @@ def load_weights_file(path):
     weights = [float(tok) for tok in text.split() if tok]
     if not weights or len(weights) & (len(weights) - 1):
         raise CliError(f"weights file must hold a power-of-two count, got {len(weights)}")
+    if len(weights) > 2**MAX_ATTRIBUTES:
+        raise CliError(
+            f"weights file holds {len(weights)} weights, more than "
+            f"2^{MAX_ATTRIBUTES} minterms"
+        )
     return partition.CellWeights(tuple(weights))
 
 
@@ -99,13 +114,19 @@ def _parse_levels(text, bcl_max):
 
 
 def _names_and_rows(args):
-    """Attribute names and rows from --data, else names from --names (where
-    the command has it), else (None, None)."""
+    """Attribute names and rows (X, y) from --data, else names from --names
+    (where the command has it), else (None, None)."""
     if args.data:
-        return load_dataset(args.data, args.label)
+        names, X, y = load_dataset(args.data, args.label)
+        return names, (X, y)
     names = getattr(args, "names", None)
     if names:
-        return [t.strip() for t in names.split(",") if t.strip()], None
+        names = [t.strip() for t in names.split(",") if t.strip()]
+        if len(names) > MAX_ATTRIBUTES:
+            raise CliError(
+                f"{len(names)} names exceed the maximum of {MAX_ATTRIBUTES} attributes"
+            )
+        return names, None
     return None, None
 
 
@@ -114,7 +135,7 @@ def _cell_weights_from_args(args):
     extraction from the model; returns (weights, names, threshold,
     fuzzifier, rows).  The fuzzifier is None for a weights override, and
     rows are None without --data."""
-    names, samples = _names_and_rows(args)
+    names, rows = _names_and_rows(args)
     spec = None
     if args.weights_override:
         cw = load_weights_file(args.weights_override)
@@ -137,7 +158,7 @@ def _cell_weights_from_args(args):
         raise CliError(
             f"{len(names)} attribute names given for a cell over {cw.n} attributes"
         )
-    return cw, names, threshold, spec, samples
+    return cw, names, threshold, spec, rows
 
 
 def _fmt(x, nd=3):
@@ -145,18 +166,17 @@ def _fmt(x, nd=3):
 
 
 def cmd_train(args):
-    names, samples = load_dataset(args.data, args.label)
-    if not samples:
+    names, X, y = load_dataset(args.data, args.label)
+    if not len(y):
         raise CliError("dataset has no rows")
-    spec = fit_fuzzifier(samples, args.fuzzifier)
-    mts = minterm_samples(samples, spec)
+    spec = fit_fuzzifier(X, args.fuzzifier)
     n = len(names)
     arch = [2**n, args.relu_nodes, 1]
     cfg = network.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed
     )
     try:
-        ann, acc = network.train(mts, arch, cfg)
+        ann, acc = network.train(minterm_transform(fuzzify(X, spec)), y, arch, cfg)
     except network.TrainingDivergedError as exc:
         raise CliError(str(exc)) from exc
     network.save_model(args.model, ann, spec)
@@ -169,10 +189,10 @@ def cmd_train(args):
 
 def cmd_partition(args):
     ann, spec = _load_model(args.model)
-    names, samples = load_dataset(args.data, args.label)
+    names, X, y = load_dataset(args.data, args.label)
     if spec is None:
         raise CliError("model has no fuzzifier; cannot ingest raw data")
-    report = partition.partition_dataset(ann, minterm_samples(samples, spec))
+    report = partition.partition_dataset(ann, minterm_transform(fuzzify(X, spec)), y)
     header = ["cell_id", "relu_bits", "count_label1", "count_label0"]
     rows = [
         [r.cell.p, "".join(map(str, r.cell.bits)), r.count_label1, r.count_label0]
@@ -197,7 +217,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_explain(args):
-    cw, names, threshold, spec, samples = _cell_weights_from_args(args)
+    cw, names, threshold, spec, data = _cell_weights_from_args(args)
     scaled = logiccode.scale_weights([cw], threshold)[0]
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
@@ -248,12 +268,13 @@ def cmd_explain(args):
         dot_path.write_text(qldt.render(tree, names, format="dot"))
         print(f"tree level 2^-{bcl}: {dot_path}")
 
-    if samples is not None and spec is not None:
-        mts = minterm_samples(samples, spec)
-        cumulative = []
+    if data is not None and spec is not None:
+        X, y = data
+        mt = minterm_transform(fuzzify(X, spec))
         for bcl in range(args.bcl_max + 1):
-            cumulative.append(bcl)
-            acc = logiccode.level_accuracy(bt, scaled.params, mts, cumulative)
+            acc = logiccode.level_accuracy(
+                bt, scaled.params, mt, y, list(range(bcl + 1))
+            )
             print(f"accuracy levels 0..{bcl}: {_fmt(acc)}")
     return 0
 
@@ -390,15 +411,12 @@ def cmd_classify(args):
     ann, spec = _load_model(args.model)
     if spec is None:
         raise CliError("model has no fuzzifier; cannot ingest raw data")
-    names, samples = load_dataset(args.data, args.label)
-    hits = 0
-    for s in samples:
-        mt = minterm_transform(fuzzify(s.object, spec))
-        pred = network.classify(ann, mt)
-        print(pred)
-        hits += int(pred == s.label)
-    if samples:
-        print(f"accuracy={_fmt(hits / len(samples))}", file=sys.stderr)
+    names, X, y = load_dataset(args.data, args.label)
+    if len(y):
+        predictions = network.classify(ann, minterm_transform(fuzzify(X, spec)))
+        print("\n".join(map(str, predictions.tolist())))
+        hits = np.count_nonzero(predictions == y)
+        print(f"accuracy={_fmt(hits / len(y))}", file=sys.stderr)
     return 0
 
 

@@ -8,42 +8,16 @@ minterm index throughout the package.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_ATTRIBUTES = 12  # 2^12 = 4096 minterms; configurable per call
+MAX_ATTRIBUTES = 12  # 2^12 = 4096 minterms
 
 
 class ArityMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RawObject:
-    """One row of raw tabular data, in application units."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("raw attribute values must be finite")
-
-    @property
-    def arity(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    object: RawObject
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -88,61 +62,35 @@ class FuzzifierSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FuzzifierSpec":
+        """Inverse of `to_dict`; a missing or non-numeric field is a ValueError."""
         kind = d.get("kind")
-        if kind == "minmax":
-            return FuzzifierSpec("minmax", lo=tuple(d["lo"]), hi=tuple(d["hi"]))
-        if kind == "logistic":
-            return FuzzifierSpec(
-                "logistic",
-                midpoint=tuple(d["midpoint"]),
-                steepness=tuple(d["steepness"]),
-            )
-        raise ValueError(f"unknown fuzzifier kind {kind!r}")
+        fields = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")}
+        if kind not in fields:
+            raise ValueError(f"unknown fuzzifier kind {kind!r}")
+        for name in fields[kind]:
+            if name not in d:
+                raise ValueError(f"fuzzifier missing field {name!r}")
+        try:
+            values = {name: tuple(map(float, d[name])) for name in fields[kind]}
+        except TypeError as exc:
+            raise ValueError(f"fuzzifier fields must be lists of numbers: {exc}") from exc
+        return FuzzifierSpec(kind, **values)
 
 
-@dataclass(frozen=True)
-class FuzzifiedObject:
-    degrees: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(not (0.0 <= d <= 1.0) for d in self.degrees):
-            raise ValueError("degrees must lie in [0,1]")
-
-    @property
-    def arity(self) -> int:
-        return len(self.degrees)
-
-
-@dataclass(frozen=True)
-class MintermVector:
-    """The 2^n minterm values of one fuzzified object; they sum to 1."""
-
-    values: tuple[float, ...]
-    n: int
-
-    def __post_init__(self):
-        if len(self.values) != 2**self.n:
-            raise ValueError("minterm vector length must be 2^n")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-def fit_fuzzifier(samples: list[LabeledSample], kind: str = "minmax") -> FuzzifierSpec:
-    """Fit per-attribute monotone maps from training data.
+def fit_fuzzifier(X: np.ndarray, kind: str = "minmax") -> FuzzifierSpec:
+    """Fit per-attribute monotone maps on the (N, n) raw values X.
 
     min-max uses the per-attribute dataset min/max; logistic centres at
     the mean with steepness 1/std (std 0 falls back to steepness 1).
     """
-    if not samples:
+    X = np.asarray(X, dtype=float)
+    if X.size == 0:
         raise ValueError("cannot fit a fuzzifier on an empty dataset")
-    arities = {s.object.arity for s in samples}
-    if len(arities) != 1:
-        raise ArityMismatchError("samples have inconsistent attribute counts")
-    cols = np.array([s.object.values for s in samples], dtype=float)
+    if X.ndim != 2:
+        raise ArityMismatchError(f"expected an (N, n) array of rows, got shape {X.shape}")
     if kind == "minmax":
-        lo = cols.min(axis=0)
-        hi = cols.max(axis=0)
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
         for j in np.nonzero(lo == hi)[0]:
             warnings.warn(
                 f"attribute {j + 1} is constant ({lo[j]}); degree fixed at 1",
@@ -150,43 +98,56 @@ def fit_fuzzifier(samples: list[LabeledSample], kind: str = "minmax") -> Fuzzifi
             )
         return FuzzifierSpec("minmax", lo=tuple(lo), hi=tuple(hi))
     if kind == "logistic":
-        mid = cols.mean(axis=0)
-        std = cols.std(axis=0)
+        mid = X.mean(axis=0)
+        std = X.std(axis=0)
         steep = np.where(std > 0, 1.0 / np.where(std > 0, std, 1.0), 1.0)
         return FuzzifierSpec("logistic", midpoint=tuple(mid), steepness=tuple(steep))
     raise ValueError(f"unknown fuzzifier kind {kind!r}")
 
 
-def fuzzify(x: RawObject, spec: FuzzifierSpec) -> FuzzifiedObject:
-    """Map one raw object to degrees in [0,1]; out-of-range inputs clamp."""
-    if x.arity != spec.arity:
+def fuzzify(X: np.ndarray, spec: FuzzifierSpec) -> np.ndarray:
+    """Map raw values of shape (..., n) to degrees in [0,1] of the same
+    shape; out-of-range values clamp."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (spec.arity,):
         raise ArityMismatchError(
-            f"object has {x.arity} attributes, fuzzifier expects {spec.arity}"
+            f"raw values of shape {X.shape}, fuzzifier expects {spec.arity} attributes"
         )
-    vals = np.asarray(x.values, dtype=float)
     if spec.kind == "minmax":
         lo = np.asarray(spec.lo)
         hi = np.asarray(spec.hi)
         span = hi - lo
-        degrees = np.where(span > 0, (vals - lo) / np.where(span > 0, span, 1.0), 1.0)
+        degrees = np.where(span > 0, (X - lo) / np.where(span > 0, span, 1.0), 1.0)
     else:
         mid = np.asarray(spec.midpoint)
         steep = np.asarray(spec.steepness)
-        degrees = 1.0 / (1.0 + np.exp(-steep * (vals - mid)))
-    degrees = np.clip(degrees, 0.0, 1.0)
-    return FuzzifiedObject(tuple(float(d) for d in degrees))
+        degrees = 1.0 / (1.0 + np.exp(-steep * (X - mid)))
+    return np.clip(degrees, 0.0, 1.0)
 
 
-def minterm_transform(f: FuzzifiedObject, max_n: int = MAX_ATTRIBUTES) -> MintermVector:
-    """Expand n degrees into the 2^n minterm values (products of degrees
-    and complements), attribute 1 on the most significant index bit."""
-    n = f.arity
-    if n > max_n:
-        raise ValueError(f"{n} attributes exceed the maximum of {max_n}")
-    mt = np.array([1.0])
-    for m in f.degrees:
-        mt = np.kron(mt, np.array([1.0 - m, m]))
-    return MintermVector(tuple(float(v) for v in mt), n)
+def _degrees(degrees) -> np.ndarray:
+    """Degrees as a float array; NaN and values outside [0,1] are rejected."""
+    d = np.asarray(degrees, dtype=float)
+    if not ((d >= 0.0) & (d <= 1.0)).all():
+        raise ValueError("degrees must be finite and lie in [0,1]")
+    return d
+
+
+def minterm_transform(degrees: np.ndarray) -> np.ndarray:
+    """Expand degrees of shape (..., n) into the minterm values of shape
+    (..., 2^n): products of degrees and complements, attribute 1 on the
+    most significant index bit.  Each attribute is one broadcast Kronecker
+    step, mt <- mt (x) (1 - m_j, m_j), taken over all rows at once."""
+    n = np.shape(degrees)[-1]
+    if n > MAX_ATTRIBUTES:
+        raise ValueError(f"{n} attributes exceed the maximum of {MAX_ATTRIBUTES}")
+    d = _degrees(degrees)
+    mt = np.ones(d.shape[:-1] + (1,))
+    for m in np.moveaxis(d, -1, 0):
+        pair = np.stack((1.0 - m, m), axis=-1)
+        size = 2 * mt.shape[-1]
+        mt = (mt[..., :, None] * pair[..., None, :]).reshape(d.shape[:-1] + (size,))
+    return mt
 
 
 def minterm_bits(k: int, n: int) -> list[int]:

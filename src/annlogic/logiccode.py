@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import MintermVector
 from .partition import CellId, CellWeights
 
 DEFAULT_BCL_MAX = 3
@@ -120,13 +119,10 @@ def scale_weights(
         raise ValueError(f"unknown scaling scope {scope!r}")
 
     def scale_one(cw: CellWeights, lo: float, hi: float) -> ScaledCellWeights:
-        params = ScalingParams(lo, hi, float(params_apply(lo, hi, threshold)))
-        scaled = params.apply(cw.as_array())
-        clipped = np.clip(scaled, 0.0, 1.0)
+        apply = ScalingParams(lo, hi, 0.0).apply
+        params = ScalingParams(lo, hi, float(apply(threshold)))
+        clipped = np.clip(apply(cw.as_array()), 0.0, 1.0)
         return ScaledCellWeights(tuple(float(v) for v in clipped), params, cw.cell)
-
-    def params_apply(lo, hi, x):
-        return 1.0 if hi == lo else (x - lo) / (hi - lo)
 
     if scope == "joint":
         allw = np.concatenate([cw.as_array() for cw in cells])
@@ -156,27 +152,32 @@ def level_expression(bt: BitTensor, bcl: int) -> LogicExpressionBits:
     return LogicExpressionBits(bt.bits[bcl], bt.n)
 
 
-def eval_expression(e: LogicExpressionBits, mt: MintermVector) -> float:
-    """Arithmetic evaluation: the sum of the minterm values at active
-    positions (disjunction of mutually exclusive events)."""
-    if mt.n != e.n:
+def _minterm_sum(mt, coefficients: np.ndarray):
+    """mt @ coefficients for one minterm vector or each row of a matrix."""
+    mt = np.asarray(mt, dtype=float)
+    if mt.shape[-1] != len(coefficients):
         raise ValueError("attribute count mismatch")
-    return float(np.dot(e.active, mt.as_array()))
+    return (mt @ coefficients)[()]
+
+
+def eval_expression(e: LogicExpressionBits, mt) -> float | np.ndarray:
+    """Arithmetic evaluation: the sum of the minterm values at active
+    positions (disjunction of mutually exclusive events), for one minterm
+    vector or each row of an (N, 2^n) matrix."""
+    return _minterm_sum(mt, np.asarray(e.active, dtype=float))
 
 
 def approx_forward(
-    bt: BitTensor, mt: MintermVector, levels: list[int] | None = None
-) -> float:
+    bt: BitTensor, mt, levels: list[int] | None = None
+) -> float | np.ndarray:
     """Sum over the chosen levels of 2^-bcl times the level expression's
-    evaluation; all levels by default."""
-    if levels is None:
-        levels = list(range(bt.bcl_max + 1))
-    if any(not 0 <= bcl <= bt.bcl_max for bcl in levels):
+    evaluation, all levels by default: one product of `mt` with the
+    coefficients sum_b 2^-b * bits[b]."""
+    levels = np.arange(bt.bcl_max + 1) if levels is None else np.asarray(levels, dtype=int)
+    if ((levels < 0) | (levels > bt.bcl_max)).any():
         raise ValueError("level outside 0..bcl_max")
-    return float(
-        sum(2.0**-bcl * eval_expression(level_expression(bt, bcl), mt)
-            for bcl in levels)
-    )
+    coefficients = (2.0 ** -levels) @ np.asarray(bt.bits, dtype=float)[levels]
+    return _minterm_sum(mt, coefficients)
 
 
 def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
@@ -202,18 +203,16 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
 def level_accuracy(
     bt: BitTensor,
     params: ScalingParams,
-    samples: list[tuple[MintermVector, int]],
+    samples: np.ndarray,
+    labels: np.ndarray,
     levels: list[int] | None = None,
 ) -> float:
-    """Fraction of samples whose thresholded level-restricted evaluation
-    matches the label."""
-    if not samples:
+    """Fraction of the rows of the (N, 2^n) minterm matrix `samples` whose
+    thresholded level-restricted evaluation matches the 0/1 label."""
+    if len(samples) == 0:
         raise ValueError("empty sample set")
-    tau = params.scaled_threshold
-    hits = sum(
-        int((approx_forward(bt, mt, levels) > tau) == bool(y)) for mt, y in samples
-    )
-    return hits / len(samples)
+    predicted = approx_forward(bt, samples, levels) > params.scaled_threshold
+    return np.count_nonzero(predicted == np.asarray(labels, dtype=bool)) / len(samples)
 
 
 def project(cw: CellWeights, keep: list[int]) -> CellWeights:

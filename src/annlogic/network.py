@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import FuzzifierSpec, MintermVector
+from .encoding import MAX_ATTRIBUTES, FuzzifierSpec
 
 
 class ModelFormatError(ValueError):
@@ -62,15 +62,6 @@ class SimpleAnn:
 
 
 @dataclass(frozen=True)
-class ReluStatus:
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("status bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 2000
@@ -84,92 +75,84 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
 
 
-def _pre_activations(ann: SimpleAnn, mt: np.ndarray) -> np.ndarray:
-    h = mt
-    for w in ann.pre_layers:
-        h = w @ h
-    return h
+def _activations(layers, h) -> list[np.ndarray]:
+    """h and its image after each bias-free layer, rows in, rows out."""
+    acts = [h]
+    for w in layers:
+        acts.append(acts[-1] @ w.T)
+    return acts
 
 
-def _as_input(ann: SimpleAnn, mt) -> np.ndarray:
-    x = mt.as_array() if isinstance(mt, MintermVector) else np.asarray(mt, dtype=float)
-    if x.shape[0] != ann.input_size:
+def _pre_activations(ann: SimpleAnn, mt) -> np.ndarray:
+    x = np.asarray(mt, dtype=float)
+    if x.shape[-1] != ann.input_size:
         raise ValueError(
-            f"input length {x.shape[0]} does not match network input size "
+            f"input length {x.shape[-1]} does not match network input size "
             f"{ann.input_size}"
         )
-    return x
+    return _activations(ann.pre_layers, x)[-1]
 
 
-def forward(ann: SimpleAnn, mt) -> float:
-    """Output score w_post . ReLU(w_pre . mt)."""
-    h = np.maximum(_pre_activations(ann, _as_input(ann, mt)), 0.0)
-    for w in ann.post_layers:
-        h = w @ h
-    return float(h[0])
+def forward(ann: SimpleAnn, mt) -> float | np.ndarray:
+    """Output score w_post . ReLU(w_pre . mt) of one minterm vector, or
+    the (N,) scores of the rows of an (N, 2^n) minterm matrix."""
+    relu = np.maximum(_pre_activations(ann, mt), 0.0)
+    return _activations(ann.post_layers, relu)[-1][..., 0][()]
 
 
-def classify(ann: SimpleAnn, mt) -> int:
-    """1 iff the output score strictly exceeds the threshold."""
-    return 1 if forward(ann, mt) > ann.threshold else 0
+def classify(ann: SimpleAnn, mt) -> int | np.ndarray:
+    """1 iff the output score strictly exceeds the threshold, per row."""
+    return (forward(ann, mt) > ann.threshold).astype(int)[()]
 
 
-def relu_status(ann: SimpleAnn, mt) -> ReluStatus:
-    """Active (1) iff a ReLU node's pre-activation is >= 0; zero counts
-    as active so that cell assignment is deterministic on boundaries."""
-    pre = _pre_activations(ann, _as_input(ann, mt))
-    return ReluStatus(tuple(int(z >= 0.0) for z in pre))
-
-
-def _batch_forward(pre_w, post_w, X):
-    h = X
-    for w in pre_w:
-        h = h @ w.T
-    h = np.maximum(h, 0.0)
-    for w in post_w:
-        h = h @ w.T
-    return h[:, 0]
+def relu_status(ann: SimpleAnn, mt) -> np.ndarray:
+    """Status bits, shape (..., l): active (1) iff a ReLU node's
+    pre-activation is >= 0; zero counts as active so that cell assignment
+    is deterministic on boundaries."""
+    return (_pre_activations(ann, mt) >= 0.0).astype(int)
 
 
 def choose_threshold(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Threshold maximizing accuracy of `o > tau`, as the midpoint of the
-    best split of the sorted outputs.  Returns (tau, accuracy)."""
+    best split of the sorted outputs.  Returns (tau, accuracy).  A split
+    falls between two distinct sorted outputs or after the last; the
+    first best split wins, and none wins unless it beats classifying
+    every row 1."""
     order = np.argsort(outputs, kind="stable")
     o = outputs[order]
     y = labels[order]
-    total_pos = int(y.sum())
     n = len(y)
-    # candidate i: everything after position i classified 1
-    best_tau = o[0] - 1.0
-    best_acc = total_pos / n
-    ones_seen = 0
-    for i in range(n):
-        ones_seen += y[i]
-        if i + 1 < n and o[i] == o[i + 1]:
-            continue
-        correct = (i + 1 - ones_seen) + (total_pos - ones_seen)
-        acc = correct / n
-        if acc > best_acc:
-            best_acc = acc
-            best_tau = (o[i] + o[i + 1]) / 2.0 if i + 1 < n else o[i] + 1.0
-    return float(best_tau), float(best_acc)
+    total_pos = int(y.sum())
+    ones_seen = np.cumsum(y)
+    # split after position i: everything up to i classified 0
+    correct = (np.arange(1, n + 1) - ones_seen) + (total_pos - ones_seen)
+    splits = np.flatnonzero(np.append(o[:-1] != o[1:], True))
+    i = splits[np.argmax(correct[splits])]
+    if correct[i] / n > total_pos / n:
+        tau = (o[i] + o[i + 1]) / 2.0 if i + 1 < n else o[i] + 1.0
+        return float(tau), float(correct[i] / n)
+    return float(o[0] - 1.0), float(total_pos / n)
 
 
 def train(
-    samples: list[tuple[MintermVector, int]],
+    mt: np.ndarray,
+    labels: np.ndarray,
     arch: list[int],
     cfg: TrainConfig = TrainConfig(),
     relu_after: int = 1,
 ) -> tuple[SimpleAnn, float]:
-    """Full-batch gradient descent on MSE.  `arch` lists layer sizes from
-    input to output (last must be 1); the ReLU sits after the
+    """Full-batch gradient descent on MSE over the rows of the (N, 2^n)
+    minterm matrix `mt` and their 0/1 labels.  `arch` lists layer sizes
+    from input to output (last must be 1); the ReLU sits after the
     `relu_after`-th weight matrix.  Returns (ann, training accuracy)."""
-    if not samples:
+    X = np.asarray(mt, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if len(X) == 0:
         raise ValueError("no training samples")
-    labels = np.array([y for _, y in samples], dtype=float)
-    if len(set(labels)) < 2:
+    if X.ndim != 2 or labels.shape != (len(X),):
+        raise ValueError("need an (N, 2^n) minterm matrix and N labels")
+    if len(np.unique(labels)) < 2:
         raise ValueError("need at least one sample of each class")
-    X = np.array([mt.as_array() for mt, _ in samples])
     if arch[0] != X.shape[1] or arch[-1] != 1:
         raise ValueError("arch must run from input size 2^n to a single output")
     if not 1 <= relu_after < len(arch) - 1:
@@ -184,18 +167,10 @@ def train(
 
     for _ in range(cfg.epochs):
         # forward with cached activations
-        acts = [X]
-        h = X
-        for w in weights[:pre_n]:
-            h = h @ w.T
-            acts.append(h)
-        mask = h > 0
-        h = np.maximum(h, 0.0)
-        acts.append(h)
-        for w in weights[pre_n:]:
-            h = h @ w.T
-            acts.append(h)
-        out = h[:, 0]
+        acts = _activations(weights[:pre_n], X)
+        mask = acts[-1] > 0
+        acts += _activations(weights[pre_n:], np.maximum(acts[-1], 0.0))
+        out = acts[-1][:, 0]
         loss = float(np.mean((out - labels) ** 2))
         if not math.isfinite(loss):
             raise TrainingDivergedError(
@@ -216,10 +191,9 @@ def train(
         for i, g in enumerate(grads):
             weights[i] = weights[i] - cfg.learning_rate * g
 
-    outputs = _batch_forward(weights[:pre_n], weights[pre_n:], X)
-    tau, acc = choose_threshold(outputs, labels)
-    ann = SimpleAnn(tuple(weights[:pre_n]), tuple(weights[pre_n:]), tau)
-    return ann, acc
+    ann = SimpleAnn(tuple(weights[:pre_n]), tuple(weights[pre_n:]), 0.0)
+    tau, acc = choose_threshold(forward(ann, X), labels)
+    return replace(ann, threshold=tau), acc
 
 
 def save_model(path, ann: SimpleAnn, fuzzifier: FuzzifierSpec | None = None) -> None:
@@ -258,8 +232,25 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
     ann = SimpleAnn(pre, post, threshold)
     if ann.input_size != doc["input_size"] or ann.relu_count != doc["relu_count"]:
         raise ModelFormatError("declared sizes do not match matrix shapes")
+    if ann.input_size > 2**MAX_ATTRIBUTES:
+        raise ModelFormatError(
+            f"input size {ann.input_size} exceeds 2^{MAX_ATTRIBUTES} minterms"
+        )
     fz = doc.get("fuzzifier")
-    return ann, FuzzifierSpec.from_dict(fz) if fz else None
+    if fz is None:
+        return ann, None
+    if not isinstance(fz, dict):
+        raise ModelFormatError("fuzzifier must be a JSON object or null")
+    try:
+        spec = FuzzifierSpec.from_dict(fz)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad fuzzifier: {exc}") from exc
+    if 2**spec.arity != ann.input_size:
+        raise ModelFormatError(
+            f"fuzzifier over {spec.arity} attributes does not match input size "
+            f"{ann.input_size}"
+        )
+    return ann, spec
 
 
 def _reject_nonfinite(token):

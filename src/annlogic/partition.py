@@ -1,6 +1,6 @@
 """Partition cells of the network: cell numbering from ReLU status,
-dataset partition reports, exact per-cell linear minterm-weight maps,
-composition from single-active-node cells, and Shapley attribution."""
+dataset partition reports, exact per-cell linear minterm-weight maps
+and Shapley attribution."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import MintermVector
-from .network import ReluStatus, SimpleAnn, relu_status
+from .network import SimpleAnn, relu_status
 
 
 @dataclass(frozen=True)
@@ -82,29 +81,28 @@ class ShapleyResult:
     values: tuple[float, ...]
 
 
-def cell_number(status: ReluStatus) -> CellId:
-    """Pack the status bits MSB-first into the cell number."""
-    bits = status.bits
-    if not bits:
-        raise ValueError("empty ReLU status")
-    p = 0
-    for b in bits:
-        p = (p << 1) | b
-    return CellId(p, len(bits))
+def cell_number(status) -> CellId:
+    """Pack one ReLU status, its bits MSB-first, into the cell number."""
+    bits = list(status)
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise ValueError("a ReLU status is a non-empty sequence of 0/1 bits")
+    return CellId(int("".join(str(int(b)) for b in bits), 2), len(bits))
 
 
 def partition_dataset(
-    ann: SimpleAnn, samples: list[tuple[MintermVector, int]]
+    ann: SimpleAnn, samples: np.ndarray, labels: np.ndarray
 ) -> PartitionReport:
-    """Assign every sample to its cell; report non-empty cells sorted by
-    descending total count (ties by cell number)."""
-    counts: dict[int, list[int]] = {}
-    for mt, y in samples:
-        p = cell_number(relu_status(ann, mt)).p
-        counts.setdefault(p, [0, 0])[1 - y] += 1
+    """Assign every row of the (N, 2^n) minterm matrix `samples` to its
+    cell; report non-empty cells sorted by descending total count (ties by
+    cell number).  Rows are grouped by their distinct status rows, so the
+    cell number is only formed once per non-empty cell."""
+    cells, slot, total = np.unique(
+        relu_status(ann, samples), axis=0, return_inverse=True, return_counts=True
+    )
+    ones = np.bincount(slot.ravel(), weights=labels, minlength=len(cells))
     rows = [
-        CellReportRow(CellId(p, ann.relu_count), c1, c0)
-        for p, (c1, c0) in counts.items()
+        CellReportRow(cell_number(bits), int(c1), int(t - c1))
+        for bits, c1, t in zip(cells, ones, total)
     ]
     rows.sort(key=lambda r: (-r.total, r.cell.p))
     return PartitionReport(tuple(rows))
@@ -125,31 +123,6 @@ def extract_cell_weights(ann: SimpleAnn, cell: CellId) -> CellWeights:
     for w in ann.post_layers:
         h = w @ h
     return CellWeights(tuple(float(v) for v in h[0]), cell)
-
-
-def compose_cell_weights(singles: list[CellWeights], cell: CellId) -> CellWeights:
-    """Sum the weights of the single-active-node cells whose node is
-    active in `cell`; cell 0 is the zero map."""
-    by_cell = {}
-    for cw in singles:
-        if cw.cell is None or bin(cw.cell.p).count("1") != 1:
-            raise ValueError("singles must carry single-active-node cell ids")
-        by_cell[cw.cell.p] = cw
-    size = len(singles[0].weights) if singles else None
-    total = None
-    for m in range(cell.l):
-        if not cell.bits[m]:
-            continue
-        p = 1 << (cell.l - 1 - m)
-        if p not in by_cell:
-            raise ValueError(f"missing single-node cell {p}")
-        w = by_cell[p].as_array()
-        total = w if total is None else total + w
-    if total is None:
-        if size is None:
-            raise ValueError("cannot size cell 0 weights without any singles")
-        total = np.zeros(size)
-    return CellWeights(tuple(float(v) for v in total), cell)
 
 
 def shapley(cw: CellWeights) -> ShapleyResult:

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .encoding import FuzzifiedObject
+from .encoding import _degrees
 from .logiccode import LogicExpressionBits
 
 
@@ -74,15 +74,19 @@ def _grow(truth: np.ndarray, attributes: tuple[int, ...]) -> QldtNode:
     return Split(attributes[best_axis], lo, hi)
 
 
-def eval_qldt(t: QldtNode, f: FuzzifiedObject) -> float:
+def eval_qldt(t: QldtNode, degrees) -> float:
     """Sum over root-to-active-leaf paths of the product of edge degrees
-    (high edge: m_j, low edge: 1 - m_j)."""
+    (high edge: m_j, low edge: 1 - m_j) for one object's n degrees."""
+    return _eval(t, _degrees(degrees))
+
+
+def _eval(t: QldtNode, d: np.ndarray) -> float:
     if isinstance(t, Leaf):
         return 1.0 if t.active else 0.0
-    if t.attribute >= f.arity:
+    if t.attribute >= len(d):
         raise ValueError(f"attribute index {t.attribute} out of range")
-    m = f.degrees[t.attribute]
-    return (1.0 - m) * eval_qldt(t.low, f) + m * eval_qldt(t.high, f)
+    m = d[t.attribute]
+    return (1.0 - m) * _eval(t.low, d) + m * _eval(t.high, d)
 
 
 def render(t: QldtNode, names: list[str] | None = None, format: str = "dot") -> str:

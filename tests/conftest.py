@@ -59,6 +59,6 @@ def random_simple_ann(rng, n, l, extra_pre=False, extra_post=False):
 
 
 def random_minterm(rng, n):
-    from annlogic.encoding import FuzzifiedObject, minterm_transform
+    from annlogic.encoding import minterm_transform
 
-    return minterm_transform(FuzzifiedObject(tuple(rng.uniform(0, 1, n))))
+    return minterm_transform(rng.uniform(0, 1, n))

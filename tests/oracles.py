@@ -1,8 +1,9 @@
-"""Scalar reference implementations that loop over minterm indices, and
-the hypothesis strategy for the weight vectors they are compared on.
+"""Scalar reference implementations that loop over minterm indices or
+dataset rows, and the hypothesis strategies they are compared on.
 
-The package computes these on the (2,)*n weight and truth tensors; the
-tests compare it against the plain loops below.  Minterm index k holds
+The package computes these on the (2,)*n weight and truth tensors and on
+(N, n) and (N, 2^n) row matrices; the tests compare it against the plain
+loops below.  Minterm index k holds
 attribute j (0-based) on bit n-1-j, so attribute 1 is the most
 significant bit.  The benchmark imports tests/conftest.py for its
 banknote data, so hypothesis is imported here and not there.
@@ -11,9 +12,12 @@ banknote data, so hypothesis is imported here and not there.
 import itertools
 import math
 
+import numpy as np
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from annlogic.analysis import And, Atom, Not, Or, Xor
+from annlogic.partition import CellWeights
 from annlogic.qldt import Leaf, Split
 
 
@@ -23,6 +27,13 @@ def weight_vectors(max_n):
         lambda n: st.lists(
             st.floats(-100, 100, allow_nan=False), min_size=2**n, max_size=2**n
         ).map(tuple)
+    )
+
+
+def degree_rows(max_n, max_rows):
+    """(N, n) degree arrays in [0,1], n = 1 .. max_n, N = 0 .. max_rows."""
+    return st.tuples(st.integers(0, max_rows), st.integers(1, max_n)).flatmap(
+        lambda shape: hnp.arrays(float, shape, elements=st.floats(0, 1))
     )
 
 
@@ -131,3 +142,73 @@ def _grow(rows, n, used):
     if lo == hi:
         return lo
     return Split(j, lo, hi)
+
+
+def minterms_kron(degrees):
+    """One np.kron chain per row of an (N, n) degree array."""
+    rows = []
+    for row in degrees:
+        mt = np.array([1.0])
+        for m in row:
+            mt = np.kron(mt, np.array([1.0 - m, m]))
+        rows.append(mt)
+    return np.array(rows).reshape(len(degrees), 2 ** degrees.shape[1])
+
+
+def partition_rows(ann, mt, labels):
+    """(cell number, label-1 count, label-0 count) per non-empty cell, one
+    row at a time: pre-activations w @ h, status z >= 0, bits packed
+    MSB-first; sorted by descending total, ties by cell number."""
+    counts = {}
+    for x, y in zip(mt, labels):
+        h = x
+        for w in ann.pre_layers:
+            h = w @ h
+        p = 0
+        for z in h:
+            p = (p << 1) | int(z >= 0.0)
+        counts.setdefault(p, [0, 0])[1 - int(y)] += 1
+    return sorted(
+        ((p, c1, c0) for p, (c1, c0) in counts.items()),
+        key=lambda r: (-(r[1] + r[2]), r[0]),
+    )
+
+
+def choose_threshold_loop(outputs, labels):
+    """Scan the stable-sorted outputs; a split after position i needs
+    o[i] != o[i+1]; the first strictly better accuracy wins."""
+    order = np.argsort(outputs, kind="stable")
+    o = outputs[order]
+    y = labels[order]
+    total_pos = int(y.sum())
+    n = len(y)
+    best_tau = o[0] - 1.0
+    best_acc = total_pos / n
+    ones_seen = 0
+    for i in range(n):
+        ones_seen += y[i]
+        if i + 1 < n and o[i] == o[i + 1]:
+            continue
+        acc = ((i + 1 - ones_seen) + (total_pos - ones_seen)) / n
+        if acc > best_acc:
+            best_acc = acc
+            best_tau = (o[i] + o[i + 1]) / 2.0 if i + 1 < n else o[i] + 1.0
+    return float(best_tau), float(best_acc)
+
+
+def compose_cell_weights(singles, cell):
+    """A cell's weights as the sum of the single-active-node cells whose
+    node is active in `cell`; cell 0 is the zero map."""
+    by_cell = {}
+    for cw in singles:
+        if cw.cell is None or bin(cw.cell.p).count("1") != 1:
+            raise ValueError("singles must carry single-active-node cell ids")
+        by_cell[cw.cell.p] = cw
+    total = np.zeros(len(singles[0].weights))
+    for m in range(cell.l):
+        if cell.bits[m]:
+            p = 1 << (cell.l - 1 - m)
+            if p not in by_cell:
+                raise ValueError(f"missing single-node cell {p}")
+            total = total + by_cell[p].as_array()
+    return CellWeights(tuple(float(v) for v in total), cell)

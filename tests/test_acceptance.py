@@ -8,8 +8,8 @@ from contextlib import contextmanager
 import numpy as np
 
 import annlogic as al
-from annlogic.cli import load_dataset, minterm_samples
-from annlogic.encoding import FuzzifiedObject, fit_fuzzifier, minterm_transform
+from annlogic.cli import load_dataset
+from annlogic.encoding import fit_fuzzifier, fuzzify, minterm_transform
 from annlogic.logiccode import BitTensor, ScaledCellWeights, ScalingParams
 from annlogic.network import TrainConfig
 from conftest import (
@@ -18,7 +18,7 @@ from conftest import (
     random_minterm,
     random_simple_ann,
 )
-from test_partition import shapley_permutation_oracle
+from oracles import compose_cell_weights, shapley_permutation_oracle
 
 # Reference bit codes for the 16-weight golden test, MSB first.
 REF16_BITS = (
@@ -115,7 +115,7 @@ def test_criterion_03_two_attribute_bitcodes_and_level_forms():
             e = al.level_expression(reference, bcl)
             for a in grid:
                 for b in grid:
-                    mt = minterm_transform(FuzzifiedObject((float(a), float(b))))
+                    mt = minterm_transform([a, b])
                     assert math.isclose(
                         al.eval_expression(e, mt), form(a, b), abs_tol=1e-9
                     )
@@ -160,11 +160,11 @@ def test_criterion_05_cell_map_equivalence():
                 cell = al.cell_number(al.relu_status(ann, mt))
                 cw = al.extract_cell_weights(ann, cell)
                 assert abs(
-                    float(np.dot(cw.as_array(), mt.as_array()))
+                    float(np.dot(cw.as_array(), mt))
                     - al.forward(ann, mt)
                 ) < 1e-9
             for p in range(2**l):
-                composed = al.compose_cell_weights(singles, al.CellId(p, l))
+                composed = compose_cell_weights(singles, al.CellId(p, l))
                 direct = al.extract_cell_weights(ann, al.CellId(p, l))
                 assert np.allclose(
                     composed.weights, direct.weights, atol=1e-9
@@ -182,8 +182,8 @@ def test_criterion_06_minterm_normalization():
         rng = np.random.default_rng(44)
         for _ in range(1000):
             n = int(rng.integers(1, 7))
-            mt = minterm_transform(FuzzifiedObject(tuple(rng.uniform(0, 1, n))))
-            assert math.isclose(sum(mt.values), 1.0, abs_tol=1e-9)
+            mt = minterm_transform(rng.uniform(0, 1, n))
+            assert math.isclose(mt.sum(), 1.0, abs_tol=1e-9)
 
 
 def test_criterion_07_bit_approximation_bound():
@@ -195,7 +195,7 @@ def test_criterion_07_bit_approximation_bound():
                 w = tuple(rng.uniform(0, 1, 2**n))
                 bt = al.bitcode(identity_scaled(w), bcl_max)
                 mt = random_minterm(rng, n)
-                exact = float(np.dot(w, mt.as_array()))
+                exact = float(np.dot(w, mt))
                 err = abs(al.approx_forward(bt, mt) - exact)
                 assert err <= 2 ** -(bcl_max + 1) + 1e-9
 
@@ -208,7 +208,7 @@ def test_criterion_08_qldt_equivalence():
             tree = al.build_qldt(e)
             for a in grid2:
                 for b in grid2:
-                    f = FuzzifiedObject((a, b))
+                    f = (a, b)
                     want = al.eval_expression(e, minterm_transform(f))
                     assert abs(al.eval_qldt(tree, f) - want) < 1e-9
         rng = np.random.default_rng(46)
@@ -218,14 +218,14 @@ def test_criterion_08_qldt_equivalence():
                 e = al.LogicExpressionBits(bits, n)
                 tree = al.build_qldt(e)
                 for _ in range(4):
-                    f = FuzzifiedObject(tuple(rng.uniform(0, 1, n)))
+                    f = rng.uniform(0, 1, n)
                     want = al.eval_expression(e, minterm_transform(f))
                     assert abs(al.eval_qldt(tree, f) - want) < 1e-9
         # the worked two-attribute tree formula
         tree = al.build_qldt(al.LogicExpressionBits((0, 1, 1, 1), 2))
         for m1, m2 in [(0.2, 0.7), (0.0, 1.0), (0.5, 0.5), (0.9, 0.1)]:
             want = m2 + (1 - m2) * m1
-            got = al.eval_qldt(tree, FuzzifiedObject((m1, m2)))
+            got = al.eval_qldt(tree, (m1, m2))
             assert math.isclose(got, want, abs_tol=1e-9)
 
 
@@ -254,15 +254,14 @@ def test_criterion_09_hypothesis_metrics():
 
 def test_criterion_10_end_to_end(banknote_csv):
     with criterion(10, "end-to-end: train, partition, level accuracy"):
-        names, samples = load_dataset(banknote_csv, "label")
-        spec = fit_fuzzifier(samples)
-        mts = minterm_samples(samples, spec)
+        names, X, y = load_dataset(banknote_csv, "label")
+        mts = minterm_transform(fuzzify(X, fit_fuzzifier(X)))
         ann, acc = al.train(
-            mts, [16, 3, 1], TrainConfig(learning_rate=1.0, epochs=2000, seed=0)
+            mts, y, [16, 3, 1], TrainConfig(learning_rate=1.0, epochs=2000, seed=0)
         )
         print(f"  training accuracy: {acc:.4f}")
         assert acc >= 0.95
-        report = al.partition_dataset(ann, mts)
+        report = al.partition_dataset(ann, mts, y)
         print(f"  non-empty cells: {len(report.rows)}")
         for row in report.rows:
             print(f"    {row.cell}: label1={row.count_label1} label0={row.count_label0}")
@@ -272,20 +271,13 @@ def test_criterion_10_end_to_end(banknote_csv):
         cw = al.extract_cell_weights(ann, best.cell)
         sw = al.scale_weights([cw], ann.threshold, scope="per-cell")[0]
         bt = al.bitcode(sw, 3)
-        members = [
-            (mt, y)
-            for mt, y in mts
-            if al.cell_number(al.relu_status(ann, mt)).p == best.cell.p
-        ]
+        members = (al.relu_status(ann, mts) == best.cell.bits).all(axis=1)
         tau = sw.params.scaled_threshold
-        exact_hits = sum(
-            int((float(np.dot(sw.weights, mt.as_array())) > tau) == bool(y))
-            for mt, y in members
-        )
-        exact_acc = exact_hits / len(members)
+        exact = (mts[members] @ sw.as_array() > tau) == y[members].astype(bool)
+        exact_acc = np.count_nonzero(exact) / np.count_nonzero(members)
         cumulative = []
         for bcl in range(4):
             cumulative.append(bcl)
-            lvl_acc = al.level_accuracy(bt, sw.params, members, cumulative)
+            lvl_acc = al.level_accuracy(bt, sw.params, mts[members], y[members], cumulative)
             print(f"  cell {best.cell} accuracy levels 0..{bcl}: {lvl_acc:.4f}")
         assert abs(lvl_acc - exact_acc) <= 0.03

@@ -207,3 +207,16 @@ class TestTrendGrid:
         bt = self.tensor([(0, 1, 0, 1, 0, 1, 0, 1)])
         grid = trend_grid(bt, PARAMS, vary=[0], fixed={2: 0.3}, resolution=3)
         assert np.allclose(grid.values, 0.3)
+
+    def test_fixed_degree_out_of_range(self):
+        bt = self.tensor([(0, 1, 0, 1, 0, 1, 0, 1)])
+        for bad in (1.5, -0.2, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                trend_grid(bt, PARAMS, vary=[0], fixed={2: bad}, resolution=3)
+
+    def test_two_varied_axes_order(self):
+        # expression a and not b: values[ia, ib] = a * (1 - b)
+        bt = self.tensor([(0, 0, 1, 0)])
+        grid = trend_grid(bt, PARAMS, vary=[0, 1], resolution=4)
+        a = np.asarray(grid.axis)
+        assert np.allclose(grid.values, np.outer(a, 1 - a), atol=1e-12)

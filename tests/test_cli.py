@@ -199,9 +199,17 @@ class TestClassify:
         assert acc >= 0.95
 
 
-def _model_doc(pre_layers):
+def _model_doc(pre_layers, **extra):
     return {"input_size": 4, "relu_count": 1, "pre_layers": pre_layers,
-            "post_layers": [[[1.0]]], "threshold": 0.5}
+            "post_layers": [[[1.0]]], "threshold": 0.5, **extra}
+
+
+def _fuzzified_model(fuzzifier):
+    return json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=fuzzifier))
+
+
+WIDE_ROW_CSV = "a,b,label\n0.1,0.2,0\n0.3,0.4,0.5,1\n"
+NAN_CSV = "a,b,label\n0.1,0.2,0\n0.3,nan,1\n"
 
 
 BAD_INPUTS = {
@@ -229,6 +237,35 @@ BAD_INPUTS = {
         {"w2.txt": "0.9,0.4,0.7,0.8"},
         ["explain", "--weights-override", "w2.txt", "--data", "bank.csv",
          "--out-dir", "out"]),
+    "model-fuzzifier-not-an-object": (
+        {"model.json": _fuzzified_model(3)},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-fuzzifier-missing-hi": (
+        {"model.json": _fuzzified_model({"kind": "minmax", "lo": [0.0, 0.0]})},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-fuzzifier-arity-not-input-size": (
+        {"model.json": _fuzzified_model(
+            {"kind": "minmax", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]})},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "csv-nan-value": (
+        {"bad.csv": NAN_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-row-wider-than-header": (
+        {"bad.csv": WIDE_ROW_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-13-attributes": (
+        {"bad.csv": ",".join(f"a{j}" for j in range(13)) + ",label\n" + "0," * 13 + "1\n"},
+        ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "weights-file-2^13-lines": (
+        {"w13.txt": "0.5\n" * 2**13},
+        ["shapley", "--weights-override", "w13.txt"]),
+    "model-input-size-2^13": (
+        {"model.json": json.dumps(dict(_model_doc([[[0.0] * 2**13]]), input_size=2**13))},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "hypothesis-13-names": (
+        {}, ["hypothesis", "--names", ",".join(f"a{j}" for j in range(13)),
+             "--hypothesis", "a0", "--hypothesis2", "a1"]),
+    "trend-fixed-degree-above-1": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+             "--fixed", "2=1.5"]),
 }
 
 
@@ -246,3 +283,16 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    (NAN_CSV, "row 3 holds a value that is not finite"),
+    (WIDE_ROW_CSV, "row 3 has a column count other than the header's 3"),
+    ("a,label\n\n0.1,0\n0.2,2\n", "row 4 has a label other than 0 or 1"),
+    ("a,label\n0.1,0\n0.2,x\n", "row 3: could not convert string to float: 'x'"),
+])
+def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,24 +1,21 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from annlogic.encoding import (
     ArityMismatchError,
-    FuzzifiedObject,
     FuzzifierSpec,
-    LabeledSample,
-    RawObject,
     fit_fuzzifier,
     fuzzify,
     minterm_bits,
     minterm_transform,
 )
+from oracles import degree_rows, minterms_kron
 
 
 def make_samples(columns):
-    rows = list(zip(*columns))
-    return [LabeledSample(RawObject(tuple(r)), 0) for r in rows]
+    """The (N, n) raw-value array whose columns are `columns`."""
+    return np.array(columns, dtype=float).T
 
 
 class TestFitFuzzifier:
@@ -30,51 +27,44 @@ class TestFitFuzzifier:
     def test_constant_column_degenerate(self):
         with pytest.warns(UserWarning, match="constant"):
             spec = fit_fuzzifier(make_samples([[2, 2]]))
-        f = fuzzify(RawObject((2,)), spec)
-        assert f.degrees == (1.0,)
+        assert fuzzify([2.0], spec).tolist() == [1.0]
 
     def test_midpoint(self):
         spec = fit_fuzzifier(make_samples([[0, 10]]))
-        assert fuzzify(RawObject((5,)), spec).degrees == (0.5,)
+        assert fuzzify([5.0], spec).tolist() == [0.5]
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             fit_fuzzifier([])
 
     def test_inconsistent_arity(self):
-        samples = [
-            LabeledSample(RawObject((1.0,)), 0),
-            LabeledSample(RawObject((1.0, 2.0)), 1),
-        ]
+        # rows of one object each are an (N, n) array; a flat vector is not
         with pytest.raises(ArityMismatchError):
-            fit_fuzzifier(samples)
+            fit_fuzzifier(np.array([1.0, 2.0]))
 
     def test_logistic_monotone(self):
         spec = fit_fuzzifier(make_samples([[0, 1, 2, 3, 4]]), kind="logistic")
-        lows = fuzzify(RawObject((0,)), spec).degrees[0]
-        highs = fuzzify(RawObject((4,)), spec).degrees[0]
+        lows, highs = fuzzify([[0.0], [4.0]], spec)[:, 0]
         assert lows < 0.5 < highs
 
 
 class TestFuzzify:
     def test_endpoints(self):
         spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
-        assert fuzzify(RawObject((0.0,)), spec).degrees == (0.0,)
-        assert fuzzify(RawObject((4.0,)), spec).degrees == (1.0,)
+        assert fuzzify([[0.0], [4.0]], spec).tolist() == [[0.0], [1.0]]
 
     def test_interior(self):
         spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
-        assert fuzzify(RawObject((1.0,)), spec).degrees == (0.25,)
+        assert fuzzify([1.0], spec).tolist() == [0.25]
 
     def test_clamping(self):
         spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
-        assert fuzzify(RawObject((-3.0,)), spec).degrees == (0.0,)
-        assert fuzzify(RawObject((9.0,)), spec).degrees == (1.0,)
+        assert fuzzify([[-3.0], [9.0]], spec).tolist() == [[0.0], [1.0]]
 
     def test_arity_mismatch(self):
         spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
         with pytest.raises(ArityMismatchError):
-            fuzzify(RawObject((1.0, 2.0)), spec)
+            fuzzify([1.0, 2.0], spec)
 
     def test_monotone(self):
         spec = FuzzifierSpec("minmax", lo=(0.0, -1.0), hi=(4.0, 1.0))
@@ -83,54 +73,70 @@ class TestFuzzify:
             x = rng.uniform(-2, 6, 2)
             bumped = x.copy()
             bumped[0] += rng.uniform(0, 1)
-            a = fuzzify(RawObject(tuple(x)), spec).degrees
-            b = fuzzify(RawObject(tuple(bumped)), spec).degrees
+            a, b = fuzzify([x, bumped], spec)
             assert b[0] >= a[0]
 
 
 class TestMintermTransform:
     def test_crisp_corner(self):
-        mt = minterm_transform(FuzzifiedObject((1.0, 1.0)))
-        assert mt.values == (0.0, 0.0, 0.0, 1.0)
+        assert minterm_transform([1.0, 1.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_symmetric(self):
-        mt = minterm_transform(FuzzifiedObject((0.5, 0.5)))
-        assert mt.values == (0.25, 0.25, 0.25, 0.25)
+        assert minterm_transform([0.5, 0.5]).tolist() == [0.25] * 4
 
     def test_direct_product(self):
-        mt = minterm_transform(FuzzifiedObject((0.2, 0.5)))
-        assert mt.values == pytest.approx((0.4, 0.4, 0.1, 0.1), abs=1e-12)
+        mt = minterm_transform([0.2, 0.5])
+        assert mt.tolist() == pytest.approx([0.4, 0.4, 0.1, 0.1], abs=1e-12)
 
     def test_normalization_random(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             n = rng.integers(1, 7)
-            mt = minterm_transform(FuzzifiedObject(tuple(rng.uniform(0, 1, n))))
-            assert math.isclose(sum(mt.values), 1.0, abs_tol=1e-9)
-            assert all(0.0 <= v <= 1.0 for v in mt.values)
+            mt = minterm_transform(rng.uniform(0, 1, n))
+            assert mt.sum() == pytest.approx(1.0, abs=1e-9)
+            assert ((0.0 <= mt) & (mt <= 1.0)).all()
 
     def test_outer_product_structure(self):
         a, b = 0.3, 0.8
-        mt1 = minterm_transform(FuzzifiedObject((a,)))
-        mt2 = minterm_transform(FuzzifiedObject((b,)))
-        mt12 = minterm_transform(FuzzifiedObject((a, b)))
-        outer = np.kron(mt1.values, mt2.values)
-        assert np.allclose(mt12.values, outer)
+        mt1 = minterm_transform([a])
+        mt2 = minterm_transform([b])
+        mt12 = minterm_transform([a, b])
+        assert np.allclose(mt12, np.kron(mt1, mt2))
 
     def test_boolean_degrees_one_hot(self):
         for k in range(8):
             degrees = tuple(float(b) for b in minterm_bits(k, 3))
-            mt = minterm_transform(FuzzifiedObject(degrees))
-            assert mt.values[k] == 1.0
-            assert sum(mt.values) == 1.0
+            mt = minterm_transform(degrees)
+            assert mt[k] == 1.0
+            assert mt.sum() == 1.0
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            minterm_transform(FuzzifiedObject((0.5,) * 13))
+            minterm_transform([0.5] * 13)
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            FuzzifiedObject((1.5,))
+        for bad in (1.5, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                minterm_transform([[0.5, 0.5], [0.5, bad]])
+
+    def test_cap_checked_before_allocating(self):
+        # 2^40 minterms per row would not fit; the count is refused first
+        with pytest.raises(ValueError, match="maximum of 12"):
+            minterm_transform(np.full((1000, 40), 0.5))
+
+    def test_batch_shape(self):
+        degrees = np.random.default_rng(2).uniform(0, 1, (2, 3, 4))
+        mt = minterm_transform(degrees)
+        assert mt.shape == (2, 3, 16)
+        assert np.array_equal(mt[1, 2], minterm_transform(degrees[1, 2]))
+
+    @settings(deadline=None)
+    @given(degree_rows(max_n=6, max_rows=20))
+    def test_matches_kron_per_row(self, degrees):
+        mt = minterm_transform(degrees)
+        assert mt.shape == (len(degrees), 2 ** degrees.shape[1])
+        assert np.array_equal(mt, minterms_kron(degrees))
+        assert np.allclose(mt.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestMintermBits:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annlogic.encoding import FuzzifiedObject, minterm_transform
+from annlogic.encoding import minterm_transform
 from annlogic.logiccode import (
     BitTensor,
     ScaledCellWeights,
@@ -66,8 +66,8 @@ class TestScaleWeights:
             tau = float(rng.normal())
             sw = scale_weights([CellWeights(w)], tau)[0]
             mt = random_minterm(rng, 2)
-            raw = float(np.dot(w, mt.as_array()))
-            scl = float(np.dot(sw.weights, mt.as_array()))
+            raw = float(np.dot(w, mt))
+            scl = float(np.dot(sw.weights, mt))
             assert (raw > tau) == (scl > sw.params.scaled_threshold) or (
                 math.isclose(raw, tau, abs_tol=1e-12)
             )
@@ -157,12 +157,12 @@ class TestEvalExpression:
 
     def test_conjunction(self):
         m1, m2 = 0.7, 0.2
-        mt = minterm_transform(FuzzifiedObject((m1, m2)))
+        mt = minterm_transform([m1, m2])
         e = level_expression(BitTensor(((0, 0, 1, 0),)), 0)  # a and not b
         assert eval_expression(e, mt) == pytest.approx(m1 * (1 - m2), abs=1e-12)
 
     def test_equivalent_to_atom(self):
-        mt = minterm_transform(FuzzifiedObject((0.2, 0.5)))
+        mt = minterm_transform([0.2, 0.5])
         e = level_expression(BitTensor(((0, 1, 0, 1),)), 0)  # {ab-, ab} == b
         assert eval_expression(e, mt) == pytest.approx(0.5, abs=1e-12)
 
@@ -175,6 +175,19 @@ class TestEvalExpression:
             total = eval_expression(e, mt) + eval_expression(e.complement(), mt)
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(11)
+        e = level_expression(BitTensor((tuple(int(b) for b in rng.integers(0, 2, 8)),)), 0)
+        mt = minterm_transform(rng.uniform(0, 1, (30, 3)))
+        got = eval_expression(e, mt)
+        assert got.shape == (30,)
+        assert got == pytest.approx([eval_expression(e, row) for row in mt], abs=1e-12)
+
+    def test_length_mismatch(self):
+        e = level_expression(BitTensor(((0, 1, 0, 1),)), 0)
+        with pytest.raises(ValueError):
+            eval_expression(e, minterm_transform([0.2, 0.5, 0.5]))
+
 
 class TestApproxForward:
     def test_equals_reconstruction_dot(self):
@@ -183,7 +196,7 @@ class TestApproxForward:
             w = tuple(rng.uniform(0, 1, 8))
             bt = bitcode(scaled(w), 3)
             mt = random_minterm(rng, 3)
-            want = float(np.dot(bt.reconstruction(), mt.as_array()))
+            want = float(np.dot(bt.reconstruction(), mt))
             assert approx_forward(bt, mt) == pytest.approx(want, abs=1e-12)
 
     def test_error_bound_vs_exact(self):
@@ -193,7 +206,7 @@ class TestApproxForward:
                 w = tuple(rng.uniform(0, 1, 8))
                 bt = bitcode(scaled(w), bcl_max)
                 mt = random_minterm(rng, 3)
-                exact = float(np.dot(w, mt.as_array()))
+                exact = float(np.dot(w, mt))
                 err = abs(approx_forward(bt, mt) - exact)
                 assert err <= 2 ** -(bcl_max + 1) + 1e-9
 
@@ -201,6 +214,19 @@ class TestApproxForward:
         bt = bitcode(scaled((0.5, 0.5)), 2)
         rng = np.random.default_rng(7)
         assert approx_forward(bt, random_minterm(rng, 1), []) == 0.0
+
+    def test_level_out_of_range(self):
+        bt = bitcode(scaled((0.5, 0.5)), 2)
+        with pytest.raises(ValueError):
+            approx_forward(bt, minterm_transform([0.5]), [0, 3])
+
+    def test_batch_is_sum_of_level_evaluations(self):
+        rng = np.random.default_rng(12)
+        bt = bitcode(scaled(tuple(rng.uniform(0, 1, 8))), 3)
+        mt = minterm_transform(rng.uniform(0, 1, (30, 3)))
+        for levels in ([0], [1, 3], [0, 1, 2, 3]):
+            want = sum(2.0**-b * eval_expression(level_expression(bt, b), mt) for b in levels)
+            assert approx_forward(bt, mt, levels) == pytest.approx(want, abs=1e-12)
 
 
 class TestEnergyReport:
@@ -236,27 +262,22 @@ class TestLevelAccuracy:
         sw = scaled(w, tau=0.4)
         bt = bitcode(sw, 3)
         rng = np.random.default_rng(8)
-        samples = []
-        for _ in range(50):
-            mt = random_minterm(rng, 2)
-            label = int(np.dot(w, mt.as_array()) > 0.4)
-            samples.append((mt, label))
-        assert level_accuracy(bt, sw.params, samples) == 1.0
+        mt = minterm_transform(rng.uniform(0, 1, (50, 2)))
+        labels = (mt @ np.array(w) > 0.4).astype(int)
+        assert level_accuracy(bt, sw.params, mt, labels) == 1.0
 
     def test_single_attribute_toy(self):
         w = (0.0, 1.0)
         sw = scaled(w, tau=0.5)
         bt = bitcode(sw, 3)
-        samples = []
-        for d in np.linspace(0, 1, 21):
-            mt = minterm_transform(FuzzifiedObject((float(d),)))
-            samples.append((mt, int(d > 0.5)))
-        assert level_accuracy(bt, sw.params, samples, [0]) == 1.0
+        d = np.linspace(0, 1, 21)
+        mt = minterm_transform(d[:, None])
+        assert level_accuracy(bt, sw.params, mt, (d > 0.5).astype(int), [0]) == 1.0
 
     def test_empty_samples(self):
         sw = scaled((0.5, 0.5))
         with pytest.raises(ValueError):
-            level_accuracy(bitcode(sw, 3), sw.params, [])
+            level_accuracy(bitcode(sw, 3), sw.params, np.empty((0, 2)), [])
 
 
 class TestProject:
@@ -291,10 +312,8 @@ class TestProject:
             keep = [0, 2]
             projected = project(CellWeights(w), keep)
             degrees = tuple(rng.uniform(0, 1, 3))
-            full = minterm_transform(FuzzifiedObject(degrees))
-            reduced = minterm_transform(
-                FuzzifiedObject(tuple(degrees[j] for j in keep))
-            )
+            full = minterm_transform(degrees)
+            reduced = minterm_transform([degrees[j] for j in keep])
             # dropped attribute marginalized at its actual degree on both sides
             # requires summing full products over the dropped attribute; with
             # the dropped degree free this holds only for weights constant in
@@ -305,8 +324,8 @@ class TestProject:
                 if (k >> (n - 1 - 1)) & 1:
                     wc[k] = wc[k & ~(1 << (n - 1 - 1))]
             projected_c = project(CellWeights(tuple(wc)), keep)
-            lhs = float(np.dot(projected_c.as_array() / 2.0, reduced.as_array()))
-            rhs = float(np.dot(wc, full.as_array()))
+            lhs = float(np.dot(projected_c.as_array() / 2.0, reduced))
+            rhs = float(np.dot(wc, full))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     @settings(deadline=None)

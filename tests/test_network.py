@@ -2,16 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annlogic.encoding import (
-    FuzzifiedObject,
-    FuzzifierSpec,
-    minterm_transform,
-)
+from annlogic.encoding import FuzzifierSpec, minterm_transform
 from annlogic.network import (
     ModelFormatError,
     SimpleAnn,
     TrainConfig,
+    choose_threshold,
     classify,
     forward,
     load_model,
@@ -20,6 +19,7 @@ from annlogic.network import (
     train,
 )
 from conftest import random_minterm, random_simple_ann
+from oracles import choose_threshold_loop
 
 
 def identity_ann(threshold=0.5):
@@ -48,11 +48,21 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(identity_ann(), [0.1, 0.2, 0.7])
 
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(2)
+        ann = random_simple_ann(rng, 3, 4, extra_pre=True, extra_post=True)
+        mt = minterm_transform(rng.uniform(0, 1, (25, 3)))
+        scores = forward(ann, mt)
+        assert scores.shape == (25,)
+        assert scores == pytest.approx([forward(ann, row) for row in mt], abs=1e-12)
+        assert np.array_equal(classify(ann, mt), [classify(ann, row) for row in mt])
+        assert np.array_equal(relu_status(ann, mt), [relu_status(ann, row) for row in mt])
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             ann = random_simple_ann(rng, 2, 2)
-            mt = random_minterm(rng, 2).as_array()
+            mt = random_minterm(rng, 2)
             c = rng.uniform(0, 3)
             assert forward(ann, c * mt) == pytest.approx(
                 c * forward(ann, mt), abs=1e-9
@@ -75,44 +85,41 @@ class TestClassify:
 
 class TestReluStatus:
     def test_mixed(self):
-        assert relu_status(mixing_ann(), [0.7, 0.3]).bits == (1, 0)
+        assert relu_status(mixing_ann(), [0.7, 0.3]).tolist() == [1, 0]
 
     def test_zero_preactivation_is_active(self):
-        assert relu_status(mixing_ann(), [0.0, 0.0]).bits == (1, 1)
+        assert relu_status(mixing_ann(), [0.0, 0.0]).tolist() == [1, 1]
 
     def test_all_negative(self):
         ann = SimpleAnn(
             (-np.eye(3),), (np.array([[1.0, 1.0, 1.0]]),), 0.0
         )
-        assert relu_status(ann, [1.0, 2.0, 3.0]).bits == (0, 0, 0)
+        assert relu_status(ann, [1.0, 2.0, 3.0]).tolist() == [0, 0, 0]
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             ann = random_simple_ann(rng, 2, 3)
-            mt = random_minterm(rng, 2).as_array()
+            mt = random_minterm(rng, 2)
             c = rng.uniform(0.1, 5)
-            assert relu_status(ann, mt) == relu_status(ann, c * mt)
+            assert np.array_equal(relu_status(ann, mt), relu_status(ann, c * mt))
 
 
 class TestTrain:
     def toy_samples(self):
-        samples = []
-        for d in np.linspace(0, 1, 21):
-            mt = minterm_transform(FuzzifiedObject((float(d),)))
-            samples.append((mt, int(d > 0.5)))
-        return samples
+        d = np.linspace(0, 1, 21)
+        return minterm_transform(d[:, None]), (d > 0.5).astype(int)
 
     def test_separable_toy(self):
         ann, acc = train(
-            self.toy_samples(), [2, 2, 1], TrainConfig(epochs=500, seed=1)
+            *self.toy_samples(), [2, 2, 1], TrainConfig(epochs=500, seed=1)
         )
         assert acc == 1.0
 
     def test_zero_lr_keeps_init(self):
         samples = self.toy_samples()
         cfg0 = TrainConfig(learning_rate=0.0, epochs=1, seed=5)
-        ann0, _ = train(samples, [2, 2, 1], cfg0)
+        ann0, _ = train(*samples, [2, 2, 1], cfg0)
         rng = np.random.default_rng(5)
         init = [
             rng.normal(0.0, cfg0.init_scale, size=(2, 2)),
@@ -123,15 +130,33 @@ class TestTrain:
 
     def test_deterministic(self):
         samples = self.toy_samples()
-        a1, _ = train(samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
-        a2, _ = train(samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
+        a1, _ = train(*samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
+        a2, _ = train(*samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
         assert np.array_equal(a1.pre_layers[0], a2.pre_layers[0])
         assert a1.threshold == a2.threshold
 
     def test_single_class_rejected(self):
-        mt = minterm_transform(FuzzifiedObject((0.5,)))
+        mt = minterm_transform([[0.5], [0.5]])
         with pytest.raises(ValueError):
-            train([(mt, 1), (mt, 1)], [2, 2, 1])
+            train(mt, [1, 1], [2, 2, 1])
+
+
+class TestChooseThreshold:
+    def test_separable(self):
+        tau, acc = choose_threshold(np.array([0.1, 0.2, 0.8, 0.9]), np.array([0, 0, 1, 1]))
+        assert (tau, acc) == (0.5, 1.0)
+
+    def test_all_one_wins_ties(self):
+        # no split beats classifying every row 1, so tau sits below the outputs
+        tau, acc = choose_threshold(np.array([0.3, 0.3]), np.array([1, 1]))
+        assert (tau, acc) == (0.3 - 1.0, 1.0)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1)), min_size=1, max_size=30))
+    def test_matches_loop_with_ties(self, pairs):
+        outputs = np.array([o / 2 for o, _ in pairs], dtype=float)
+        labels = np.array([y for _, y in pairs], dtype=float)
+        assert choose_threshold(outputs, labels) == choose_threshold_loop(outputs, labels)
 
 
 class TestPersistence:

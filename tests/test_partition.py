@@ -4,39 +4,65 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annlogic.network import ReluStatus, SimpleAnn, forward, relu_status
+from annlogic.encoding import minterm_transform
+from annlogic.network import SimpleAnn, forward, relu_status
 from annlogic.partition import (
     CellId,
     CellWeights,
     cell_number,
-    compose_cell_weights,
     extract_cell_weights,
     partition_dataset,
     shapley,
 )
 from conftest import random_minterm, random_simple_ann
-from oracles import shapley_permutation_oracle, weight_vectors
+from oracles import (
+    compose_cell_weights,
+    partition_rows,
+    shapley_permutation_oracle,
+    weight_vectors,
+)
+
+
+def random_rows(rng, n, count):
+    """A (count, 2^n) minterm matrix and count random 0/1 labels."""
+    return minterm_transform(rng.uniform(0, 1, (count, n))), rng.integers(0, 2, count)
+
+
+@st.composite
+def nets_and_rows(draw):
+    """A small random network and up to 40 minterm rows with labels."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, l, count = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(seed)
+    ann = random_simple_ann(rng, n, l, extra_pre=draw(st.booleans()),
+                            extra_post=draw(st.booleans()))
+    return (ann,) + random_rows(rng, n, count)
 
 
 class TestCellNumber:
     def test_table_row(self):
-        assert cell_number(ReluStatus((0, 1, 0))).p == 2
+        assert cell_number((0, 1, 0)).p == 2
 
     def test_all_active(self):
-        assert cell_number(ReluStatus((1, 1, 1))).p == 7
+        assert cell_number(np.array([1, 1, 1])).p == 7
 
     def test_all_inactive(self):
-        assert cell_number(ReluStatus((0, 0, 0))).p == 0
+        assert cell_number((0, 0, 0)).p == 0
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            cell_number(ReluStatus(()))
+            cell_number(())
+
+    def test_not_a_bit(self):
+        with pytest.raises(ValueError):
+            cell_number((0, 2, 1))
 
     def test_bijection(self):
         seen = set()
         for bits in itertools.product((0, 1), repeat=4):
-            cell = cell_number(ReluStatus(bits))
+            cell = cell_number(bits)
             assert cell.bits == bits
             seen.add(cell.p)
         assert seen == set(range(16))
@@ -46,27 +72,32 @@ class TestPartitionDataset:
     def test_all_active_single_cell(self):
         ann = SimpleAnn((np.eye(4),), (np.ones((1, 4)),), 0.5)
         rng = np.random.default_rng(0)
-        samples = [(random_minterm(rng, 2), int(rng.integers(2))) for _ in range(20)]
-        report = partition_dataset(ann, samples)
+        report = partition_dataset(ann, *random_rows(rng, 2, 20))
         assert len(report.rows) == 1
         assert report.rows[0].cell.p == 2**4 - 1
         assert report.rows[0].total == 20
 
     def test_empty_dataset(self):
         ann = SimpleAnn((np.eye(4),), (np.ones((1, 4)),), 0.5)
-        assert partition_dataset(ann, []).rows == ()
+        assert partition_dataset(ann, np.empty((0, 4)), np.empty(0, int)).rows == ()
 
     def test_class_counts_conserved(self):
         rng = np.random.default_rng(1)
         ann = random_simple_ann(rng, 2, 3)
-        samples = [(random_minterm(rng, 2), int(rng.integers(2))) for _ in range(60)]
-        report = partition_dataset(ann, samples)
-        assert sum(r.count_label1 for r in report.rows) == sum(
-            y for _, y in samples
-        )
+        mt, labels = random_rows(rng, 2, 60)
+        report = partition_dataset(ann, mt, labels)
+        assert sum(r.count_label1 for r in report.rows) == labels.sum()
         assert report.total == 60
         totals = [r.total for r in report.rows]
         assert totals == sorted(totals, reverse=True)
+
+    @settings(deadline=None)
+    @given(nets_and_rows())
+    def test_matches_row_loop(self, case):
+        ann, mt, labels = case
+        report = partition_dataset(ann, mt, labels)
+        got = [(r.cell.p, r.count_label1, r.count_label0) for r in report.rows]
+        assert got == partition_rows(ann, mt, labels)
 
 
 class TestExtractCellWeights:
@@ -92,7 +123,7 @@ class TestExtractCellWeights:
             cell = cell_number(relu_status(ann, mt))
             cw = extract_cell_weights(ann, cell)
             assert math.isclose(
-                float(np.dot(cw.as_array(), mt.as_array())),
+                float(np.dot(cw.as_array(), mt)),
                 forward(ann, mt),
                 abs_tol=1e-9,
             )
@@ -102,6 +133,16 @@ class TestExtractCellWeights:
         ann = random_simple_ann(rng, 2, 2)
         with pytest.raises(ValueError):
             extract_cell_weights(ann, CellId(1, 3))
+
+    @settings(deadline=None)
+    @given(nets_and_rows())
+    def test_cell_map_is_forward_on_cell_rows(self, case):
+        ann, mt, _ = case
+        status = relu_status(ann, mt)
+        for bits in {tuple(row) for row in status.tolist()}:
+            rows = mt[(status == bits).all(axis=1)]
+            cw = extract_cell_weights(ann, cell_number(bits))
+            assert np.allclose(rows @ cw.as_array(), forward(ann, rows), atol=1e-9)
 
 
 class TestComposeCellWeights:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annlogic.encoding import FuzzifiedObject, minterm_bits, minterm_transform
+from annlogic.encoding import minterm_bits, minterm_transform
 from annlogic.logiccode import LogicExpressionBits, eval_expression
 from annlogic.qldt import Leaf, Split, build_qldt, eval_qldt, render
 from oracles import qldt_rows
@@ -32,7 +32,7 @@ class TestBuildQldt:
         # semantics must equal a1 or a2 regardless of split order
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
-            assert eval_qldt(tree, FuzzifiedObject(degrees)) == float(k > 0)
+            assert eval_qldt(tree, degrees) == float(k > 0)
 
     def test_all_zero(self):
         assert build_qldt(expr((0, 0, 0, 0))) == Leaf(False)
@@ -44,7 +44,7 @@ class TestBuildQldt:
         tree = build_qldt(expr((1, 0, 0, 0)))
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
-            assert eval_qldt(tree, FuzzifiedObject(degrees)) == float(k == 0)
+            assert eval_qldt(tree, degrees) == float(k == 0)
 
     def test_structure_invariants(self):
         rng = np.random.default_rng(0)
@@ -77,7 +77,7 @@ class TestEvalQldt:
     def test_example_tree_formula(self):
         tree = Split(1, Split(0, Leaf(False), Leaf(True)), Leaf(True))
         for m1, m2 in [(0.3, 0.9), (0.0, 0.0), (1.0, 0.5), (0.42, 0.17)]:
-            got = eval_qldt(tree, FuzzifiedObject((m1, m2)))
+            got = eval_qldt(tree, (m1, m2))
             assert got == pytest.approx(m2 + (1 - m2) * m1, abs=1e-12)
 
     def test_boolean_degrees_classical(self):
@@ -87,15 +87,21 @@ class TestEvalQldt:
             tree = build_qldt(expr(bits))
             for k in range(8):
                 degrees = tuple(float(b) for b in minterm_bits(k, 3))
-                assert eval_qldt(tree, FuzzifiedObject(degrees)) == float(bits[k])
+                assert eval_qldt(tree, degrees) == float(bits[k])
 
     def test_constant_true(self):
-        assert eval_qldt(Leaf(True), FuzzifiedObject((0.3,))) == 1.0
+        assert eval_qldt(Leaf(True), (0.3,)) == 1.0
 
     def test_index_out_of_range(self):
         tree = Split(2, Leaf(False), Leaf(True))
         with pytest.raises(ValueError):
-            eval_qldt(tree, FuzzifiedObject((0.5, 0.5)))
+            eval_qldt(tree, (0.5, 0.5))
+
+    def test_degree_out_of_range(self):
+        tree = Split(0, Leaf(False), Leaf(True))
+        for bad in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                eval_qldt(tree, (bad,))
 
     def test_equivalence_exhaustive_n2(self):
         grid = [0.0, 0.25, 0.6, 1.0]
@@ -104,7 +110,7 @@ class TestEvalQldt:
             tree = build_qldt(e)
             for a in grid:
                 for b in grid:
-                    f = FuzzifiedObject((a, b))
+                    f = (a, b)
                     want = eval_expression(e, minterm_transform(f))
                     assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
 
@@ -116,7 +122,7 @@ class TestEvalQldt:
                 e = expr(bits)
                 tree = build_qldt(e)
                 for _ in range(5):
-                    f = FuzzifiedObject(tuple(rng.uniform(0, 1, n)))
+                    f = rng.uniform(0, 1, n)
                     want = eval_expression(e, minterm_transform(f))
                     assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
 
@@ -127,7 +133,7 @@ class TestEvalQldt:
             e = expr(bits)
             t1 = build_qldt(e)
             t2 = build_qldt(e.complement())
-            f = FuzzifiedObject(tuple(rng.uniform(0, 1, 3)))
+            f = rng.uniform(0, 1, 3)
             assert eval_qldt(t1, f) + eval_qldt(t2, f) == pytest.approx(
                 1.0, abs=1e-9
             )
