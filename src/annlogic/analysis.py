@@ -10,7 +10,7 @@ from typing import Union
 import numpy as np
 
 from .encoding import minterm_transform
-from .logiccode import BitTensor, LogicExpressionBits, ScalingParams, approx_forward
+from .logiccode import BitTensor, LogicExpressionBits, ScalingParams
 
 
 class HypothesisSyntaxError(ValueError):
@@ -149,7 +149,11 @@ class _Parser:
 
 
 def parse_hypothesis(text: str, names: list[str]) -> HypothesisAst:
-    return _Parser(_tokenize(text), list(names)).parse()
+    parser = _Parser(_tokenize(text), list(names))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise HypothesisSyntaxError("formula nests too deeply", parser.pos + 1) from None
 
 
 def _truth(ast: HypothesisAst, columns: dict[str, np.ndarray]) -> np.ndarray:
@@ -254,8 +258,9 @@ def trend_grid(
     degrees = np.tile(base, shape + (1,))
     for j, grid in zip(vary, np.meshgrid(*[axis] * len(vary), indexing="ij")):
         degrees[..., j] = grid
+    coefficients = bt.reconstruction(levels)
     # one minterm expansion per grid point
     values = np.array([
-        approx_forward(bt, minterm_transform(d), levels) for d in degrees.reshape(-1, n)
+        minterm_transform(d) @ coefficients for d in degrees.reshape(-1, n)
     ]).reshape(shape)
     return TrendGrid(tuple(vary), tuple(axis), tuple(base), tuple(levels), values)

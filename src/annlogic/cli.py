@@ -55,10 +55,17 @@ def load_dataset(path, label_column):
     row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
     _reject_rows(width[filled] != len(header), row_no,
                  f"has a column count other than the header's {len(header)}")
+    records = list(compress(records, filled))
     try:
-        table = np.array(list(compress(records, filled)), dtype=float)
-    except ValueError as exc:
-        raise CliError(f"non-numeric value: {exc}") from None
+        table = np.array(records, dtype=float)
+    except ValueError:
+        # a quoted or empty field that the reader kept as text: name its row
+        for no, record in zip(row_no, records):
+            try:
+                np.array(record, dtype=float)
+            except ValueError as exc:
+                raise CliError(f"row {no}: {exc}") from None
+        raise
     table = table.reshape(-1, len(header))
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
     label_idx = header.index(label_column)
@@ -230,14 +237,12 @@ def cmd_explain(args):
         ["k"] + names + ["weight", "scaled"]
         + [f"bit_2^-{b}" for b in range(args.bcl_max + 1)] + ["reconstruction"]
     )
-    rows = []
-    for k in range(2**n):
-        rows.append(
-            [k] + minterm_bits(k, n)
-            + [repr(cw.weights[k]), repr(scaled.weights[k])]
-            + [bt.bits[b][k] for b in range(args.bcl_max + 1)]
-            + [repr(float(recon[k]))]
-        )
+    attribute_bits = np.indices((2,) * n).reshape(n, 2**n).T.tolist()
+    columns = zip(attribute_bits, cw.weights, scaled.weights, zip(*bt.bits), recon.tolist())
+    rows = [
+        [k] + a_bits + [repr(w), repr(s)] + list(bits) + [repr(r)]
+        for k, (a_bits, w, s, bits, r) in enumerate(columns)
+    ]
     _write_csv(out_dir / "weights.csv", header, rows)
 
     energy_rows = [

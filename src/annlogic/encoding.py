@@ -142,11 +142,11 @@ def minterm_transform(degrees: np.ndarray) -> np.ndarray:
     if n > MAX_ATTRIBUTES:
         raise ValueError(f"{n} attributes exceed the maximum of {MAX_ATTRIBUTES}")
     d = _degrees(degrees)
+    pairs = np.stack((1.0 - d, d), axis=-1)  # (..., n, 2)
     mt = np.ones(d.shape[:-1] + (1,))
-    for m in np.moveaxis(d, -1, 0):
-        pair = np.stack((1.0 - m, m), axis=-1)
+    for j in range(n):
         size = 2 * mt.shape[-1]
-        mt = (mt[..., :, None] * pair[..., None, :]).reshape(d.shape[:-1] + (size,))
+        mt = (mt[..., :, None] * pairs[..., j, None, :]).reshape(d.shape[:-1] + (size,))
     return mt
 
 

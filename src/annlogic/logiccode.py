@@ -66,9 +66,13 @@ class BitTensor:
     def n(self) -> int:
         return len(self.bits[0]).bit_length() - 1
 
-    def reconstruction(self) -> np.ndarray:
-        levels = np.array([2.0**-bcl for bcl in range(len(self.bits))])
-        return levels @ np.asarray(self.bits, dtype=float)
+    def reconstruction(self, levels: list[int] | None = None) -> np.ndarray:
+        """Sum over the chosen levels (all by default) of 2^-bcl * bits[bcl],
+        one coefficient per minterm."""
+        levels = np.arange(len(self.bits)) if levels is None else np.asarray(levels, dtype=int)
+        if ((levels < 0) | (levels > self.bcl_max)).any():
+            raise ValueError("level outside 0..bcl_max")
+        return (2.0 ** -levels) @ np.asarray(self.bits, dtype=float)[levels]
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,11 @@ def scale_weights(
 
     def scale_one(cw: CellWeights, lo: float, hi: float) -> ScaledCellWeights:
         apply = ScalingParams(lo, hi, 0.0).apply
-        params = ScalingParams(lo, hi, float(apply(threshold)))
+        # a constant cell scales to all ones, so every evaluation is
+        # sum(minterms) = 1 up to rounding: put the threshold halfway off 1
+        # on the side the constant decides
+        tau = (0.5 if lo > threshold else 1.5) if lo == hi else float(apply(threshold))
+        params = ScalingParams(lo, hi, tau)
         clipped = np.clip(apply(cw.as_array()), 0.0, 1.0)
         return ScaledCellWeights(tuple(float(v) for v in clipped), params, cw.cell)
 
@@ -172,12 +180,8 @@ def approx_forward(
 ) -> float | np.ndarray:
     """Sum over the chosen levels of 2^-bcl times the level expression's
     evaluation, all levels by default: one product of `mt` with the
-    coefficients sum_b 2^-b * bits[b]."""
-    levels = np.arange(bt.bcl_max + 1) if levels is None else np.asarray(levels, dtype=int)
-    if ((levels < 0) | (levels > bt.bcl_max)).any():
-        raise ValueError("level outside 0..bcl_max")
-    coefficients = (2.0 ** -levels) @ np.asarray(bt.bits, dtype=float)[levels]
-    return _minterm_sum(mt, coefficients)
+    coefficients `bt.reconstruction(levels)`."""
+    return _minterm_sum(mt, bt.reconstruction(levels))
 
 
 def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:

@@ -110,19 +110,19 @@ def partition_dataset(
 
 def extract_cell_weights(ann: SimpleAnn, cell: CellId) -> CellWeights:
     """Exact linear map of the reduced network: ReLU node m becomes
-    multiplication by status bit m.  Evaluated on all standard basis
-    vectors at once."""
+    multiplication by status bit m.  The single output row is composed
+    from the output side, so every product is one row times a layer."""
     if cell.l != ann.relu_count:
         raise ValueError(
             f"cell width {cell.l} does not match ReLU count {ann.relu_count}"
         )
-    h = np.eye(ann.input_size)
-    for w in ann.pre_layers:
-        h = w @ h
-    h = np.asarray(cell.bits, dtype=float)[:, None] * h
-    for w in ann.post_layers:
-        h = w @ h
-    return CellWeights(tuple(float(v) for v in h[0]), cell)
+    h = np.ones((1, 1))
+    for w in reversed(ann.post_layers):
+        h = h @ w
+    h = h * np.asarray(cell.bits, dtype=float)
+    for w in reversed(ann.pre_layers):
+        h = h @ w
+    return CellWeights(tuple(h[0].tolist()), cell)
 
 
 def shapley(cw: CellWeights) -> ShapleyResult:

@@ -43,13 +43,29 @@ def _entropy(pos: int, total: int) -> float:
 def build_qldt(e: LogicExpressionBits) -> QldtNode:
     """Induce a lossless tree from the expression's truth table.  Splits
     maximize information gain, ties go to the lowest attribute index;
-    pure subtrees and splits with identical children collapse."""
+    pure subtrees and splits with identical children collapse.  Equal
+    subfunctions are built once and shared, so the tree is a DAG of
+    immutable nodes."""
     truth = np.asarray(e.active, dtype=bool).reshape((2,) * e.n)
-    return _grow(truth, tuple(range(e.n)))
+    index_bits = np.indices((2,) * e.n).reshape(e.n, 2**e.n).T
+    return _grow(truth, tuple(range(e.n)), {}, index_bits)
 
 
-def _grow(truth: np.ndarray, attributes: tuple[int, ...]) -> QldtNode:
-    """Tree of a boolean tensor whose axes are `attributes`, in order."""
+def _grow(truth: np.ndarray, attributes: tuple[int, ...], built: dict,
+          index_bits: np.ndarray) -> QldtNode:
+    """Tree of a boolean tensor whose axes are `attributes`, in order.
+    `built` maps (tensor bytes, attributes) to the node already grown for
+    them, so equal subtrees are one object and `is` decides the collapse:
+    lossless trees over the same axes are equal iff their truth bytes are."""
+    key = (truth.tobytes(), attributes)
+    node = built.get(key)
+    if node is None:
+        node = built[key] = _split(truth, attributes, built, index_bits)
+    return node
+
+
+def _split(truth, attributes, built, index_bits) -> QldtNode:
+    """A leaf for a constant tensor, else the split of highest gain."""
     total = truth.size
     pos = int(np.count_nonzero(truth))
     if pos == 0:
@@ -58,18 +74,20 @@ def _grow(truth: np.ndarray, attributes: tuple[int, ...]) -> QldtNode:
         return Leaf(True)
     base = _entropy(pos, total)
     half = total // 2
+    # positives in each axis's 1-slice: the flat truth against the last
+    # ndim bits of its indices
+    high = truth.reshape(-1) @ index_bits[:total, -truth.ndim:]
     best_gain, best_axis = -1.0, -1
-    for axis in range(truth.ndim):
-        hi = int(np.count_nonzero(np.take(truth, 1, axis=axis)))
+    for axis, hi in enumerate(high.tolist()):
         gain = base
         for part_pos in (pos - hi, hi):
             gain -= half / total * _entropy(part_pos, half)
         if gain > best_gain + 1e-12:
             best_gain, best_axis = gain, axis
     rest = attributes[:best_axis] + attributes[best_axis + 1:]
-    lo = _grow(np.take(truth, 0, axis=best_axis), rest)
-    hi = _grow(np.take(truth, 1, axis=best_axis), rest)
-    if lo == hi:
+    lo = _grow(np.take(truth, 0, axis=best_axis), rest, built, index_bits)
+    hi = _grow(np.take(truth, 1, axis=best_axis), rest, built, index_bits)
+    if lo is hi:
         return lo
     return Split(attributes[best_axis], lo, hi)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from annlogic.analysis import And, Atom, Not, Or, Xor
+from annlogic.network import SimpleAnn
 from annlogic.partition import CellWeights
 from annlogic.qldt import Leaf, Split
 
@@ -194,6 +195,36 @@ def choose_threshold_loop(outputs, labels):
             best_acc = acc
             best_tau = (o[i] + o[i + 1]) / 2.0 if i + 1 < n else o[i] + 1.0
     return float(best_tau), float(best_acc)
+
+
+def simple_anns(max_n, max_layers):
+    """Networks over n = 1 .. max_n attributes with 1 .. max_layers layers
+    on each side of the ReLU layer, hidden widths 1 .. 4, normal weights."""
+
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(1, max_n))
+        pre, post = draw(st.integers(1, max_layers)), draw(st.integers(1, max_layers))
+        hidden = draw(st.lists(st.integers(1, 4), min_size=pre + post - 1,
+                               max_size=pre + post - 1))
+        widths = [2**n] + hidden + [1]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layers = [rng.normal(size=(b, a)) for a, b in zip(widths, widths[1:])]
+        return SimpleAnn(tuple(layers[:pre]), tuple(layers[pre:]), 0.0)
+
+    return draw()
+
+
+def extract_cell_weights_eye(ann, cell):
+    """Push the identity matrix, all 2^n basis vectors at once, through
+    the pre layers, the status bits and the post layers."""
+    h = np.eye(ann.input_size)
+    for w in ann.pre_layers:
+        h = w @ h
+    h = np.asarray(cell.bits, dtype=float)[:, None] * h
+    for w in ann.post_layers:
+        h = w @ h
+    return h[0]
 
 
 def compose_cell_weights(singles, cell):

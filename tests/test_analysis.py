@@ -16,7 +16,8 @@ from annlogic.analysis import (
     parse_hypothesis,
     trend_grid,
 )
-from annlogic.logiccode import BitTensor, LogicExpressionBits, ScalingParams
+from annlogic.encoding import minterm_transform
+from annlogic.logiccode import BitTensor, LogicExpressionBits, ScalingParams, approx_forward
 from oracles import truth_table_loop
 
 AB = ["a", "b"]
@@ -220,3 +221,19 @@ class TestTrendGrid:
         grid = trend_grid(bt, PARAMS, vary=[0, 1], resolution=4)
         a = np.asarray(grid.axis)
         assert np.allclose(grid.values, np.outer(a, 1 - a), atol=1e-12)
+
+    def test_equals_per_point_approx_forward(self):
+        # reference: one approx_forward call, which converts the whole bit
+        # tensor, on each grid point's minterm expansion
+        rng = np.random.default_rng(5)
+        bt = self.tensor([tuple(rng.integers(0, 2, 2**5)) for _ in range(4)])
+        for vary, levels in (([1], None), ([3, 0], [1, 3]), ([2, 4], [])):
+            grid = trend_grid(bt, PARAMS, vary=vary, fixed={1: 0.2, 4: 0.7},
+                              levels=levels, resolution=6)
+            points = np.array(np.meshgrid(*[grid.axis] * len(vary), indexing="ij"))
+            want = np.empty(points.shape[1:])
+            for index in np.ndindex(want.shape):
+                d = np.array(grid.fixed)
+                d[vary] = points[(slice(None),) + index]
+                want[index] = approx_forward(bt, minterm_transform(d), grid.levels)
+            assert np.array_equal(grid.values, want)

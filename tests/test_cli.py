@@ -210,6 +210,9 @@ def _fuzzified_model(fuzzifier):
 
 WIDE_ROW_CSV = "a,b,label\n0.1,0.2,0\n0.3,0.4,0.5,1\n"
 NAN_CSV = "a,b,label\n0.1,0.2,0\n0.3,nan,1\n"
+QUOTED_TEXT_CSV = 'a,b,label\n0.1,0.2,0\n0.3,"x",0\n'
+EMPTY_FIELD_CSV = "a,b,label\n0.1,0.2,0\n0.3,,0\n"
+QUOTED_EMPTY_CSV = 'a,b,label\n0.1,0.2,0\n0.3,"",0\n'
 
 
 BAD_INPUTS = {
@@ -249,6 +252,12 @@ BAD_INPUTS = {
         ["shapley", "--model", "model.json", "--cell", "1"]),
     "csv-nan-value": (
         {"bad.csv": NAN_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-quoted-text": (
+        {"bad.csv": QUOTED_TEXT_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-empty-field": (
+        {"bad.csv": EMPTY_FIELD_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-quoted-empty-field": (
+        {"bad.csv": QUOTED_EMPTY_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
     "csv-row-wider-than-header": (
         {"bad.csv": WIDE_ROW_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
     "csv-13-attributes": (
@@ -263,6 +272,9 @@ BAD_INPUTS = {
     "hypothesis-13-names": (
         {}, ["hypothesis", "--names", ",".join(f"a{j}" for j in range(13)),
              "--hypothesis", "a0", "--hypothesis2", "a1"]),
+    "hypothesis-nested-400-deep": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "(" * 400 + "a" + ")" * 400,
+             "--hypothesis2", "a"]),
     "trend-fixed-degree-above-1": (
         {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
              "--fixed", "2=1.5"]),
@@ -290,6 +302,9 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
     (WIDE_ROW_CSV, "row 3 has a column count other than the header's 3"),
     ("a,label\n\n0.1,0\n0.2,2\n", "row 4 has a label other than 0 or 1"),
     ("a,label\n0.1,0\n0.2,x\n", "row 3: could not convert string to float: 'x'"),
+    (QUOTED_TEXT_CSV, "row 3: could not convert string to float: 'x'"),
+    (EMPTY_FIELD_CSV, "row 3: could not convert string to float: ''"),
+    (QUOTED_EMPTY_CSV, "row 3: could not convert string to float: ''"),
 ])
 def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     data = tmp_path / "bad.csv"

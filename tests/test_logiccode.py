@@ -71,6 +71,13 @@ class TestScaleWeights:
             assert (raw > tau) == (scl > sw.params.scaled_threshold) or (
                 math.isclose(raw, tau, abs_tol=1e-12)
             )
+        # constant cells (cell 0 is the zero map): the scaled evaluation is
+        # sum(minterms) = 1 up to rounding, on either side of 1
+        rows = minterm_transform(rng.uniform(0, 1, (200, 3)))
+        for c, tau in ((0.0, -0.4), (0.0, 0.4), (-1.3, -2.0), (0.7, 1.1), (2.0, 0.0)):
+            sw = scale_weights([CellWeights((c,) * 8)], tau)[0]
+            scl = rows @ np.asarray(sw.weights)
+            assert ((scl > sw.params.scaled_threshold) == (c > tau)).all()
 
 
 class TestBitcode:

@@ -19,8 +19,10 @@ from annlogic.partition import (
 from conftest import random_minterm, random_simple_ann
 from oracles import (
     compose_cell_weights,
+    extract_cell_weights_eye,
     partition_rows,
     shapley_permutation_oracle,
+    simple_anns,
     weight_vectors,
 )
 
@@ -143,6 +145,16 @@ class TestExtractCellWeights:
             rows = mt[(status == bits).all(axis=1)]
             cw = extract_cell_weights(ann, cell_number(bits))
             assert np.allclose(rows @ cw.as_array(), forward(ann, rows), atol=1e-9)
+
+
+    @settings(deadline=None)
+    @given(simple_anns(max_n=4, max_layers=3))
+    def test_matches_identity_matrix_oracle(self, ann):
+        for p in range(2**ann.relu_count):
+            cell = CellId(p, ann.relu_count)
+            want = extract_cell_weights_eye(ann, cell)
+            got = extract_cell_weights(ann, cell).as_array()
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestComposeCellWeights:

@@ -72,6 +72,15 @@ class TestBuildQldt:
         e = expr(bits)
         assert build_qldt(e) == qldt_rows(e.active, e.n)
 
+    def test_equal_subfunctions_are_one_node(self):
+        # parity a ^ b ^ c: every gain is 0, so the splits go a, b, c in
+        # order; (a, b) = (0, 0) and (1, 1) leave the same function of c
+        tree = build_qldt(expr([0, 1, 1, 0, 1, 0, 0, 1]))
+        assert tree.low.low is tree.high.high
+        assert tree.low.high is tree.high.low
+        assert tree.low.low != tree.low.high
+        assert render(tree).count("label=\"a3\"") == 4
+
 
 class TestEvalQldt:
     def test_example_tree_formula(self):
