@@ -12,7 +12,6 @@ from .encoding import (
     FuzzifierSpec,
     fit_fuzzifier,
     fuzzify,
-    minterm_bits,
     minterm_transform,
 )
 from .network import (
@@ -29,7 +28,6 @@ from .partition import (
     CellId,
     CellWeights,
     PartitionReport,
-    ShapleyResult,
     cell_number,
     extract_cell_weights,
     partition_dataset,

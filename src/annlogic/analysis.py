@@ -12,6 +12,8 @@ import numpy as np
 from .encoding import minterm_transform
 from .logiccode import BitTensor, LogicExpressionBits, ScalingParams
 
+MAX_RESOLUTION = 1001  # a 2-D grid holds at most ~1e6 points
+
 
 class HypothesisSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
@@ -177,7 +179,7 @@ def ast_to_minterms(ast: HypothesisAst, names: list[str]) -> LogicExpressionBits
     n = len(names)
     col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
     columns = {name: col[j] for j, name in enumerate(names)}
-    return LogicExpressionBits(tuple(_truth(ast, columns).astype(int).tolist()), n)
+    return LogicExpressionBits(_truth(ast, columns), n)
 
 
 @dataclass(frozen=True)
@@ -197,17 +199,16 @@ class ComparisonMetrics:
 
 
 def compare(e: LogicExpressionBits, h: LogicExpressionBits) -> ComparisonMetrics:
-    """Confusion-matrix counts over active/inactive minterm sets.
+    """Confusion-matrix counts over the active/inactive minterm masks.
     v10 counts minterms active in e but not in h; forward implication
     (e implies h) holds iff v10 = 0."""
     if e.n != h.n:
         raise ValueError("attribute count mismatch")
     size = 2**e.n
-    ea, ha = e.active_set(), h.active_set()
-    v11 = len(ea & ha)
-    v10 = len(ea - ha)
-    v01 = len(ha - ea)
-    v00 = size - v11 - v10 - v01
+    ea, ha = e.active, h.active
+    v11, v10, v01, v00 = (
+        int(np.count_nonzero(m)) for m in (ea & ha, ea & ~ha, ~ea & ha, ~(ea | ha))
+    )
     accuracy = (v11 + v00) / size
     precision_degenerate = v11 + v01 == 0
     recall_degenerate = v11 + v10 == 0
@@ -249,6 +250,8 @@ def trend_grid(
         raise ValueError("varied attribute index out of range")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}")
     fixed = fixed or {}
     base = [float(fixed.get(j, 0.5)) for j in range(n)]
     if levels is None:

@@ -7,19 +7,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from itertools import compress
+from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, logiccode, network, partition, qldt
-from .encoding import (
-    MAX_ATTRIBUTES,
-    fit_fuzzifier,
-    fuzzify,
-    minterm_bits,
-    minterm_transform,
-)
+from .encoding import MAX_ATTRIBUTES, fit_fuzzifier, fuzzify, minterm_transform
 
 
 class CliError(Exception):
@@ -95,7 +89,7 @@ def load_weights_file(path):
             f"weights file holds {len(weights)} weights, more than "
             f"2^{MAX_ATTRIBUTES} minterms"
         )
-    return partition.CellWeights(tuple(weights))
+    return partition.CellWeights(weights)
 
 
 def _load_model(path):
@@ -172,6 +166,11 @@ def _fmt(x, nd=3):
     return f"{x:.{nd}f}"
 
 
+def _minterm_codes(n):
+    """The attribute bits of each minterm index, attribute 1 first."""
+    return np.indices((2,) * n).reshape(n, 2**n).T.tolist()
+
+
 def cmd_train(args):
     names, X, y = load_dataset(args.data, args.label)
     if not len(y):
@@ -208,11 +207,8 @@ def cmd_partition(args):
     if args.out:
         _write_csv(args.out, header, rows)
     print(f"{'cell':>6} {'relu':>6} {'label1':>8} {'label0':>8}")
-    for r in report.rows:
-        print(
-            f"{'ANN_' + str(r.cell.p):>6} {''.join(map(str, r.cell.bits)):>6} "
-            f"{r.count_label1:>8} {r.count_label0:>8}"
-        )
+    for p, bits, ones, zeros in rows:
+        print(f"{'ANN_' + str(p):>6} {bits:>6} {ones:>8} {zeros:>8}")
     return 0
 
 
@@ -237,10 +233,10 @@ def cmd_explain(args):
         ["k"] + names + ["weight", "scaled"]
         + [f"bit_2^-{b}" for b in range(args.bcl_max + 1)] + ["reconstruction"]
     )
-    attribute_bits = np.indices((2,) * n).reshape(n, 2**n).T.tolist()
-    columns = zip(attribute_bits, cw.weights, scaled.weights, zip(*bt.bits), recon.tolist())
+    columns = zip(_minterm_codes(n), cw.weights.tolist(), scaled.weights.tolist(),
+                  bt.bits.T.tolist(), recon.tolist())
     rows = [
-        [k] + a_bits + [repr(w), repr(s)] + list(bits) + [repr(r)]
+        [k] + a_bits + [repr(w), repr(s)] + bits + [repr(r)]
         for k, (a_bits, w, s, bits, r) in enumerate(columns)
     ]
     _write_csv(out_dir / "weights.csv", header, rows)
@@ -286,9 +282,8 @@ def cmd_explain(args):
 
 def cmd_shapley(args):
     cw, names, *_ = _cell_weights_from_args(args)
-    result = partition.shapley(cw)
     rows = []
-    for name, value in zip(names, result.values):
+    for name, value in zip(names, partition.shapley(cw).tolist()):
         print(f"Sh_{name}={_fmt(value)}")
         rows.append([name, repr(value)])
     if args.out:
@@ -325,13 +320,12 @@ def cmd_project(args):
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
     print(f"kept={','.join(kept_names)}")
-    m = projected.n
-    for kappa in range(2**m):
-        bits = "".join(map(str, minterm_bits(kappa, m)))
-        code = "".join(str(bt.bits[b][kappa]) for b in range(args.bcl_max + 1))
+    columns = zip(_minterm_codes(projected.n), projected.weights.tolist(),
+                  scaled.weights.tolist(), bt.bits.T.tolist())
+    for bits, raw, s, code in columns:
         print(
-            f"minterm {bits}: raw={_fmt(projected.weights[kappa])} "
-            f"scaled={_fmt(scaled.weights[kappa])} bits={code}"
+            f"minterm {''.join(map(str, bits))}: raw={_fmt(raw)} "
+            f"scaled={_fmt(s)} bits={''.join(map(str, code))}"
         )
     print(f"weight_sum={_fmt(report.weight_sum)}")
     for le in report.levels:
@@ -391,17 +385,11 @@ def cmd_trend(args):
         raise CliError(str(exc)) from exc
     level_tag = "+".join(str(b) for b in levels)
     header = [names[j] for j in vary] + ["level_set", "value"]
-    rows = []
-    if len(vary) == 1:
-        for a, v in zip(grid.axis, grid.values):
-            rows.append([repr(float(a)), level_tag, repr(float(v))])
-    else:
-        for ia, a in enumerate(grid.axis):
-            for ib, b in enumerate(grid.axis):
-                rows.append(
-                    [repr(float(a)), repr(float(b)), level_tag,
-                     repr(float(grid.values[ia, ib]))]
-                )
+    points = product(map(float, grid.axis), repeat=len(vary))
+    rows = [
+        [*map(repr, point), level_tag, repr(v)]
+        for point, v in zip(points, grid.values.ravel().tolist())
+    ]
     if args.out:
         _write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} grid points to {args.out}")

@@ -149,9 +149,3 @@ def minterm_transform(degrees: np.ndarray) -> np.ndarray:
         mt = (mt[..., :, None] * pairs[..., j, None, :]).reshape(d.shape[:-1] + (size,))
     return mt
 
-
-def minterm_bits(k: int, n: int) -> list[int]:
-    """Big-endian bit code of minterm k; entry j-1 is attribute j's bit."""
-    if not 0 <= k < 2**n:
-        raise ValueError(f"minterm index {k} out of range for n={n}")
-    return [(k >> (n - 1 - j)) & 1 for j in range(n)]

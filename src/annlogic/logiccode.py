@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import CellId, CellWeights
+from .partition import CellId, CellWeights, _freeze, _power_of_two
 
 DEFAULT_BCL_MAX = 3
 MAX_BCL = 52
@@ -28,35 +28,42 @@ class ScalingParams:
         return (np.asarray(x, dtype=float) - self.min) / (self.max - self.min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledCellWeights:
-    weights: tuple[float, ...]
+    """Minterm weights scaled onto [0,1], a read-only float64 array of
+    shape (2^n,)."""
+
+    weights: np.ndarray
     params: ScalingParams
     cell: CellId | None = None
 
     def __post_init__(self):
-        if any(not (0.0 <= w <= 1.0) for w in self.weights):
+        w = _freeze(self, "weights", np.array(self.weights, dtype=float))
+        if w.ndim != 1 or not _power_of_two(w.size):
+            raise ValueError("weight vector length must be a power of two")
+        if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError("scaled weights must lie in [0,1]")
 
     @property
     def n(self) -> int:
-        return len(self.weights).bit_length() - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        return self.weights.size.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitTensor:
-    """bits[bcl][k]: the 2^-bcl digit of the rounded scaled weight of
-    minterm k, for bcl = 0 .. bcl_max."""
+    """bits[bcl, k]: the 2^-bcl digit of the rounded scaled weight of
+    minterm k, for bcl = 0 .. bcl_max; a read-only uint8 array of shape
+    (bcl_max+1, 2^n)."""
 
-    bits: tuple[tuple[int, ...], ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        widths = {len(row) for row in self.bits}
-        if len(widths) != 1:
-            raise ValueError("ragged bit tensor")
+        b = np.asarray(self.bits)  # ragged rows are a ValueError here
+        if b.ndim != 2 or not len(b) or not _power_of_two(b.shape[1]):
+            raise ValueError("a bit tensor has at least one row of 2^n bits")
+        if not ((b == 0) | (b == 1)).all():
+            raise ValueError("bits must be 0 or 1")
+        _freeze(self, "bits", b.astype(np.uint8))
 
     @property
     def bcl_max(self) -> int:
@@ -64,7 +71,7 @@ class BitTensor:
 
     @property
     def n(self) -> int:
-        return len(self.bits[0]).bit_length() - 1
+        return self.bits.shape[1].bit_length() - 1
 
     def reconstruction(self, levels: list[int] | None = None) -> np.ndarray:
         """Sum over the chosen levels (all by default) of 2^-bcl * bits[bcl],
@@ -72,27 +79,27 @@ class BitTensor:
         levels = np.arange(len(self.bits)) if levels is None else np.asarray(levels, dtype=int)
         if ((levels < 0) | (levels > self.bcl_max)).any():
             raise ValueError("level outside 0..bcl_max")
-        return (2.0 ** -levels) @ np.asarray(self.bits, dtype=float)[levels]
+        return (2.0 ** -levels) @ self.bits[levels]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicExpressionBits:
-    """A logic expression as its set of active minterms."""
+    """A logic expression as the read-only bool array of shape (2^n,)
+    that marks its active minterms."""
 
-    active: tuple[int, ...]
+    active: np.ndarray
     n: int
 
     def __post_init__(self):
-        if len(self.active) != 2**self.n:
+        a = np.asarray(self.active)
+        if a.shape != (2**self.n,):
             raise ValueError("bit vector length must be 2^n")
-        if any(b not in (0, 1) for b in self.active):
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("bits must be 0 or 1")
+        _freeze(self, "active", a.astype(bool))
 
     def complement(self) -> "LogicExpressionBits":
-        return LogicExpressionBits(tuple(1 - b for b in self.active), self.n)
-
-    def active_set(self) -> set[int]:
-        return {k for k, b in enumerate(self.active) if b}
+        return LogicExpressionBits(~self.active, self.n)
 
 
 @dataclass(frozen=True)
@@ -129,15 +136,14 @@ def scale_weights(
         # on the side the constant decides
         tau = (0.5 if lo > threshold else 1.5) if lo == hi else float(apply(threshold))
         params = ScalingParams(lo, hi, tau)
-        clipped = np.clip(apply(cw.as_array()), 0.0, 1.0)
-        return ScaledCellWeights(tuple(float(v) for v in clipped), params, cw.cell)
+        return ScaledCellWeights(np.clip(apply(cw.weights), 0.0, 1.0), params, cw.cell)
 
     if scope == "joint":
-        allw = np.concatenate([cw.as_array() for cw in cells])
+        allw = np.concatenate([cw.weights for cw in cells])
         lo, hi = float(allw.min()), float(allw.max())
         return [scale_one(cw, lo, hi) for cw in cells]
     return [
-        scale_one(cw, float(cw.as_array().min()), float(cw.as_array().max()))
+        scale_one(cw, float(cw.weights.min()), float(cw.weights.max()))
         for cw in cells
     ]
 
@@ -148,9 +154,9 @@ def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:
     bounded by the 52-bit float mantissa, so the integer codes are exact."""
     if not 0 <= bcl_max <= MAX_BCL:
         raise ValueError(f"bcl_max must lie in 0..{MAX_BCL}, got {bcl_max}")
-    q = np.floor(sw.as_array() * 2**bcl_max + 0.5).astype(np.int64)
+    q = np.floor(sw.weights * 2**bcl_max + 0.5).astype(np.int64)
     shifts = np.arange(bcl_max, -1, -1)
-    return BitTensor(tuple(map(tuple, ((q >> shifts[:, None]) & 1).tolist())))
+    return BitTensor((q >> shifts[:, None]) & 1)
 
 
 def level_expression(bt: BitTensor, bcl: int) -> LogicExpressionBits:
@@ -172,7 +178,7 @@ def eval_expression(e: LogicExpressionBits, mt) -> float | np.ndarray:
     """Arithmetic evaluation: the sum of the minterm values at active
     positions (disjunction of mutually exclusive events), for one minterm
     vector or each row of an (N, 2^n) matrix."""
-    return _minterm_sum(mt, np.asarray(e.active, dtype=float))
+    return _minterm_sum(mt, e.active.astype(float))
 
 
 def approx_forward(
@@ -190,13 +196,12 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
     weights) * 100, a share of the weight sum, not of the bit-code sum.
     When the weight sum is 0 the report is `degenerate` and every relative
     share is 0."""
-    if len(sw.weights) != len(bt.bits[0]):
+    if sw.weights.size != bt.bits.shape[1]:
         raise ValueError("weight/bit tensor length mismatch")
-    weight_sum = float(sw.as_array().sum())
+    weight_sum = float(sw.weights.sum())
     degenerate = weight_sum == 0.0
     levels = []
-    for bcl, row in enumerate(bt.bits):
-        count = int(sum(row))
+    for bcl, count in enumerate(np.count_nonzero(bt.bits, axis=1).tolist()):
         absolute = 2.0**-bcl * count
         relative = 0.0 if degenerate else absolute / weight_sum * 100.0
         levels.append(LevelEnergy(bcl, count, absolute, relative))
@@ -229,5 +234,4 @@ def project(cw: CellWeights, keep: list[int]) -> CellWeights:
     if len(set(keep)) != len(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
     dropped = tuple(j for j in range(n) if j not in keep)
-    out = cw.as_array().reshape((2,) * n).sum(axis=dropped).ravel()
-    return CellWeights(tuple(out.tolist()), None)
+    return CellWeights(cw.weights.reshape((2,) * n).sum(axis=dropped).ravel())

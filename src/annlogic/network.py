@@ -12,6 +12,9 @@ import numpy as np
 
 from .encoding import MAX_ATTRIBUTES, FuzzifierSpec
 
+MAX_RELU_NODES = 1024  # at 2^12 inputs the pre layer holds 32 MB
+MAX_EPOCHS = 1_000_000
+
 
 class ModelFormatError(ValueError):
     pass
@@ -73,6 +76,8 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be at most {MAX_EPOCHS}")
 
 
 def _activations(layers, h) -> list[np.ndarray]:
@@ -144,7 +149,8 @@ def train(
     """Full-batch gradient descent on MSE over the rows of the (N, 2^n)
     minterm matrix `mt` and their 0/1 labels.  `arch` lists layer sizes
     from input to output (last must be 1); the ReLU sits after the
-    `relu_after`-th weight matrix.  Returns (ann, training accuracy)."""
+    `relu_after`-th weight matrix and holds at most MAX_RELU_NODES nodes.
+    Returns (ann, training accuracy)."""
     X = np.asarray(mt, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if len(X) == 0:
@@ -157,6 +163,10 @@ def train(
         raise ValueError("arch must run from input size 2^n to a single output")
     if not 1 <= relu_after < len(arch) - 1:
         raise ValueError("relu_after out of range")
+    if min(arch) < 1:
+        raise ValueError("every layer needs at least one node")
+    if arch[relu_after] > MAX_RELU_NODES:
+        raise ValueError(f"{arch[relu_after]} ReLU nodes exceed the maximum of {MAX_RELU_NODES}")
 
     rng = np.random.default_rng(cfg.seed)
     weights = [

@@ -4,7 +4,6 @@ and Shapley attribution."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,26 +33,35 @@ class CellId:
         return f"ANN_{self.p}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellWeights:
-    """The 2^n real minterm weights of one cell's exact linear map."""
+    """The 2^n real minterm weights of one cell's exact linear map, a
+    read-only float64 array of shape (2^n,)."""
 
-    weights: tuple[float, ...]
+    weights: np.ndarray
     cell: CellId | None = None
 
     def __post_init__(self):
-        k = len(self.weights)
-        if k == 0 or k & (k - 1):
+        w = _freeze(self, "weights", np.array(self.weights, dtype=float))
+        if w.ndim != 1 or not _power_of_two(w.size):
             raise ValueError("weight vector length must be a power of two")
-        if not all(math.isfinite(w) for w in self.weights):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
 
     @property
     def n(self) -> int:
-        return len(self.weights).bit_length() - 1
+        return self.weights.size.bit_length() - 1
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+
+def _freeze(obj, name: str, a: np.ndarray) -> np.ndarray:
+    """Store `a`, made read-only, as field `name` of the frozen `obj`."""
+    a.flags.writeable = False
+    object.__setattr__(obj, name, a)
+    return a
+
+
+def _power_of_two(k: int) -> bool:
+    return k > 0 and not k & (k - 1)
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,6 @@ class PartitionReport:
     @property
     def total(self) -> int:
         return sum(r.total for r in self.rows)
-
-
-@dataclass(frozen=True)
-class ShapleyResult:
-    values: tuple[float, ...]
 
 
 def cell_number(status) -> CellId:
@@ -122,22 +125,20 @@ def extract_cell_weights(ann: SimpleAnn, cell: CellId) -> CellWeights:
     h = h * np.asarray(cell.bits, dtype=float)
     for w in reversed(ann.pre_layers):
         h = h @ w
-    return CellWeights(tuple(h[0].tolist()), cell)
+    return CellWeights(h[0], cell)
 
 
-def shapley(cw: CellWeights) -> ShapleyResult:
+def shapley(cw: CellWeights) -> np.ndarray:
     """Exact Shapley values of the attributes under the coalition value
     v(S) = weight of the minterm whose non-negated attributes are S, as
     Harsanyi dividends: Sh_i = sum over S containing i of m(S)/|S|, where
     m is the Moebius transform of v, taken as (lo, hi - lo) on each axis
-    of the (2,)*n weight tensor."""
+    of the (2,)*n weight tensor.  Returns the (n,) values."""
     n = cw.n
-    m = cw.as_array().reshape((2,) * n)
+    m = cw.weights.reshape((2,) * n)
     for axis in range(n):
         lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
         m = np.stack((lo, hi - lo), axis=axis)
     size = np.indices((2,) * n).sum(axis=0)
     share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
-    return ShapleyResult(
-        tuple(float(np.take(share, 1, axis=i).sum()) for i in range(n))
-    )
+    return np.array([np.take(share, 1, axis=i).sum() for i in range(n)])

@@ -46,7 +46,7 @@ def build_qldt(e: LogicExpressionBits) -> QldtNode:
     pure subtrees and splits with identical children collapse.  Equal
     subfunctions are built once and shared, so the tree is a DAG of
     immutable nodes."""
-    truth = np.asarray(e.active, dtype=bool).reshape((2,) * e.n)
+    truth = e.active.reshape((2,) * e.n)
     index_bits = np.indices((2,) * e.n).reshape(e.n, 2**e.n).T
     return _grow(truth, tuple(range(e.n)), {}, index_bits)
 

@@ -1,5 +1,7 @@
-"""Scalar reference implementations that loop over minterm indices or
-dataset rows, and the hypothesis strategies they are compared on.
+"""Scalar reference implementations that loop over minterm indices,
+dataset rows or single values, and the hypothesis strategies they are
+compared on.  The `*_ok` predicates are the value types' input rules,
+checked one element at a time.
 
 The package computes these on the (2,)*n weight and truth tensors and on
 (N, n) and (N, 2^n) row matrices; the tests compare it against the plain
@@ -40,6 +42,78 @@ def degree_rows(max_n, max_rows):
 
 def bit(k, j, n):
     return (k >> (n - 1 - j)) & 1
+
+
+def minterm_bits(k, n):
+    """Big-endian bit code of minterm k; entry j-1 is attribute j's bit."""
+    if not 0 <= k < 2**n:
+        raise ValueError(f"minterm index {k} out of range for n={n}")
+    return [bit(k, j, n) for j in range(n)]
+
+
+def _power_of_two(k):
+    return k > 0 and not k & (k - 1)
+
+
+def cell_weights_ok(values):
+    """CellWeights' rule, one weight at a time: 2^n finite weights."""
+    return _power_of_two(len(values)) and all(math.isfinite(w) for w in values)
+
+
+def scaled_weights_ok(values):
+    """ScaledCellWeights' rule: 2^n weights, each in [0,1]."""
+    return _power_of_two(len(values)) and all(0.0 <= w <= 1.0 for w in values)
+
+
+def bit_tensor_ok(rows):
+    """BitTensor's rule: at least one row, rows of equal length 2^n, every
+    entry 0 or 1."""
+    widths = {len(row) for row in rows}
+    return (len(widths) == 1 and _power_of_two(widths.pop())
+            and all(b in (0, 1) for row in rows for b in row))
+
+
+def expression_bits_ok(active, n):
+    """LogicExpressionBits' rule: 2^n entries, each 0 or 1."""
+    return len(active) == 2**n and all(b in (0, 1) for b in active)
+
+
+# NaN, +-inf, values outside [0,1] and non-0/1 bits, mixed with valid ones
+_ODD_VALUES = st.sampled_from(
+    [0, 1, 0.0, 1.0, -0.0, 0.5, 2, -1, -0.25, 1.5, math.nan, math.inf, -math.inf]
+) | st.floats()
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0, 1)
+BITS = st.sampled_from([0, 1, False, True, 0.0, 1.0])
+
+
+def _lengths(max_len):
+    return st.sampled_from([1, 2, 4, 8]) | st.integers(0, max_len)
+
+
+def _vector(valid, k):
+    """k values: all from `valid`, or each from `valid` or the odd values."""
+    return (st.lists(valid, min_size=k, max_size=k)
+            | st.lists(valid | _ODD_VALUES, min_size=k, max_size=k))
+
+
+def odd_vectors(valid, max_len=17):
+    """Lists of any length up to max_len, power of two or not, whose
+    values come from `valid` or are NaN, infinite, out of range or no bit."""
+    return _lengths(max_len).flatmap(lambda k: _vector(valid, k))
+
+
+def odd_expressions(max_n=4):
+    """(active, n) pairs for a logic expression: 2^n values, or any other
+    number of them."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(_vector(BITS, 2**n) | odd_vectors(BITS), st.just(n)))
+
+
+def odd_bit_rows(max_rows=4):
+    """Row lists for a bit tensor: rows of one shared length, or ragged."""
+    shared = _lengths(9).flatmap(lambda k: st.lists(_vector(BITS, k), max_size=max_rows))
+    return shared | st.lists(odd_vectors(BITS, 9), max_size=max_rows)
 
 
 def shapley_permutation_oracle(weights, n):
@@ -241,5 +315,5 @@ def compose_cell_weights(singles, cell):
             p = 1 << (cell.l - 1 - m)
             if p not in by_cell:
                 raise ValueError(f"missing single-node cell {p}")
-            total = total + by_cell[p].as_array()
-    return CellWeights(tuple(float(v) for v in total), cell)
+            total = total + by_cell[p].weights
+    return CellWeights(total, cell)

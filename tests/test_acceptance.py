@@ -124,17 +124,18 @@ def test_criterion_03_two_attribute_bitcodes_and_level_forms():
 def test_criterion_04_shapley():
     with criterion(4, "Shapley golden values, efficiency, oracle agreement"):
         result = al.shapley(al.CellWeights(TWO_ATTR_WEIGHTS))
-        assert math.isclose(result.values[0], 0.1, abs_tol=1e-12)
-        assert math.isclose(result.values[1], -0.2, abs_tol=1e-12)
+        assert result.shape == (2,)
+        assert math.isclose(result[0], 0.1, abs_tol=1e-12)
+        assert math.isclose(result[1], -0.2, abs_tol=1e-12)
         rng = np.random.default_rng(42)
         for _ in range(100):
             w = tuple(rng.normal(size=8))
             r = al.shapley(al.CellWeights(w))
-            assert math.isclose(sum(r.values), w[7] - w[0], abs_tol=1e-9)
+            assert math.isclose(r.sum(), w[7] - w[0], abs_tol=1e-9)
         for n in (2, 3, 4):
             for _ in range(5):
                 w = tuple(rng.normal(size=2**n))
-                got = al.shapley(al.CellWeights(w)).values
+                got = al.shapley(al.CellWeights(w))
                 want = shapley_permutation_oracle(w, n)
                 assert all(
                     math.isclose(g, x, abs_tol=1e-9) for g, x in zip(got, want)
@@ -160,7 +161,7 @@ def test_criterion_05_cell_map_equivalence():
                 cell = al.cell_number(al.relu_status(ann, mt))
                 cw = al.extract_cell_weights(ann, cell)
                 assert abs(
-                    float(np.dot(cw.as_array(), mt))
+                    float(np.dot(cw.weights, mt))
                     - al.forward(ann, mt)
                 ) < 1e-9
             for p in range(2**l):
@@ -171,9 +172,9 @@ def test_criterion_05_cell_map_equivalence():
                 )
         # two-node identity: cell 11 weights = cell 10 + cell 01
         ann = random_simple_ann(rng, 2, 2)
-        w11 = al.extract_cell_weights(ann, al.CellId(3, 2)).as_array()
-        w10 = al.extract_cell_weights(ann, al.CellId(2, 2)).as_array()
-        w01 = al.extract_cell_weights(ann, al.CellId(1, 2)).as_array()
+        w11 = al.extract_cell_weights(ann, al.CellId(3, 2)).weights
+        w10 = al.extract_cell_weights(ann, al.CellId(2, 2)).weights
+        w01 = al.extract_cell_weights(ann, al.CellId(1, 2)).weights
         assert np.allclose(w11, w10 + w01, atol=1e-9)
 
 
@@ -273,7 +274,7 @@ def test_criterion_10_end_to_end(banknote_csv):
         bt = al.bitcode(sw, 3)
         members = (al.relu_status(ann, mts) == best.cell.bits).all(axis=1)
         tau = sw.params.scaled_threshold
-        exact = (mts[members] @ sw.as_array() > tau) == y[members].astype(bool)
+        exact = (mts[members] @ sw.weights > tau) == y[members].astype(bool)
         exact_acc = np.count_nonzero(exact) / np.count_nonzero(members)
         cumulative = []
         for bcl in range(4):

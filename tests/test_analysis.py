@@ -42,7 +42,7 @@ class TestParser:
         assert exc.value.position == 3
 
     def test_aliases_and_case(self):
-        assert bits("!a & b", AB).active == bits("NOT a AND b", AB).active
+        assert np.array_equal(bits("!a & b", AB).active, bits("NOT a AND b", AB).active)
 
     def test_precedence(self):
         # not > and > or, left-associative
@@ -68,19 +68,19 @@ class TestParser:
 
 class TestAstToMinterms:
     def test_or_truth_table(self):
-        assert bits("a or b", AB).active == (0, 1, 1, 1)
+        assert np.array_equal(bits("a or b", AB).active, (0, 1, 1, 1))
 
     def test_idempotence(self):
-        assert bits("a and a", AB).active == bits("a", AB).active
+        assert np.array_equal(bits("a and a", AB).active, bits("a", AB).active)
 
     def test_contradiction(self):
-        assert bits("a and not a", AB).active == (0, 0, 0, 0)
+        assert np.array_equal(bits("a and not a", AB).active, (0, 0, 0, 0))
 
     def test_xor_is_symmetric_difference(self):
         x = bits("a xor b", AB)
-        a = bits("a", AB).active_set()
-        b = bits("b", AB).active_set()
-        assert x.active_set() == a ^ b
+        a = bits("a", AB).active
+        b = bits("b", AB).active
+        assert np.array_equal(x.active, a ^ b)
 
     def test_boolean_laws_random(self):
         names = ["a", "b", "c"]
@@ -93,7 +93,7 @@ class TestAstToMinterms:
             ("a or (b and c)", "(a or b) and (a or c)"),
         ]
         for lhs, rhs in pairs:
-            assert bits(lhs, names).active == bits(rhs, names).active
+            assert np.array_equal(bits(lhs, names).active, bits(rhs, names).active)
 
     @settings(deadline=None)
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6), st.data())
@@ -115,7 +115,7 @@ class TestAstToMinterms:
         )
         got = ast_to_minterms(ast, names)
         assert got.n == len(names)
-        assert got.active == truth_table_loop(ast, names)
+        assert np.array_equal(got.active, truth_table_loop(ast, names))
 
 
 class TestCompare:

@@ -278,6 +278,16 @@ BAD_INPUTS = {
     "trend-fixed-degree-above-1": (
         {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
              "--fixed", "2=1.5"]),
+    # one past each size bound, rejected before the grid or a layer is allocated
+    "trend-resolution-1002": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1,2",
+             "--resolution", "1002"]),
+    "train-relu-nodes-0": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--relu-nodes", "0"]),
+    "train-relu-nodes-1025": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--relu-nodes", "1025"]),
+    "train-epochs-1000001": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--epochs", "1000001"]),
 }
 
 

@@ -7,10 +7,9 @@ from annlogic.encoding import (
     FuzzifierSpec,
     fit_fuzzifier,
     fuzzify,
-    minterm_bits,
     minterm_transform,
 )
-from oracles import degree_rows, minterms_kron
+from oracles import degree_rows, minterm_bits, minterms_kron
 
 
 def make_samples(columns):

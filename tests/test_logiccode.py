@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import (
     BitTensor,
+    LogicExpressionBits,
     ScaledCellWeights,
     ScalingParams,
     approx_forward,
@@ -21,7 +22,21 @@ from annlogic.logiccode import (
 )
 from annlogic.partition import CellWeights
 from conftest import REF16_WEIGHTS, random_minterm
-from oracles import bitcode_loop, project_loop, weight_vectors
+from oracles import (
+    BITS,
+    FINITE,
+    UNIT,
+    bit_tensor_ok,
+    bitcode_loop,
+    cell_weights_ok,
+    expression_bits_ok,
+    odd_bit_rows,
+    odd_expressions,
+    odd_vectors,
+    project_loop,
+    scaled_weights_ok,
+    weight_vectors,
+)
 
 
 def scaled(weights, tau=0.5):
@@ -33,7 +48,7 @@ def scaled(weights, tau=0.5):
 class TestScaleWeights:
     def test_degenerate_all_equal(self):
         sw = scale_weights([CellWeights((2.5, 2.5, 2.5, 2.5))], 1.0)[0]
-        assert sw.weights == (1.0, 1.0, 1.0, 1.0)
+        assert np.array_equal(sw.weights, (1.0, 1.0, 1.0, 1.0))
 
     def test_projected_reference_weights(self):
         sw = scale_weights([CellWeights((3.357, 2.262, 2.440, 1.397))], 0.5)[0]
@@ -51,12 +66,12 @@ class TestScaleWeights:
     def test_joint_scope_shares_extremes(self):
         cells = [CellWeights((0.0, 1.0)), CellWeights((2.0, 3.0))]
         joint = scale_weights(cells, 1.5, scope="joint")
-        assert joint[0].weights == (0.0, 1 / 3)
-        assert joint[1].weights == (2 / 3, 1.0)
+        assert np.array_equal(joint[0].weights, (0.0, 1 / 3))
+        assert np.array_equal(joint[1].weights, (2 / 3, 1.0))
         assert joint[0].params.scaled_threshold == 0.5
         per = scale_weights(cells, 1.5, scope="per-cell")
-        assert per[0].weights == (0.0, 1.0)
-        assert per[1].weights == (0.0, 1.0)
+        assert np.array_equal(per[0].weights, (0.0, 1.0))
+        assert np.array_equal(per[1].weights, (0.0, 1.0))
 
     def test_sign_preservation_vs_threshold(self):
         # scaled comparison against the scaled threshold matches unscaled
@@ -76,7 +91,7 @@ class TestScaleWeights:
         rows = minterm_transform(rng.uniform(0, 1, (200, 3)))
         for c, tau in ((0.0, -0.4), (0.0, 0.4), (-1.3, -2.0), (0.7, 1.1), (2.0, 0.0)):
             sw = scale_weights([CellWeights((c,) * 8)], tau)[0]
-            scl = rows @ np.asarray(sw.weights)
+            scl = rows @ sw.weights
             assert ((scl > sw.params.scaled_threshold) == (c > tau)).all()
 
 
@@ -132,7 +147,7 @@ class TestBitcode:
     )
     def test_matches_loop_within_error_bound(self, w, bcl_max):
         bt = bitcode(scaled(w), bcl_max)
-        assert bt.bits == bitcode_loop(w, bcl_max)
+        assert np.array_equal(bt.bits, bitcode_loop(w, bcl_max))
         assert np.all(np.abs(bt.reconstruction() - w) <= 2.0 ** -(bcl_max + 1))
 
 
@@ -141,14 +156,14 @@ class TestLevelExpression:
     EXAMPLE = BitTensor(((1, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)))
 
     def test_top_level(self):
-        assert level_expression(self.EXAMPLE, 0).active_set() == {0}
+        assert np.flatnonzero(level_expression(self.EXAMPLE, 0).active).tolist() == [0]
 
     def test_xor_level(self):
-        assert level_expression(self.EXAMPLE, 3).active_set() == {1, 2}
+        assert np.flatnonzero(level_expression(self.EXAMPLE, 3).active).tolist() == [1, 2]
 
     def test_empty_slice(self):
         bt = BitTensor(((0, 0, 0, 0),))
-        assert level_expression(bt, 0).active_set() == set()
+        assert not level_expression(bt, 0).active.any()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -304,7 +319,7 @@ class TestProject:
 
     def test_keep_first_of_two(self):
         w = (1.0, 2.0, 3.0, 4.0)
-        assert project(CellWeights(w), [0]).weights == (3.0, 7.0)
+        assert np.array_equal(project(CellWeights(w), [0]).weights, (3.0, 7.0))
 
     def test_empty_keep(self):
         with pytest.raises(ValueError):
@@ -331,7 +346,7 @@ class TestProject:
                 if (k >> (n - 1 - 1)) & 1:
                     wc[k] = wc[k & ~(1 << (n - 1 - 1))]
             projected_c = project(CellWeights(tuple(wc)), keep)
-            lhs = float(np.dot(projected_c.as_array() / 2.0, reduced))
+            lhs = float(np.dot(projected_c.weights / 2.0, reduced))
             rhs = float(np.dot(wc, full))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -345,3 +360,49 @@ class TestProject:
         projected = project(CellWeights(w), keep).weights
         assert projected == pytest.approx(project_loop(w, n, keep), abs=1e-9)
         assert math.isclose(sum(projected), sum(w), abs_tol=1e-9)
+
+
+class TestArrayValueTypes:
+    """Each value type checks its array with one vector test; the scalar
+    predicates in tests/oracles.py decide the same inputs element by
+    element."""
+
+    @staticmethod
+    def accepts(make, *args):
+        try:
+            make(*args)
+        except ValueError:
+            return False
+        return True
+
+    @given(odd_vectors(FINITE))
+    def test_cell_weights_rule(self, values):
+        assert self.accepts(CellWeights, values) == cell_weights_ok(values)
+
+    @given(odd_vectors(UNIT))
+    def test_scaled_weights_rule(self, values):
+        params = ScalingParams(0.0, 1.0, 0.5)
+        assert self.accepts(ScaledCellWeights, values, params) == scaled_weights_ok(values)
+
+    @given(odd_bit_rows())
+    def test_bit_tensor_rule(self, rows):
+        assert self.accepts(BitTensor, rows) == bit_tensor_ok(rows)
+
+    @given(odd_expressions())
+    def test_expression_bits_rule(self, case):
+        assert self.accepts(LogicExpressionBits, *case) == expression_bits_ok(*case)
+
+    def test_arrays_are_read_only_copies(self):
+        source = np.array([0.0, 0.25, 1.0, 0.5])
+        cw = CellWeights(source)
+        sw = ScaledCellWeights(source, ScalingParams(0.0, 1.0, 0.5))
+        bt = bitcode(sw, 2)
+        e = level_expression(bt, 0)
+        source[0] = 0.75
+        assert cw.weights[0] == sw.weights[0] == 0.0
+        assert (cw.weights.dtype, sw.weights.dtype) == (np.float64, np.float64)
+        assert (bt.bits.dtype, bt.bits.shape) == (np.uint8, (3, 4))
+        assert (e.active.dtype, e.active.shape) == (np.bool_, (4,))
+        for array in (cw.weights, sw.weights, bt.bits, e.active):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1

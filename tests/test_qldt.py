@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annlogic.encoding import minterm_bits, minterm_transform
+from annlogic.encoding import minterm_transform
 from annlogic.logiccode import LogicExpressionBits, eval_expression
 from annlogic.qldt import Leaf, Split, build_qldt, eval_qldt, render
-from oracles import qldt_rows
+from oracles import minterm_bits, qldt_rows
 
 
 def expr(bits):
