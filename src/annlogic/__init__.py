@@ -27,7 +27,6 @@ from .network import (
 from .partition import (
     CellId,
     CellWeights,
-    PartitionReport,
     cell_number,
     extract_cell_weights,
     partition_dataset,

@@ -10,7 +10,7 @@ from typing import Union
 import numpy as np
 
 from .encoding import minterm_transform
-from .logiccode import BitTensor, LogicExpressionBits, ScalingParams
+from .logiccode import BitTensor, LogicExpressionBits
 
 MAX_RESOLUTION = 1001  # a 2-D grid holds at most ~1e6 points
 
@@ -234,7 +234,6 @@ class TrendGrid:
 
 def trend_grid(
     bt: BitTensor,
-    params: ScalingParams,
     vary: list[int],
     fixed: dict[int, float] | None = None,
     levels: list[int] | None = None,
@@ -242,7 +241,8 @@ def trend_grid(
 ) -> TrendGrid:
     """Evaluate the level-restricted approximation over a uniform [0,1]
     grid of one or two varied attributes; the rest sit at fixed degrees
-    (default 0.5).  Degrees outside [0,1] are a ValueError."""
+    (default 0.5).  A varied attribute takes the grid value even if it also
+    has a fixed degree.  Degrees outside [0,1] are a ValueError."""
     n = bt.n
     if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
         raise ValueError("vary must name one or two distinct attributes")

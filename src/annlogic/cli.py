@@ -96,10 +96,7 @@ def _load_model(path):
     p = Path(path)
     if not p.exists():
         raise CliError(f"model file not found: {path}")
-    try:
-        return network.load_model(p)
-    except network.ModelFormatError as exc:
-        raise CliError(str(exc)) from exc
+    return network.load_model(p)
 
 
 def _parse_levels(text, bcl_max):
@@ -109,6 +106,8 @@ def _parse_levels(text, bcl_max):
         levels = sorted({int(t) for t in text.split(",") if t.strip() != ""})
     except ValueError:
         raise CliError(f"bad level set {text!r}") from None
+    if not levels:
+        raise CliError("level set is empty")
     if any(not 0 <= b <= bcl_max for b in levels):
         raise CliError(f"levels must lie in 0..{bcl_max}")
     return levels
@@ -147,10 +146,7 @@ def _cell_weights_from_args(args):
         ann, spec = _load_model(args.model)
         if args.cell is None:
             raise CliError("--cell is required when extracting from a model")
-        try:
-            cell = partition.CellId(args.cell, ann.relu_count)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        cell = partition.CellId(args.cell, ann.relu_count)
         cw = partition.extract_cell_weights(ann, cell)
         threshold = ann.threshold
     if names is None:
@@ -176,13 +172,11 @@ def cmd_train(args):
     if not len(y):
         raise CliError("dataset has no rows")
     spec = fit_fuzzifier(X, args.fuzzifier)
-    n = len(names)
-    arch = [2**n, args.relu_nodes, 1]
     cfg = network.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed
     )
     try:
-        ann, acc = network.train(minterm_transform(fuzzify(X, spec)), y, arch, cfg)
+        ann, acc = network.train(minterm_transform(fuzzify(X, spec)), y, args.relu_nodes, cfg)
     except network.TrainingDivergedError as exc:
         raise CliError(str(exc)) from exc
     network.save_model(args.model, ann, spec)
@@ -193,16 +187,22 @@ def cmd_train(args):
     return 0
 
 
-def cmd_partition(args):
+def _model_rows(args):
+    """The --model network, the minterm matrix of the --data rows under the
+    model's fuzzifier, and their labels."""
     ann, spec = _load_model(args.model)
-    names, X, y = load_dataset(args.data, args.label)
     if spec is None:
         raise CliError("model has no fuzzifier; cannot ingest raw data")
-    report = partition.partition_dataset(ann, minterm_transform(fuzzify(X, spec)), y)
+    _, X, y = load_dataset(args.data, args.label)
+    return ann, minterm_transform(fuzzify(X, spec)), y
+
+
+def cmd_partition(args):
+    ann, mt, y = _model_rows(args)
     header = ["cell_id", "relu_bits", "count_label1", "count_label0"]
     rows = [
         [r.cell.p, "".join(map(str, r.cell.bits)), r.count_label1, r.count_label0]
-        for r in report.rows
+        for r in partition.partition_dataset(ann, mt, y)
     ]
     if args.out:
         _write_csv(args.out, header, rows)
@@ -311,10 +311,7 @@ def _resolve_keep(keep_arg, names):
 def cmd_project(args):
     cw, names, threshold, *_ = _cell_weights_from_args(args)
     keep = _resolve_keep(args.keep, names)
-    try:
-        projected = logiccode.project(cw, keep)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    projected = logiccode.project(cw, keep)
     kept_names = [names[j] for j in sorted(keep)]
     scaled = logiccode.scale_weights([projected], threshold)[0]
     bt = logiccode.bitcode(scaled, args.bcl_max)
@@ -337,23 +334,19 @@ def cmd_project(args):
 
 
 def cmd_hypothesis(args):
-    try:
-        if args.hypothesis2 is not None:
-            names, _ = _names_and_rows(args)
-            if names is None:
-                raise CliError("--names or --data required with --hypothesis2")
-            h2 = analysis.parse_hypothesis(args.hypothesis2, names)
-            e = analysis.ast_to_minterms(h2, names)
-        else:
-            cw, names, threshold, *_ = _cell_weights_from_args(args)
-            scaled = logiccode.scale_weights([cw], threshold)[0]
-            bt = logiccode.bitcode(scaled, args.bcl_max)
-            e = logiccode.level_expression(bt, args.level)
-        h = analysis.parse_hypothesis(args.hypothesis, names)
-        hbits = analysis.ast_to_minterms(h, names)
-    except (analysis.HypothesisSyntaxError, analysis.UnknownAttributeError) as exc:
-        raise CliError(str(exc)) from exc
-    m = analysis.compare(e, hbits)
+    if args.hypothesis2 is not None:
+        names, _ = _names_and_rows(args)
+        if names is None:
+            raise CliError("--names or --data required with --hypothesis2")
+        h2 = analysis.parse_hypothesis(args.hypothesis2, names)
+        e = analysis.ast_to_minterms(h2, names)
+    else:
+        cw, names, threshold, *_ = _cell_weights_from_args(args)
+        scaled = logiccode.scale_weights([cw], threshold)[0]
+        bt = logiccode.bitcode(scaled, args.bcl_max)
+        e = logiccode.level_expression(bt, args.level)
+    h = analysis.parse_hypothesis(args.hypothesis, names)
+    m = analysis.compare(e, analysis.ast_to_minterms(h, names))
     for key in ("v11", "v10", "v01", "v00"):
         print(f"{key}={getattr(m, key)}")
     print(f"accuracy={_fmt(m.accuracy)}")
@@ -376,13 +369,11 @@ def cmd_trend(args):
         for part in args.fixed.split(","):
             key, _, val = part.partition("=")
             idx = _resolve_keep(key, names)[0]
+            if idx in vary or idx in fixed:
+                why = "both varied and fixed" if idx in vary else "fixed twice"
+                raise CliError(f"attribute {names[idx]!r} is {why}")
             fixed[idx] = float(val)
-    try:
-        grid = analysis.trend_grid(
-            bt, scaled.params, vary, fixed, levels, args.resolution
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    grid = analysis.trend_grid(bt, vary, fixed, levels, args.resolution)
     level_tag = "+".join(str(b) for b in levels)
     header = [names[j] for j in vary] + ["level_set", "value"]
     points = product(map(float, grid.axis), repeat=len(vary))
@@ -401,12 +392,9 @@ def cmd_trend(args):
 
 
 def cmd_classify(args):
-    ann, spec = _load_model(args.model)
-    if spec is None:
-        raise CliError("model has no fuzzifier; cannot ingest raw data")
-    names, X, y = load_dataset(args.data, args.label)
+    ann, mt, y = _model_rows(args)
     if len(y):
-        predictions = network.classify(ann, minterm_transform(fuzzify(X, spec)))
+        predictions = network.classify(ann, mt)
         print("\n".join(map(str, predictions.tolist())))
         hits = np.count_nonzero(predictions == y)
         print(f"accuracy={_fmt(hits / len(y))}", file=sys.stderr)
@@ -499,10 +487,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

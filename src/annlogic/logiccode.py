@@ -128,6 +128,8 @@ def scale_weights(
         raise ValueError("no cells to scale")
     if scope not in ("joint", "per-cell"):
         raise ValueError(f"unknown scaling scope {scope!r}")
+    if not np.isfinite(threshold):
+        raise ValueError("threshold must be finite")
 
     def scale_one(cw: CellWeights, lo: float, hi: float) -> ScaledCellWeights:
         apply = ScalingParams(lo, hi, 0.0).apply

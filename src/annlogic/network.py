@@ -1,6 +1,7 @@
 """The simple ANN: stacked bias-free linear layers around one ReLU layer,
 a single output node, and a threshold classifier.  Includes a small
-full-batch gradient-descent trainer and JSON persistence."""
+full-batch gradient-descent trainer for the 2^n -> l -> 1 form and JSON
+persistence."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .encoding import MAX_ATTRIBUTES, FuzzifierSpec
 
 MAX_RELU_NODES = 1024  # at 2^12 inputs the pre layer holds 32 MB
 MAX_EPOCHS = 1_000_000
+INIT_SCALE = 0.5  # standard deviation of the initial weights
 
 
 class ModelFormatError(ValueError):
@@ -69,11 +71,12 @@ class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 2000
     seed: int = 0
-    init_scale: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning rate must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.epochs > MAX_EPOCHS:
@@ -142,14 +145,12 @@ def choose_threshold(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, fl
 def train(
     mt: np.ndarray,
     labels: np.ndarray,
-    arch: list[int],
+    relu_nodes: int,
     cfg: TrainConfig = TrainConfig(),
-    relu_after: int = 1,
 ) -> tuple[SimpleAnn, float]:
     """Full-batch gradient descent on MSE over the rows of the (N, 2^n)
-    minterm matrix `mt` and their 0/1 labels.  `arch` lists layer sizes
-    from input to output (last must be 1); the ReLU sits after the
-    `relu_after`-th weight matrix and holds at most MAX_RELU_NODES nodes.
+    minterm matrix `mt` and their 0/1 labels, for the network 2^n inputs
+    -> `relu_nodes` ReLU nodes (at most MAX_RELU_NODES) -> one output.
     Returns (ann, training accuracy)."""
     X = np.asarray(mt, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -159,49 +160,30 @@ def train(
         raise ValueError("need an (N, 2^n) minterm matrix and N labels")
     if len(np.unique(labels)) < 2:
         raise ValueError("need at least one sample of each class")
-    if arch[0] != X.shape[1] or arch[-1] != 1:
-        raise ValueError("arch must run from input size 2^n to a single output")
-    if not 1 <= relu_after < len(arch) - 1:
-        raise ValueError("relu_after out of range")
-    if min(arch) < 1:
+    if min(X.shape[1], relu_nodes) < 1:
         raise ValueError("every layer needs at least one node")
-    if arch[relu_after] > MAX_RELU_NODES:
-        raise ValueError(f"{arch[relu_after]} ReLU nodes exceed the maximum of {MAX_RELU_NODES}")
+    if relu_nodes > MAX_RELU_NODES:
+        raise ValueError(f"{relu_nodes} ReLU nodes exceed the maximum of {MAX_RELU_NODES}")
 
     rng = np.random.default_rng(cfg.seed)
-    weights = [
-        rng.normal(0.0, cfg.init_scale, size=(arch[i + 1], arch[i]))
-        for i in range(len(arch) - 1)
-    ]
-    pre_n = relu_after
-
+    w_pre = rng.normal(0.0, INIT_SCALE, size=(relu_nodes, X.shape[1]))
+    w_post = rng.normal(0.0, INIT_SCALE, size=(1, relu_nodes))
     for _ in range(cfg.epochs):
-        # forward with cached activations
-        acts = _activations(weights[:pre_n], X)
-        mask = acts[-1] > 0
-        acts += _activations(weights[pre_n:], np.maximum(acts[-1], 0.0))
-        out = acts[-1][:, 0]
+        pre = X @ w_pre.T
+        relu = np.maximum(pre, 0.0)
+        out = (relu @ w_post.T)[:, 0]
         loss = float(np.mean((out - labels) ** 2))
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 "training diverged (non-finite loss); lower the learning rate"
             )
-        grad = (2.0 / len(labels)) * (out - labels)[:, None]
-        # backward through post layers
-        grads = [None] * len(weights)
-        d = grad
-        for i in range(len(weights) - 1, pre_n - 1, -1):
-            grads[i] = d.T @ acts[i + 1]
-            d = d @ weights[i]
-        d = d * mask
-        for i in range(pre_n - 1, -1, -1):
-            grads[i] = d.T @ acts[i]
-            if i > 0:
-                d = d @ weights[i]
-        for i, g in enumerate(grads):
-            weights[i] = weights[i] - cfg.learning_rate * g
+        d = (2.0 / len(labels)) * (out - labels)[:, None]
+        g_post = d.T @ relu
+        g_pre = ((d @ w_post) * (pre > 0)).T @ X
+        w_pre = w_pre - cfg.learning_rate * g_pre
+        w_post = w_post - cfg.learning_rate * g_post
 
-    ann = SimpleAnn(tuple(weights[:pre_n]), tuple(weights[pre_n:]), 0.0)
+    ann = SimpleAnn((w_pre,), (w_post,), 0.0)
     tau, acc = choose_threshold(forward(ann, X), labels)
     return replace(ann, threshold=tau), acc
 

@@ -75,15 +75,6 @@ class CellReportRow:
         return self.count_label1 + self.count_label0
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    rows: tuple[CellReportRow, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(r.total for r in self.rows)
-
-
 def cell_number(status) -> CellId:
     """Pack one ReLU status, its bits MSB-first, into the cell number."""
     bits = list(status)
@@ -94,11 +85,11 @@ def cell_number(status) -> CellId:
 
 def partition_dataset(
     ann: SimpleAnn, samples: np.ndarray, labels: np.ndarray
-) -> PartitionReport:
+) -> tuple[CellReportRow, ...]:
     """Assign every row of the (N, 2^n) minterm matrix `samples` to its
-    cell; report non-empty cells sorted by descending total count (ties by
-    cell number).  Rows are grouped by their distinct status rows, so the
-    cell number is only formed once per non-empty cell."""
+    cell; returns one row per non-empty cell, sorted by descending total
+    count (ties by cell number).  Rows are grouped by their distinct status
+    rows, so the cell number is only formed once per non-empty cell."""
     cells, slot, total = np.unique(
         relu_status(ann, samples), axis=0, return_inverse=True, return_counts=True
     )
@@ -108,7 +99,7 @@ def partition_dataset(
         for bits, c1, t in zip(cells, ones, total)
     ]
     rows.sort(key=lambda r: (-r.total, r.cell.p))
-    return PartitionReport(tuple(rows))
+    return tuple(rows)
 
 
 def extract_cell_weights(ann: SimpleAnn, cell: CellId) -> CellWeights:

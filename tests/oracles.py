@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from annlogic.analysis import And, Atom, Not, Or, Xor
-from annlogic.network import SimpleAnn
+from annlogic.network import (
+    INIT_SCALE,
+    SimpleAnn,
+    TrainingDivergedError,
+    choose_threshold,
+    forward,
+)
 from annlogic.partition import CellWeights
 from annlogic.qldt import Leaf, Split
 
@@ -269,6 +275,62 @@ def choose_threshold_loop(outputs, labels):
             best_acc = acc
             best_tau = (o[i] + o[i + 1]) / 2.0 if i + 1 < n else o[i] + 1.0
     return float(best_tau), float(best_acc)
+
+
+def training_sets(max_n, max_rows):
+    """(N, 2^n) minterm matrices of degrees in [0,1] with N 0/1 labels
+    holding both classes, n = 1 .. max_n, N = 2 .. max_rows."""
+
+    @st.composite
+    def draw(draw):
+        n, rows = draw(st.integers(1, max_n)), draw(st.integers(2, max_rows))
+        degrees = draw(hnp.arrays(float, (rows, n), elements=st.floats(0, 1)))
+        labels = draw(hnp.arrays(int, rows - 2, elements=st.integers(0, 1)))
+        return minterms_kron(degrees), np.concatenate(([0, 1], labels))
+
+    return draw()
+
+
+def train_layers(mt, labels, arch, cfg, relu_after=1):
+    """Full-batch gradient descent on MSE through any chain of bias-free
+    layers: `arch` lists the layer sizes from the 2^n inputs to the single
+    output, and the ReLU sits after the `relu_after`-th weight matrix.
+    Every layer is kept in a list and walked by index, forward and back.
+    Returns (ann, training accuracy)."""
+    X = np.asarray(mt, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    weights = [rng.normal(0.0, INIT_SCALE, size=(arch[i + 1], arch[i]))
+               for i in range(len(arch) - 1)]
+
+    def activations(layers, h):
+        acts = [h]
+        for w in layers:
+            acts.append(acts[-1] @ w.T)
+        return acts
+
+    for _ in range(cfg.epochs):
+        acts = activations(weights[:relu_after], X)
+        mask = acts[-1] > 0
+        acts += activations(weights[relu_after:], np.maximum(acts[-1], 0.0))
+        out = acts[-1][:, 0]
+        if not math.isfinite(float(np.mean((out - labels) ** 2))):
+            raise TrainingDivergedError("training diverged")
+        grads = [None] * len(weights)
+        d = (2.0 / len(labels)) * (out - labels)[:, None]
+        for i in range(len(weights) - 1, relu_after - 1, -1):
+            grads[i] = d.T @ acts[i + 1]
+            d = d @ weights[i]
+        d = d * mask
+        for i in range(relu_after - 1, -1, -1):
+            grads[i] = d.T @ acts[i]
+            if i > 0:
+                d = d @ weights[i]
+        weights = [w - cfg.learning_rate * g for w, g in zip(weights, grads)]
+
+    pre, post = tuple(weights[:relu_after]), tuple(weights[relu_after:])
+    tau, acc = choose_threshold(forward(SimpleAnn(pre, post, 0.0), X), labels)
+    return SimpleAnn(pre, post, tau), acc
 
 
 def simple_anns(max_n, max_layers):

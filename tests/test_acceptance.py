@@ -258,17 +258,17 @@ def test_criterion_10_end_to_end(banknote_csv):
         names, X, y = load_dataset(banknote_csv, "label")
         mts = minterm_transform(fuzzify(X, fit_fuzzifier(X)))
         ann, acc = al.train(
-            mts, y, [16, 3, 1], TrainConfig(learning_rate=1.0, epochs=2000, seed=0)
+            mts, y, 3, TrainConfig(learning_rate=1.0, epochs=2000, seed=0)
         )
         print(f"  training accuracy: {acc:.4f}")
         assert acc >= 0.95
-        report = al.partition_dataset(ann, mts, y)
-        print(f"  non-empty cells: {len(report.rows)}")
-        for row in report.rows:
+        rows = al.partition_dataset(ann, mts, y)
+        print(f"  non-empty cells: {len(rows)}")
+        for row in rows:
             print(f"    {row.cell}: label1={row.count_label1} label0={row.count_label0}")
-        assert 2 <= len(report.rows) <= 8
+        assert 2 <= len(rows) <= 8
         # most class-1-pure non-empty cell
-        best = max(report.rows, key=lambda r: (r.count_label1 / r.total, r.total))
+        best = max(rows, key=lambda r: (r.count_label1 / r.total, r.total))
         cw = al.extract_cell_weights(ann, best.cell)
         sw = al.scale_weights([cw], ann.threshold, scope="per-cell")[0]
         bt = al.bitcode(sw, 3)

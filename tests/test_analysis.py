@@ -17,7 +17,7 @@ from annlogic.analysis import (
     trend_grid,
 )
 from annlogic.encoding import minterm_transform
-from annlogic.logiccode import BitTensor, LogicExpressionBits, ScalingParams, approx_forward
+from annlogic.logiccode import BitTensor, LogicExpressionBits, approx_forward
 from oracles import truth_table_loop
 
 AB = ["a", "b"]
@@ -168,57 +168,54 @@ class TestCompare:
             compare(bits("a", AB), bits("a", ["a", "b", "c"]))
 
 
-PARAMS = ScalingParams(0.0, 1.0, 0.5)
-
-
 class TestTrendGrid:
     def tensor(self, rows):
         return BitTensor(tuple(rows))
 
     def test_level0_corner_values(self):
         bt = self.tensor([(1, 0, 0, 0)])  # active {a-b-}
-        grid = trend_grid(bt, PARAMS, vary=[0, 1], resolution=3)
+        grid = trend_grid(bt, vary=[0, 1], resolution=3)
         assert grid.values[0, 0] == pytest.approx(1.0)
         assert grid.values[2, 2] == pytest.approx(0.0)
 
     def test_half_level_value(self):
         # level 2^-1 active {ab-, ab} == a; value at a=1 is 0.5
         bt = self.tensor([(0, 0, 0, 0), (0, 0, 1, 1)])
-        grid = trend_grid(bt, PARAMS, vary=[0, 1], levels=[1], resolution=3)
+        grid = trend_grid(bt, vary=[0, 1], levels=[1], resolution=3)
         assert np.allclose(grid.values[2, :], 0.5)
 
     def test_constant_expression(self):
         bt = self.tensor([(1, 1, 1, 1), (0, 0, 0, 0)])
-        grid = trend_grid(bt, PARAMS, vary=[0], levels=[0], resolution=5)
+        grid = trend_grid(bt, vary=[0], levels=[0], resolution=5)
         assert np.allclose(grid.values, 1.0)
 
     def test_monotone_in_monotone_bit(self):
         # active {ab-, ab}: monotone in attribute a
         bt = self.tensor([(0, 0, 1, 1)])
-        grid = trend_grid(bt, PARAMS, vary=[0], resolution=11)
+        grid = trend_grid(bt, vary=[0], resolution=11)
         assert np.all(np.diff(grid.values) >= -1e-12)
 
     def test_too_many_varied(self):
         bt = self.tensor([(0, 0, 0, 0, 0, 0, 1, 1)])
         with pytest.raises(ValueError):
-            trend_grid(bt, PARAMS, vary=[0, 1, 2])
+            trend_grid(bt, vary=[0, 1, 2])
 
     def test_fixed_degrees(self):
         # n=3, expression c (attribute 3): value equals fixed degree of c
         bt = self.tensor([(0, 1, 0, 1, 0, 1, 0, 1)])
-        grid = trend_grid(bt, PARAMS, vary=[0], fixed={2: 0.3}, resolution=3)
+        grid = trend_grid(bt, vary=[0], fixed={2: 0.3}, resolution=3)
         assert np.allclose(grid.values, 0.3)
 
     def test_fixed_degree_out_of_range(self):
         bt = self.tensor([(0, 1, 0, 1, 0, 1, 0, 1)])
         for bad in (1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match=r"\[0,1\]"):
-                trend_grid(bt, PARAMS, vary=[0], fixed={2: bad}, resolution=3)
+                trend_grid(bt, vary=[0], fixed={2: bad}, resolution=3)
 
     def test_two_varied_axes_order(self):
         # expression a and not b: values[ia, ib] = a * (1 - b)
         bt = self.tensor([(0, 0, 1, 0)])
-        grid = trend_grid(bt, PARAMS, vary=[0, 1], resolution=4)
+        grid = trend_grid(bt, vary=[0, 1], resolution=4)
         a = np.asarray(grid.axis)
         assert np.allclose(grid.values, np.outer(a, 1 - a), atol=1e-12)
 
@@ -228,7 +225,7 @@ class TestTrendGrid:
         rng = np.random.default_rng(5)
         bt = self.tensor([tuple(rng.integers(0, 2, 2**5)) for _ in range(4)])
         for vary, levels in (([1], None), ([3, 0], [1, 3]), ([2, 4], [])):
-            grid = trend_grid(bt, PARAMS, vary=vary, fixed={1: 0.2, 4: 0.7},
+            grid = trend_grid(bt, vary=vary, fixed={1: 0.2, 4: 0.7},
                               levels=levels, resolution=6)
             points = np.array(np.meshgrid(*[grid.axis] * len(vary), indexing="ij"))
             want = np.empty(points.shape[1:])

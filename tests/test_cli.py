@@ -288,6 +288,25 @@ BAD_INPUTS = {
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--relu-nodes", "1025"]),
     "train-epochs-1000001": (
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--epochs", "1000001"]),
+    # a trend option that would be dropped, or an empty level set
+    "trend-fixed-varied-attribute": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--fixed", "1=0.9"]),
+    "trend-fixed-twice": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+             "--fixed", "2=0.3,2=0.9"]),
+    "trend-levels-comma": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--levels", ","]),
+    "trend-levels-empty": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--levels", ""]),
+    # non-finite numbers
+    "explain-threshold-nan": (
+        {}, ["explain", "--weights-override", "ref16.txt", "--threshold", "nan",
+             "--out-dir", "out"]),
+    "explain-threshold-inf": (
+        {}, ["explain", "--weights-override", "ref16.txt", "--threshold", "inf",
+             "--out-dir", "out"]),
+    "train-lr-inf": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"]),
 }
 
 
@@ -320,4 +339,51 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     data = tmp_path / "bad.csv"
     data.write_text(text)
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    pytest.param({"model.json": L1_MODEL},
+                 ["shapley", "--model", "model.json", "--cell", "2"],
+                 "cell number 2 out of range for l=1", id="cell-out-of-range"),
+    pytest.param({}, ["project", "--weights-override", "ref16.txt", "--keep", "1,1"],
+                 "keep must be distinct attribute indices below n", id="keep-repeated"),
+    pytest.param({}, ["hypothesis", "--names", "v,s", "--hypothesis", "v and and s",
+                      "--hypothesis2", "v"],
+                 "unexpected token 'and' (at token 3)", id="formula-syntax"),
+    pytest.param({}, ["hypothesis", "--names", "v,s", "--hypothesis", "v and x",
+                      "--hypothesis2", "v"],
+                 "unknown attribute 'x'; known: v, s", id="formula-unknown-attribute"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--resolution", "1"],
+                 "resolution must be at least 2", id="trend-resolution-1"),
+    pytest.param({"model.json": '{"input_size": 4'},
+                 ["explain", "--model", "model.json", "--cell", "0"],
+                 "malformed model file: Expecting ',' delimiter: line 1 column 17 (char 16)",
+                 id="model-malformed"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--fixed", "1=0.9"],
+                 "attribute 'a1' is both varied and fixed", id="trend-fixed-varied"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--fixed", "2=0.3,2=0.9"],
+                 "attribute 'a2' is fixed twice", id="trend-fixed-twice"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--levels", ","],
+                 "level set is empty", id="trend-levels-empty"),
+    pytest.param({}, ["explain", "--weights-override", "ref16.txt", "--threshold", "nan"],
+                 "threshold must be finite", id="threshold-nan"),
+    pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
+                 ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"],
+                 "learning rate must be finite", id="train-lr-inf"),
+])
+def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
+                                            files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

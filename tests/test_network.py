@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from annlogic.encoding import FuzzifierSpec, minterm_transform
 from annlogic.network import (
+    INIT_SCALE,
     ModelFormatError,
     SimpleAnn,
     TrainConfig,
+    TrainingDivergedError,
     choose_threshold,
     classify,
     forward,
@@ -19,7 +21,7 @@ from annlogic.network import (
     train,
 )
 from conftest import random_minterm, random_simple_ann
-from oracles import choose_threshold_loop
+from oracles import choose_threshold_loop, train_layers, training_sets
 
 
 def identity_ann(threshold=0.5):
@@ -112,33 +114,54 @@ class TestTrain:
 
     def test_separable_toy(self):
         ann, acc = train(
-            *self.toy_samples(), [2, 2, 1], TrainConfig(epochs=500, seed=1)
+            *self.toy_samples(), 2, TrainConfig(epochs=500, seed=1)
         )
         assert acc == 1.0
 
     def test_zero_lr_keeps_init(self):
         samples = self.toy_samples()
         cfg0 = TrainConfig(learning_rate=0.0, epochs=1, seed=5)
-        ann0, _ = train(*samples, [2, 2, 1], cfg0)
+        ann0, _ = train(*samples, 2, cfg0)
         rng = np.random.default_rng(5)
         init = [
-            rng.normal(0.0, cfg0.init_scale, size=(2, 2)),
-            rng.normal(0.0, cfg0.init_scale, size=(1, 2)),
+            rng.normal(0.0, INIT_SCALE, size=(2, 2)),
+            rng.normal(0.0, INIT_SCALE, size=(1, 2)),
         ]
         assert np.array_equal(ann0.pre_layers[0], init[0])
         assert np.array_equal(ann0.post_layers[0], init[1])
 
     def test_deterministic(self):
         samples = self.toy_samples()
-        a1, _ = train(*samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
-        a2, _ = train(*samples, [2, 2, 1], TrainConfig(epochs=50, seed=9))
+        a1, _ = train(*samples, 2, TrainConfig(epochs=50, seed=9))
+        a2, _ = train(*samples, 2, TrainConfig(epochs=50, seed=9))
         assert np.array_equal(a1.pre_layers[0], a2.pre_layers[0])
         assert a1.threshold == a2.threshold
 
     def test_single_class_rejected(self):
         mt = minterm_transform([[0.5], [0.5]])
         with pytest.raises(ValueError):
-            train(mt, [1, 1], [2, 2, 1])
+            train(mt, [1, 1], 2)
+
+    @settings(deadline=None, max_examples=50)
+    @given(training_sets(3, 12), st.integers(1, 5), st.integers(1, 20),
+           st.floats(0, 2), st.integers(0, 2**32 - 1))
+    def test_equals_layer_list_trainer(self, data, relu_nodes, epochs, lr, seed):
+        # same floats as the generic trainer on the [2^n, l, 1] chain
+        mt, labels = data
+        cfg = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed)
+        arch = [mt.shape[1], relu_nodes, 1]
+        try:
+            want, want_acc = train_layers(mt, labels, arch, cfg)
+        except (TrainingDivergedError, ModelFormatError) as exc:
+            with pytest.raises(type(exc)):
+                train(mt, labels, relu_nodes, cfg)
+            return
+        got, acc = train(mt, labels, relu_nodes, cfg)
+        assert np.array_equal(got.pre_layers[0], want.pre_layers[0])
+        assert np.array_equal(got.post_layers[0], want.post_layers[0])
+        assert len(got.pre_layers) == len(got.post_layers) == 1
+        assert got.threshold == want.threshold
+        assert acc == want_acc
 
 
 class TestChooseThreshold:

@@ -74,31 +74,31 @@ class TestPartitionDataset:
     def test_all_active_single_cell(self):
         ann = SimpleAnn((np.eye(4),), (np.ones((1, 4)),), 0.5)
         rng = np.random.default_rng(0)
-        report = partition_dataset(ann, *random_rows(rng, 2, 20))
-        assert len(report.rows) == 1
-        assert report.rows[0].cell.p == 2**4 - 1
-        assert report.rows[0].total == 20
+        rows = partition_dataset(ann, *random_rows(rng, 2, 20))
+        assert len(rows) == 1
+        assert rows[0].cell.p == 2**4 - 1
+        assert rows[0].total == 20
 
     def test_empty_dataset(self):
         ann = SimpleAnn((np.eye(4),), (np.ones((1, 4)),), 0.5)
-        assert partition_dataset(ann, np.empty((0, 4)), np.empty(0, int)).rows == ()
+        assert partition_dataset(ann, np.empty((0, 4)), np.empty(0, int)) == ()
 
     def test_class_counts_conserved(self):
         rng = np.random.default_rng(1)
         ann = random_simple_ann(rng, 2, 3)
         mt, labels = random_rows(rng, 2, 60)
-        report = partition_dataset(ann, mt, labels)
-        assert sum(r.count_label1 for r in report.rows) == labels.sum()
-        assert report.total == 60
-        totals = [r.total for r in report.rows]
+        rows = partition_dataset(ann, mt, labels)
+        assert sum(r.count_label1 for r in rows) == labels.sum()
+        assert sum(r.total for r in rows) == 60
+        totals = [r.total for r in rows]
         assert totals == sorted(totals, reverse=True)
 
     @settings(deadline=None)
     @given(nets_and_rows())
     def test_matches_row_loop(self, case):
         ann, mt, labels = case
-        report = partition_dataset(ann, mt, labels)
-        got = [(r.cell.p, r.count_label1, r.count_label0) for r in report.rows]
+        rows = partition_dataset(ann, mt, labels)
+        got = [(r.cell.p, r.count_label1, r.count_label0) for r in rows]
         assert got == partition_rows(ann, mt, labels)
 
 
