@@ -262,9 +262,9 @@ def cmd_explain(args):
             f"level 2^-{le.bcl}: set_bits={le.set_bits} "
             f"energy={_fmt(le.absolute)} ({_fmt(le.relative_percent, 1)}%)"
         )
-    for bcl in range(args.bcl_max + 1):
-        expr = logiccode.level_expression(bt, bcl)
-        tree = qldt.build_qldt(expr)
+    levels = range(args.bcl_max + 1)
+    trees = qldt.build_qldts([logiccode.level_expression(bt, bcl) for bcl in levels])
+    for bcl, tree in zip(levels, trees):
         dot_path = out_dir / f"level_{bcl}.dot"
         dot_path.write_text(qldt.render(tree, names, format="dot"))
         print(f"tree level 2^-{bcl}: {dot_path}")

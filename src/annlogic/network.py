@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,24 +168,28 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     w_pre = rng.normal(0.0, INIT_SCALE, size=(relu_nodes, X.shape[1]))
     w_post = rng.normal(0.0, INIT_SCALE, size=(1, relu_nodes))
-    for _ in range(cfg.epochs):
-        pre = X @ w_pre.T
-        relu = np.maximum(pre, 0.0)
-        out = (relu @ w_post.T)[:, 0]
-        loss = float(np.mean((out - labels) ** 2))
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(
-                "training diverged (non-finite loss); lower the learning rate"
-            )
-        d = (2.0 / len(labels)) * (out - labels)[:, None]
-        g_post = d.T @ relu
-        g_pre = ((d @ w_post) * (pre > 0)).T @ X
-        w_pre = w_pre - cfg.learning_rate * g_pre
-        w_post = w_post - cfg.learning_rate * g_post
+    # An overflow shows as a non-finite loss, checked before each update
+    # and once after the last one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs + 1):
+            pre = X @ w_pre.T
+            relu = np.maximum(pre, 0.0)
+            out = (relu @ w_post.T)[:, 0]
+            loss = float(np.mean((out - labels) ** 2))
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    "training diverged (non-finite loss); lower the learning rate"
+                )
+            if epoch == cfg.epochs:
+                break
+            d = (2.0 / len(labels)) * (out - labels)[:, None]
+            g_post = d.T @ relu
+            g_pre = ((d @ w_post) * (pre > 0)).T @ X
+            w_pre = w_pre - cfg.learning_rate * g_pre
+            w_post = w_post - cfg.learning_rate * g_post
 
-    ann = SimpleAnn((w_pre,), (w_post,), 0.0)
-    tau, acc = choose_threshold(forward(ann, X), labels)
-    return replace(ann, threshold=tau), acc
+    tau, acc = choose_threshold(out, labels)
+    return SimpleAnn((w_pre,), (w_post,), tau), acc
 
 
 def save_model(path, ann: SimpleAnn, fuzzifier: FuzzifierSpec | None = None) -> None:

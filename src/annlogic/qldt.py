@@ -41,55 +41,92 @@ def _entropy(pos: int, total: int) -> float:
 
 
 def build_qldt(e: LogicExpressionBits) -> QldtNode:
-    """Induce a lossless tree from the expression's truth table.  Splits
-    maximize information gain, ties go to the lowest attribute index;
-    pure subtrees and splits with identical children collapse.  Equal
-    subfunctions are built once and shared, so the tree is a DAG of
-    immutable nodes."""
-    truth = e.active.reshape((2,) * e.n)
-    index_bits = np.indices((2,) * e.n).reshape(e.n, 2**e.n).T
-    return _grow(truth, tuple(range(e.n)), {}, index_bits)
+    """The tree of one expression; see `build_qldts`."""
+    return build_qldts([e])[0]
 
 
-def _grow(truth: np.ndarray, attributes: tuple[int, ...], built: dict,
-          index_bits: np.ndarray) -> QldtNode:
-    """Tree of a boolean tensor whose axes are `attributes`, in order.
-    `built` maps (tensor bytes, attributes) to the node already grown for
-    them, so equal subtrees are one object and `is` decides the collapse:
-    lossless trees over the same axes are equal iff their truth bytes are."""
-    key = (truth.tobytes(), attributes)
-    node = built.get(key)
-    if node is None:
-        node = built[key] = _split(truth, attributes, built, index_bits)
-    return node
+def build_qldts(exprs) -> tuple[QldtNode, ...]:
+    """Induce a lossless tree from each expression's truth table, all over
+    one n.  Splits maximize information gain, ties go to the lowest
+    attribute index; pure subtrees and splits with identical children
+    collapse.  Equal subfunctions over the same attributes are one node,
+    within a tree and across the trees.  The trees grow breadth first: the
+    unique nodes at depth d are the rows of one (K, 2^(n-d)) truth matrix,
+    split all at once; the nodes are then built from the deepest up."""
+    exprs = list(exprs)
+    if not exprs:
+        raise ValueError("need at least one expression")
+    n = exprs[0].n
+    if any(e.n != n for e in exprs):
+        raise ValueError("expressions must all have the same n")
+    index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
+    truth, attrs, roots = _intern(np.stack([e.active for e in exprs]),
+                                  np.tile(np.arange(n, dtype=np.uint8), (len(exprs), 1)))
+    depths = []  # per depth: (all-true flags, (node, attribute, lo, hi) splits)
+    while True:
+        width = truth.shape[1]
+        pos = np.count_nonzero(truth, axis=1)
+        inner = np.flatnonzero((pos > 0) & (pos < width))
+        depths.append(((pos == width).tolist(), []))
+        if not inner.size:
+            break
+        axis = _best_axes(truth[inner], pos[inner], index_bits)
+        k = len(inner)
+        children = np.empty((2 * k, width // 2), dtype=bool)
+        rest = np.empty((2 * k, attrs.shape[1] - 1), dtype=np.uint8)
+        for a in np.flatnonzero(np.bincount(axis)).tolist():
+            rows = np.flatnonzero(axis == a)
+            t = truth[inner[rows]].reshape(len(rows), 2**a, 2, -1)
+            children[rows] = np.take(t, 0, axis=2).reshape(len(rows), -1)
+            children[k + rows] = np.take(t, 1, axis=2).reshape(len(rows), -1)
+            rest[rows] = rest[k + rows] = np.delete(attrs[inner[rows]], a, axis=1)
+        attribute = attrs[inner, axis]
+        truth, attrs, child = _intern(children, rest)
+        depths[-1][1].extend(zip(inner.tolist(), attribute.tolist(),
+                                 child[:k].tolist(), child[k:].tolist()))
+    leaves = (Leaf(False), Leaf(True))
+    nodes: list[QldtNode] = []
+    for full, splits in reversed(depths):
+        level = [leaves[f] for f in full]
+        for i, a, lo, hi in splits:
+            low, high = nodes[lo], nodes[hi]
+            level[i] = low if low is high else Split(a, low, high)
+        nodes = level
+    return tuple(nodes[r] for r in roots.tolist())
 
 
-def _split(truth, attributes, built, index_bits) -> QldtNode:
-    """A leaf for a constant tensor, else the split of highest gain."""
-    total = truth.size
-    pos = int(np.count_nonzero(truth))
-    if pos == 0:
-        return Leaf(False)
-    if pos == total:
-        return Leaf(True)
-    base = _entropy(pos, total)
-    half = total // 2
-    # positives in each axis's 1-slice: the flat truth against the last
-    # ndim bits of its indices
-    high = truth.reshape(-1) @ index_bits[:total, -truth.ndim:]
-    best_gain, best_axis = -1.0, -1
-    for axis, hi in enumerate(high.tolist()):
-        gain = base
-        for part_pos in (pos - hi, hi):
-            gain -= half / total * _entropy(part_pos, half)
-        if gain > best_gain + 1e-12:
-            best_gain, best_axis = gain, axis
-    rest = attributes[:best_axis] + attributes[best_axis + 1:]
-    lo = _grow(np.take(truth, 0, axis=best_axis), rest, built, index_bits)
-    hi = _grow(np.take(truth, 1, axis=best_axis), rest, built, index_bits)
-    if lo is hi:
-        return lo
-    return Split(attributes[best_axis], lo, hi)
+def _intern(truth: np.ndarray, attrs: np.ndarray):
+    """The unique (truth row, attributes left) rows and each row's index among
+    them: lossless trees over the same attributes are equal iff their rows are."""
+    key = np.concatenate([np.packbits(truth, axis=1), attrs], axis=1)
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    return truth[first], attrs[first], inverse
+
+
+def _best_axes(truth: np.ndarray, pos: np.ndarray, index_bits: np.ndarray) -> np.ndarray:
+    """Per row of a (K, 2^m) truth matrix, none of them constant, the axis
+    of highest information gain, the first one on a tie within 1e-12."""
+    width, m = truth.shape[1], truth.shape[1].bit_length() - 1
+    # positives in each axis's 1-slice; a float64 product runs in BLAS
+    high = (truth.astype(float) @ index_bits[:width, -m:]).astype(np.int64)
+    low = pos[:, None] - high
+    h = _entropy_table(np.concatenate([low, high]), width // 2)
+    gain = (_entropy_table(pos, width)[pos, None] - 0.5 * h[low]) - 0.5 * h[high]
+    best, axis = np.full(len(truth), -1.0), np.zeros(len(truth), dtype=np.int64)
+    for a in range(m):
+        upd = gain[:, a] > best + 1e-12
+        best[upd], axis[upd] = gain[upd, a], a
+    return axis
+
+
+def _entropy_table(counts: np.ndarray, total: int) -> np.ndarray:
+    """_entropy(c, total) at index c, for every count c in `counts`.  Not
+    np.unique: without return_index it imports numpy.ma (~19 ms a process)."""
+    table = np.zeros(total + 1)
+    for c in np.flatnonzero(np.bincount(counts.ravel(), minlength=total + 1)).tolist():
+        table[c] = _entropy(c, total)
+    return table
 
 
 def eval_qldt(t: QldtNode, degrees) -> float:

@@ -225,6 +225,80 @@ def _grow(rows, n, used):
     return Split(j, lo, hi)
 
 
+def qldt_recursive(e):
+    """Depth-first induction of one tree: `_split_recursive` picks the
+    axis of highest gain (first one on a tie within 1e-12) with one
+    _entropy call per part, and `_grow_recursive` memoizes on (truth bytes,
+    attributes left) so equal subfunctions are one node."""
+    truth = e.active.reshape((2,) * e.n)
+    index_bits = np.indices((2,) * e.n).reshape(e.n, 2**e.n).T
+    return _grow_recursive(truth, tuple(range(e.n)), {}, index_bits)
+
+
+def _grow_recursive(truth, attributes, built, index_bits):
+    key = (truth.tobytes(), attributes)
+    node = built.get(key)
+    if node is None:
+        node = built[key] = _split_recursive(truth, attributes, built, index_bits)
+    return node
+
+
+def _split_recursive(truth, attributes, built, index_bits):
+    total = truth.size
+    pos = int(np.count_nonzero(truth))
+    if pos == 0:
+        return Leaf(False)
+    if pos == total:
+        return Leaf(True)
+    base = _entropy(pos, total)
+    half = total // 2
+    high = truth.reshape(-1) @ index_bits[:total, -truth.ndim:]
+    best_gain, best_axis = -1.0, -1
+    for axis, hi in enumerate(high.tolist()):
+        gain = base
+        for part_pos in (pos - hi, hi):
+            gain -= half / total * _entropy(part_pos, half)
+        if gain > best_gain + 1e-12:
+            best_gain, best_axis = gain, axis
+    rest = attributes[:best_axis] + attributes[best_axis + 1:]
+    lo = _grow_recursive(np.take(truth, 0, axis=best_axis), rest, built, index_bits)
+    hi = _grow_recursive(np.take(truth, 1, axis=best_axis), rest, built, index_bits)
+    if lo is hi:
+        return lo
+    return Split(attributes[best_axis], lo, hi)
+
+
+def truth_tables(max_n, max_count):
+    """1 .. max_count bool truth tables over one n <= max_n.  Besides
+    random tables it draws the ones whose gains tie or nearly tie: parity
+    over a subset of the attributes with 0-2 bits flipped, and symmetric
+    functions (active iff the number of set bits is in a drawn set).  A
+    table may repeat an earlier one."""
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(0, max_n))
+        k = np.arange(2**n)
+        tables = []
+        for _ in range(draw(st.integers(1, max_count))):
+            kind = draw(st.sampled_from(["repeat", "random", "parity", "symmetric"]))
+            if kind == "repeat" and tables:
+                t = draw(st.sampled_from(tables))
+            elif kind == "parity":
+                subset = draw(st.integers(0, 2**n - 1))
+                t = np.array([bin(i & subset).count("1") % 2 == 1 for i in k.tolist()])
+                for i in draw(st.lists(st.integers(0, 2**n - 1), max_size=2)):
+                    t[i] = not t[i]
+            elif kind == "symmetric":
+                counts = draw(st.sets(st.integers(0, n)))
+                t = np.array([bin(i).count("1") in counts for i in k.tolist()])
+            else:
+                t = np.array(draw(st.lists(st.booleans(), min_size=2**n, max_size=2**n)))
+            tables.append(t)
+        return n, tables
+
+    return draw()
+
+
 def minterms_kron(degrees):
     """One np.kron chain per row of an (N, n) degree array."""
     rows = []

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from annlogic.cli import main
-from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, synthetic_banknote
+from annlogic.network import save_model
+from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, random_simple_ann, synthetic_banknote
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,41 @@ class TestExplain:
     def test_unknown_cell(self, trained_model, capsys):
         rc = main(["explain", "--model", str(trained_model), "--cell", "99"])
         assert rc == 2
+
+
+# sha256 of the files `explain --bcl-max 3` writes for one cell of a seeded
+# random model, recorded with depth-first QLDT induction; the trees of a
+# cell must come out byte for byte the same however they are grown.
+EXPLAIN_SHA256 = {
+    (8, 4, 11): {
+        "weights.csv": "e3053bbd8aa96915450c30b55d5a63c2916e1648b40f854c8a9bee910d07c041",
+        "level_0.dot": "e7e62ebfff511344f95f48c028e7dee5ef1ffc604ddfe8c1dcc4640bdd385b01",
+        "level_1.dot": "710f25fe564c130691b82550756dfddae5d449189fdbf9e1d3ea5821db54c22c",
+        "level_2.dot": "78808bf0c33eb90f75e1d997a62c0d74239d51ce3bce08184a7fc229638d111b",
+        "level_3.dot": "51a5829ba34e3151ebbb66d3eb6c1cd846e5923925ec99e3863f2936ab9a6c1d",
+    },
+    (12, 3, 7): {
+        "weights.csv": "20ffa75b5d643536e1686f55046da8a461aadf887d7148db7d45c06c79fa63d1",
+        "level_0.dot": "20bd9fa546f2a41ac6cdabe6a745d1439559e7331649efcb58c0787ec618dabc",
+        "level_1.dot": "b9413b0984d669fe802af72f7c3f195bb632f764d6a9b6ba0fc60b51029e288d",
+        "level_2.dot": "0bb874ea6e5d4d6ca1b593022fa59d415a66e520d663d7aa7679e0a6cecb5585",
+        "level_3.dot": "c6acf58d2c082a90a6678f313c79b1a483a076e189f5c15d0142a9248fd6e030",
+    },
+}
+
+
+@pytest.mark.parametrize("n,relu_nodes,cell", EXPLAIN_SHA256, ids=["n8", "n12"])
+def test_explain_files_golden(tmp_path, capsys, n, relu_nodes, cell):
+    # the model seed is n
+    model = tmp_path / "model.json"
+    save_model(model, random_simple_ann(np.random.default_rng(n), n, relu_nodes))
+    out_dir = tmp_path / "out"
+    assert main(["explain", "--model", str(model), "--cell", str(cell),
+                 "--bcl-max", "3", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+           for name in EXPLAIN_SHA256[n, relu_nodes, cell]}
+    assert got == EXPLAIN_SHA256[n, relu_nodes, cell]
 
 
 class TestShapley:
@@ -307,6 +345,13 @@ BAD_INPUTS = {
              "--out-dir", "out"]),
     "train-lr-inf": (
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"]),
+    # the last update overflows: the loss after the loop is not finite
+    "train-lr-1e300-one-epoch": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e300",
+             "--epochs", "1"]),
+    "train-lr-1e150-one-epoch": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e150",
+             "--epochs", "1"]),
 }
 
 
@@ -378,6 +423,16 @@ L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
                  ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"],
                  "learning rate must be finite", id="train-lr-inf"),
+    pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
+                 ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e300",
+                      "--epochs", "1"],
+                 "training diverged (non-finite loss); lower the learning rate",
+                 id="train-lr-1e300-one-epoch"),
+    pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
+                 ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e150",
+                      "--epochs", "1"],
+                 "training diverged (non-finite loss); lower the learning rate",
+                 id="train-lr-1e150-one-epoch"),
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestTrain:
         a2, _ = train(*samples, 2, TrainConfig(epochs=50, seed=9))
         assert np.array_equal(a1.pre_layers[0], a2.pre_layers[0])
         assert a1.threshold == a2.threshold
+
+    @pytest.mark.parametrize("lr,epochs", [(1e300, 1), (1e150, 1), (1e200, 5)])
+    def test_divergence_is_checked_after_the_last_update(self, lr, epochs):
+        # with one epoch the only loss before an update is finite; the
+        # weights after it overflow the outputs (1e300) or their squares
+        # (1e150).  No overflow reaches the user as a numpy warning.
+        cfg = TrainConfig(learning_rate=lr, epochs=epochs, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="lower the learning rate"):
+                train(*self.toy_samples(), 2, cfg)
 
     def test_single_class_rejected(self):
         mt = minterm_transform([[0.5], [0.5]])

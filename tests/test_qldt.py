@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import LogicExpressionBits, eval_expression
-from annlogic.qldt import Leaf, Split, build_qldt, eval_qldt, render
-from oracles import minterm_bits, qldt_rows
+from annlogic.qldt import Leaf, Split, build_qldt, build_qldts, eval_qldt, render
+from oracles import minterm_bits, qldt_recursive, qldt_rows, truth_tables
 
 
 def expr(bits):
@@ -82,6 +82,35 @@ class TestBuildQldt:
         assert render(tree).count("label=\"a3\"") == 4
 
 
+class TestBuildQldts:
+    @settings(deadline=None, max_examples=60)
+    @given(truth_tables(8, 5))
+    def test_matches_recursive_induction(self, drawn):
+        n, tables = drawn
+        exprs = [LogicExpressionBits(t, n) for t in tables]
+        trees = build_qldts(exprs)
+        assert len(trees) == len(exprs)
+        for e, tree in zip(exprs, trees):
+            want = qldt_recursive(e)
+            assert render(tree, format="dot") == render(want, format="dot")
+            assert render(tree, format="ascii") == render(want, format="ascii")
+
+    def test_repeated_expression_is_one_tree(self):
+        e = expr([0, 1, 1, 0, 1, 0, 0, 1])
+        first, other, again = build_qldts([e, e.complement(), e])
+        assert first is again
+        # both parities leave the same functions of a3 after two splits
+        assert first.low.low is other.low.high
+
+    def test_empty_list(self):
+        with pytest.raises(ValueError, match="at least one expression"):
+            build_qldts([])
+
+    def test_mixed_n(self):
+        with pytest.raises(ValueError, match="same n"):
+            build_qldts([expr((0, 1, 1, 0)), expr((0, 1))])
+
+
 class TestEvalQldt:
     def test_example_tree_formula(self):
         tree = Split(1, Split(0, Leaf(False), Leaf(True)), Leaf(True))
@@ -134,6 +163,16 @@ class TestEvalQldt:
                     f = rng.uniform(0, 1, n)
                     want = eval_expression(e, minterm_transform(f))
                     assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
+
+    @settings(deadline=None, max_examples=60)
+    @given(truth_tables(6, 3).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.floats(0, 1), min_size=d[0], max_size=d[0]))))
+    def test_equals_expression_evaluation(self, drawn):
+        (n, tables), degrees = drawn
+        exprs = [LogicExpressionBits(t, n) for t in tables]
+        m = minterm_transform(degrees)
+        for e, tree in zip(exprs, build_qldts(exprs)):
+            assert abs(eval_qldt(tree, degrees) - m @ e.active) <= 1e-12
 
     def test_complementarity(self):
         rng = np.random.default_rng(3)
