@@ -37,7 +37,6 @@ from .logiccode import (
     EnergyReport,
     LogicExpressionBits,
     ScaledCellWeights,
-    ScalingParams,
     approx_forward,
     bitcode,
     energy_report,

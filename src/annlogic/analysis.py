@@ -225,7 +225,6 @@ def compare(e: LogicExpressionBits, h: LogicExpressionBits) -> ComparisonMetrics
 
 @dataclass(frozen=True)
 class TrendGrid:
-    varied: tuple[int, ...]
     axis: tuple[float, ...]
     fixed: tuple[float, ...]
     levels: tuple[int, ...]
@@ -266,4 +265,4 @@ def trend_grid(
     values = np.array([
         minterm_transform(d) @ coefficients for d in degrees.reshape(-1, n)
     ]).reshape(shape)
-    return TrendGrid(tuple(vary), tuple(axis), tuple(base), tuple(levels), values)
+    return TrendGrid(tuple(axis), tuple(base), tuple(levels), values)

@@ -33,6 +33,8 @@ def load_dataset(path, label_column):
             header = next(csv.reader(fh))
         except StopIteration:
             raise CliError(f"dataset file is empty: {path}") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise CliError(f"row 1: {exc}") from None
         if label_column not in header:
             raise CliError(f"label column {label_column!r} not in header {header}")
         if len(header) - 1 > MAX_ATTRIBUTES:
@@ -42,7 +44,7 @@ def load_dataset(path, label_column):
         reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
         try:
             records = list(reader)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise CliError(f"row {reader.line_num + 1}: {exc}") from None
     width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     filled = width > 0
@@ -134,14 +136,20 @@ def _cell_weights_from_args(args):
     """Resolve the cell weights either from a weights override file or by
     extraction from the model; returns (weights, names, threshold,
     fuzzifier, rows).  The fuzzifier is None for a weights override, and
-    rows are None without --data."""
+    rows are None without --data.  An option the chosen source does not
+    read is an error."""
     names, rows = _names_and_rows(args)
     spec = None
+    threshold = getattr(args, "threshold", None)
     if args.weights_override:
+        if args.model or args.cell is not None:
+            raise CliError("--weights-override cannot be combined with --model or --cell")
         cw = load_weights_file(args.weights_override)
-        threshold = 0.5 if args.threshold is None else args.threshold
+        threshold = 0.5 if threshold is None else threshold
     elif not args.model:
         raise CliError("either --model or --weights-override is required")
+    elif threshold is not None:
+        raise CliError("--threshold applies only to --weights-override")
     else:
         ann, spec = _load_model(args.model)
         if args.cell is None:
@@ -252,7 +260,7 @@ def cmd_explain(args):
     )
 
     print(f"cell={cw.cell if cw.cell else 'override'}")
-    print(f"scaled_threshold={_fmt(scaled.params.scaled_threshold)}")
+    print(f"scaled_threshold={_fmt(scaled.threshold)}")
     print(f"weight_sum={_fmt(report.weight_sum)}")
     print(f"bitcode_sum={_fmt(report.bitcode_sum)}")
     if report.degenerate:
@@ -274,7 +282,7 @@ def cmd_explain(args):
         mt = minterm_transform(fuzzify(X, spec))
         for bcl in range(args.bcl_max + 1):
             acc = logiccode.level_accuracy(
-                bt, scaled.params, mt, y, list(range(bcl + 1))
+                bt, scaled.threshold, mt, y, list(range(bcl + 1))
             )
             print(f"accuracy levels 0..{bcl}: {_fmt(acc)}")
     return 0
@@ -401,26 +409,31 @@ def cmd_classify(args):
     return 0
 
 
-def _add_cell_source_args(p, with_bcl_max=True):
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--cell", type=int, help="partition cell number")
-    p.add_argument("--weights-override",
-                   help="file of raw minterm weights, bypassing extraction")
-    p.add_argument("--threshold", type=float,
-                   help="classifier threshold when using --weights-override")
-    p.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
-    p.add_argument("--label", default="label", help="label column name")
-    if with_bcl_max:
-        p.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX,
-                       help=f"finest bit level, 0..{logiccode.MAX_BCL}")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="annlogic",
         description="Interpret a simple ReLU network as weighted logic expressions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--model", required=True)
+    rows.add_argument("--data", required=True)
+    rows.add_argument("--label", default="label")
+
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--model", help="model JSON file")
+    cell.add_argument("--cell", type=int, help="partition cell number")
+    cell.add_argument("--weights-override",
+                      help="file of raw minterm weights, bypassing extraction")
+    cell.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
+    cell.add_argument("--label", default="label", help="label column name")
+
+    coded = argparse.ArgumentParser(add_help=False, parents=[cell])
+    coded.add_argument("--threshold", type=float,
+                       help="classifier threshold when using --weights-override")
+    coded.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX,
+                       help=f"finest bit level, 0..{logiccode.MAX_BCL}")
 
     p = sub.add_parser("train", help="train a minterm-input network")
     p.add_argument("--data", required=True)
@@ -433,30 +446,24 @@ def build_parser():
     p.add_argument("--fuzzifier", choices=["minmax", "logistic"], default="minmax")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("partition", help="partition a dataset into ReLU cells")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="label")
+    p = sub.add_parser("partition", parents=[rows], help="partition a dataset into ReLU cells")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("explain", help="scale, bit-code, and render one cell")
-    _add_cell_source_args(p)
+    p = sub.add_parser("explain", parents=[coded], help="scale, bit-code, and render one cell")
     p.add_argument("--out-dir", default="explain_out")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("shapley", help="attribute Shapley values of a cell")
-    _add_cell_source_args(p, with_bcl_max=False)
+    p = sub.add_parser("shapley", parents=[cell], help="attribute Shapley values of a cell")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_shapley)
 
-    p = sub.add_parser("project", help="marginalize a cell onto attributes")
-    _add_cell_source_args(p)
+    p = sub.add_parser("project", parents=[coded], help="marginalize a cell onto attributes")
     p.add_argument("--keep", required=True, help="comma-separated attributes")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("hypothesis", help="compare a formula with a level expression")
-    _add_cell_source_args(p)
+    p = sub.add_parser("hypothesis", parents=[coded],
+                       help="compare a formula with a level expression")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--hypothesis", required=True)
     p.add_argument("--hypothesis2",
@@ -464,8 +471,7 @@ def build_parser():
     p.add_argument("--names", help="comma-separated attribute names")
     p.set_defaults(func=cmd_hypothesis)
 
-    p = sub.add_parser("trend", help="trend grid over one or two attributes")
-    _add_cell_source_args(p)
+    p = sub.add_parser("trend", parents=[coded], help="trend grid over one or two attributes")
     p.add_argument("--vary", required=True, help="one or two attributes")
     p.add_argument("--fixed", help="fixed degrees, e.g. 'c=0.3,e=0.7'")
     p.add_argument("--levels", help="comma-separated level subset")
@@ -473,10 +479,7 @@ def build_parser():
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_trend)
 
-    p = sub.add_parser("classify", help="classify dataset rows with a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="label")
+    p = sub.add_parser("classify", parents=[rows], help="classify dataset rows with a model")
     p.set_defaults(func=cmd_classify)
 
     return parser

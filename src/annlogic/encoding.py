@@ -46,6 +46,8 @@ class FuzzifierSpec:
         else:
             if len(self.midpoint) != len(self.steepness):
                 raise ValueError("midpoint/steepness length mismatch")
+        if not np.isfinite([*self.lo, *self.hi, *self.midpoint, *self.steepness]).all():
+            raise ValueError("fuzzifier fields must be finite")
 
     @property
     def arity(self) -> int:
@@ -72,7 +74,7 @@ class FuzzifierSpec:
                 raise ValueError(f"fuzzifier missing field {name!r}")
         try:
             values = {name: tuple(map(float, d[name])) for name in fields[kind]}
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"fuzzifier fields must be lists of numbers: {exc}") from exc
         return FuzzifierSpec(kind, **values)
 

@@ -8,34 +8,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import CellId, CellWeights, _freeze, _power_of_two
+from .partition import CellWeights, _freeze, _power_of_two
 
 DEFAULT_BCL_MAX = 3
 MAX_BCL = 52
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Affine map f(x) = (x - min)/(max - min); constant 1 when min == max."""
-
-    min: float
-    max: float
-    scaled_threshold: float
-
-    def apply(self, x):
-        if self.max == self.min:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return (np.asarray(x, dtype=float) - self.min) / (self.max - self.min)
-
-
 @dataclass(frozen=True, eq=False)
 class ScaledCellWeights:
     """Minterm weights scaled onto [0,1], a read-only float64 array of
-    shape (2^n,)."""
+    shape (2^n,), and the classifier threshold on the same scale."""
 
     weights: np.ndarray
-    params: ScalingParams
-    cell: CellId | None = None
+    threshold: float
 
     def __post_init__(self):
         w = _freeze(self, "weights", np.array(self.weights, dtype=float))
@@ -43,10 +28,6 @@ class ScaledCellWeights:
             raise ValueError("weight vector length must be a power of two")
         if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError("scaled weights must lie in [0,1]")
-
-    @property
-    def n(self) -> int:
-        return self.weights.size.bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +113,13 @@ def scale_weights(
         raise ValueError("threshold must be finite")
 
     def scale_one(cw: CellWeights, lo: float, hi: float) -> ScaledCellWeights:
-        apply = ScalingParams(lo, hi, 0.0).apply
         # a constant cell scales to all ones, so every evaluation is
         # sum(minterms) = 1 up to rounding: put the threshold halfway off 1
         # on the side the constant decides
-        tau = (0.5 if lo > threshold else 1.5) if lo == hi else float(apply(threshold))
-        params = ScalingParams(lo, hi, tau)
-        return ScaledCellWeights(np.clip(apply(cw.weights), 0.0, 1.0), params, cw.cell)
+        if lo == hi:
+            return ScaledCellWeights(np.ones_like(cw.weights), 0.5 if lo > threshold else 1.5)
+        scaled = (cw.weights - lo) / (hi - lo)
+        return ScaledCellWeights(np.clip(scaled, 0.0, 1.0), (threshold - lo) / (hi - lo))
 
     if scope == "joint":
         allw = np.concatenate([cw.weights for cw in cells])
@@ -213,16 +194,17 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
 
 def level_accuracy(
     bt: BitTensor,
-    params: ScalingParams,
+    threshold: float,
     samples: np.ndarray,
     labels: np.ndarray,
     levels: list[int] | None = None,
 ) -> float:
     """Fraction of the rows of the (N, 2^n) minterm matrix `samples` whose
-    thresholded level-restricted evaluation matches the 0/1 label."""
+    level-restricted evaluation, compared with the scaled `threshold`,
+    matches the 0/1 label."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    predicted = approx_forward(bt, samples, levels) > params.scaled_threshold
+    predicted = approx_forward(bt, samples, levels) > threshold
     return np.count_nonzero(predicted == np.asarray(labels, dtype=bool)) / len(samples)
 
 

@@ -83,12 +83,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}")
 
 
-def _activations(layers, h) -> list[np.ndarray]:
-    """h and its image after each bias-free layer, rows in, rows out."""
-    acts = [h]
+def _apply_layers(layers, h) -> np.ndarray:
+    """h's image after the bias-free layers, rows in, rows out."""
     for w in layers:
-        acts.append(acts[-1] @ w.T)
-    return acts
+        h = h @ w.T
+    return h
 
 
 def _pre_activations(ann: SimpleAnn, mt) -> np.ndarray:
@@ -98,14 +97,14 @@ def _pre_activations(ann: SimpleAnn, mt) -> np.ndarray:
             f"input length {x.shape[-1]} does not match network input size "
             f"{ann.input_size}"
         )
-    return _activations(ann.pre_layers, x)[-1]
+    return _apply_layers(ann.pre_layers, x)
 
 
 def forward(ann: SimpleAnn, mt) -> float | np.ndarray:
     """Output score w_post . ReLU(w_pre . mt) of one minterm vector, or
     the (N,) scores of the rows of an (N, 2^n) minterm matrix."""
     relu = np.maximum(_pre_activations(ann, mt), 0.0)
-    return _activations(ann.post_layers, relu)[-1][..., 0][()]
+    return _apply_layers(ann.post_layers, relu)[..., 0][()]
 
 
 def classify(ann: SimpleAnn, mt) -> int | np.ndarray:
@@ -158,7 +157,8 @@ def train(
         raise ValueError("no training samples")
     if X.ndim != 2 or labels.shape != (len(X),):
         raise ValueError("need an (N, 2^n) minterm matrix and N labels")
-    if len(np.unique(labels)) < 2:
+    # with return_counts, np.unique does not import numpy.ma
+    if len(np.unique(labels, return_counts=True)[0]) < 2:
         raise ValueError("need at least one sample of each class")
     if min(X.shape[1], relu_nodes) < 1:
         raise ValueError("every layer needs at least one node")
@@ -209,7 +209,7 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
     with open(path) as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_nonfinite)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ModelFormatError(f"malformed model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
@@ -223,7 +223,7 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
         pre = tuple(np.array(w, dtype=float) for w in doc["pre_layers"])
         post = tuple(np.array(w, dtype=float) for w in doc["post_layers"])
         threshold = float(doc["threshold"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad weight matrix or threshold: {exc}") from exc
     ann = SimpleAnn(pre, post, threshold)
     if ann.input_size != doc["input_size"] or ann.relu_count != doc["relu_count"]:

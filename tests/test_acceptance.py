@@ -10,7 +10,7 @@ import numpy as np
 import annlogic as al
 from annlogic.cli import load_dataset
 from annlogic.encoding import fit_fuzzifier, fuzzify, minterm_transform
-from annlogic.logiccode import BitTensor, ScaledCellWeights, ScalingParams
+from annlogic.logiccode import BitTensor, ScaledCellWeights
 from annlogic.network import TrainConfig
 from conftest import (
     REF16_WEIGHTS,
@@ -40,7 +40,7 @@ def criterion(num, title):
 
 
 def identity_scaled(weights, tau=0.5):
-    return ScaledCellWeights(tuple(weights), ScalingParams(0.0, 1.0, tau), None)
+    return ScaledCellWeights(tuple(weights), tau)
 
 
 def test_criterion_01_reference_weight_table():
@@ -273,12 +273,12 @@ def test_criterion_10_end_to_end(banknote_csv):
         sw = al.scale_weights([cw], ann.threshold, scope="per-cell")[0]
         bt = al.bitcode(sw, 3)
         members = (al.relu_status(ann, mts) == best.cell.bits).all(axis=1)
-        tau = sw.params.scaled_threshold
+        tau = sw.threshold
         exact = (mts[members] @ sw.weights > tau) == y[members].astype(bool)
         exact_acc = np.count_nonzero(exact) / np.count_nonzero(members)
         cumulative = []
         for bcl in range(4):
             cumulative.append(bcl)
-            lvl_acc = al.level_accuracy(bt, sw.params, mts[members], y[members], cumulative)
+            lvl_acc = al.level_accuracy(bt, sw.threshold, mts[members], y[members], cumulative)
             print(f"  cell {best.cell} accuracy levels 0..{bcl}: {lvl_acc:.4f}")
         assert abs(lvl_acc - exact_acc) <= 0.03

@@ -1,11 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import annlogic
 from annlogic.cli import main
+from annlogic.encoding import fit_fuzzifier
 from annlogic.network import save_model
 from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, random_simple_ann, synthetic_banknote
 
@@ -160,6 +166,12 @@ class TestShapley:
         assert "Sh_a1=0.100" in out
         assert "Sh_a2=-0.200" in out
 
+    def test_threshold_is_not_an_option(self, ref16_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shapley", "--weights-override", str(ref16_file), "--threshold", "0.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold 0.3" in capsys.readouterr().err
+
 
 class TestProject:
     def test_projection_golden(self, ref16_file, capsys):
@@ -251,6 +263,15 @@ NAN_CSV = "a,b,label\n0.1,0.2,0\n0.3,nan,1\n"
 QUOTED_TEXT_CSV = 'a,b,label\n0.1,0.2,0\n0.3,"x",0\n'
 EMPTY_FIELD_CSV = "a,b,label\n0.1,0.2,0\n0.3,,0\n"
 QUOTED_EMPTY_CSV = 'a,b,label\n0.1,0.2,0\n0.3,"",0\n'
+# one field past the csv module's default field size limit of 131,072
+LONG_HEADER_CSV = "a" * 131_073 + ",label\n0.1,0\n"
+LONG_FIELD_CSV = "a,label\n0.1,0\n" + "1" * 131_073 + ",0\n"
+L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
+ONE_ATTRIBUTE_MODEL = json.dumps(dict(
+    _model_doc([[[0.1, 0.2]]], fuzzifier={"kind": "minmax", "lo": [0.0], "hi": [1.0]}),
+    input_size=2))
+NONFINITE_FUZZIFIER_MODEL = _fuzzified_model(
+    {"kind": "minmax", "lo": ["LO", 0.0], "hi": ["LO", 1.0]}).replace('"LO"', "1e999")
 
 
 BAD_INPUTS = {
@@ -284,6 +305,22 @@ BAD_INPUTS = {
     "model-fuzzifier-missing-hi": (
         {"model.json": _fuzzified_model({"kind": "minmax", "lo": [0.0, 0.0]})},
         ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-fuzzifier-lo-1e999": (
+        {"model.json": NONFINITE_FUZZIFIER_MODEL},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    # an integer literal past the float range
+    "model-threshold-10^400": (
+        {"model.json": L1_MODEL.replace('"threshold": 0.5', '"threshold": 1' + "0" * 400)},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-weight-10^400": (
+        {"model.json": L1_MODEL.replace("0.1,", "1" + "0" * 400 + ",")},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-fuzzifier-hi-10^400": (
+        {"model.json": NONFINITE_FUZZIFIER_MODEL.replace("1e999", "1" + "0" * 400)},
+        ["shapley", "--model", "model.json", "--cell", "1"]),
+    "model-nested-10000-deep": (
+        {"model.json": "[" * 10_000 + "]" * 10_000},
+        ["explain", "--model", "model.json", "--cell", "0"]),
     "model-fuzzifier-arity-not-input-size": (
         {"model.json": _fuzzified_model(
             {"kind": "minmax", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]})},
@@ -296,6 +333,11 @@ BAD_INPUTS = {
         {"bad.csv": EMPTY_FIELD_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
     "csv-quoted-empty-field": (
         {"bad.csv": QUOTED_EMPTY_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-header-field-over-limit": (
+        {"bad.csv": LONG_HEADER_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-row-field-over-limit": (
+        {"bad.csv": LONG_FIELD_CSV, "model.json": ONE_ATTRIBUTE_MODEL},
+        ["partition", "--model", "model.json", "--data", "bad.csv"]),
     "csv-row-wider-than-header": (
         {"bad.csv": WIDE_ROW_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
     "csv-13-attributes": (
@@ -379,15 +421,16 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
     (QUOTED_TEXT_CSV, "row 3: could not convert string to float: 'x'"),
     (EMPTY_FIELD_CSV, "row 3: could not convert string to float: ''"),
     (QUOTED_EMPTY_CSV, "row 3: could not convert string to float: ''"),
+    pytest.param(LONG_HEADER_CSV, "row 1: field larger than field limit (131072)",
+                 id="header-field-over-limit"),
+    pytest.param(LONG_FIELD_CSV, "row 3: field larger than field limit (131072)",
+                 id="row-field-over-limit"),
 ])
 def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     data = tmp_path / "bad.csv"
     data.write_text(text)
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
 
 
 @pytest.mark.parametrize("files,argv,message", [
@@ -418,6 +461,19 @@ L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
     pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
                       "--levels", ","],
                  "level set is empty", id="trend-levels-empty"),
+    # a cell-source option the chosen source would not read
+    pytest.param({}, ["shapley", "--weights-override", "ref16.txt", "--model", "missing.json"],
+                 "--weights-override cannot be combined with --model or --cell",
+                 id="weights-override-and-model"),
+    pytest.param({}, ["explain", "--weights-override", "ref16.txt", "--cell", "3"],
+                 "--weights-override cannot be combined with --model or --cell",
+                 id="weights-override-and-cell"),
+    pytest.param({"model.json": L1_MODEL},
+                 ["explain", "--model", "model.json", "--cell", "1", "--threshold", "0.3"],
+                 "--threshold applies only to --weights-override", id="threshold-with-model"),
+    pytest.param({"model.json": NONFINITE_FUZZIFIER_MODEL},
+                 ["shapley", "--model", "model.json", "--cell", "1"],
+                 "bad fuzzifier: fuzzifier fields must be finite", id="fuzzifier-1e999"),
     pytest.param({}, ["explain", "--weights-override", "ref16.txt", "--threshold", "nan"],
                  "threshold must be finite", id="threshold-nan"),
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
@@ -442,3 +498,35 @@ def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
         (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Per subcommand, a small call; none may import numpy.ma, which costs every
+# process ~19 ms and ~1,500 live objects (a plain np.unique imports it).
+SMALL_CALLS = {
+    "train": ["train", "--data", "bank.csv", "--model", "m.json", "--epochs", "5"],
+    "partition": ["partition", "--model", "model.json", "--data", "bank.csv"],
+    "explain": ["explain", "--model", "model.json", "--cell", "5", "--data", "bank.csv",
+                "--out-dir", "out"],
+    "shapley": ["shapley", "--model", "model.json", "--cell", "5"],
+    "project": ["project", "--weights-override", "ref16.txt", "--keep", "1,3"],
+    "hypothesis": ["hypothesis", "--weights-override", "ref16.txt", "--hypothesis", "a1"],
+    "trend": ["trend", "--weights-override", "ref16.txt", "--vary", "1,2",
+              "--resolution", "5"],
+    "classify": ["classify", "--model", "model.json", "--data", "bank.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_CALLS.values(), ids=SMALL_CALLS.keys())
+def test_command_does_not_import_numpy_ma(tmp_path, argv):
+    synthetic_banknote(tmp_path / "bank.csv", rows=20)
+    X = np.loadtxt(tmp_path / "bank.csv", delimiter=",", skiprows=1)[:, :4]
+    save_model(tmp_path / "model.json",
+               random_simple_ann(np.random.default_rng(0), 4, 3), fit_fuzzifier(X))
+    (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
+    code = ("import sys; from annlogic.cli import main; "
+            f"rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)")
+    src = Path(annlogic.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr

@@ -1,10 +1,12 @@
 """Fuzz every subcommand's options: whatever the values, the CLI exits
 with status 0 or 2 and never lets an exception or a traceback out.
 
-Inputs stay at n <= 4 attributes, and sizes the CLI does not bound
-(epochs, ReLU nodes, grid resolution) are drawn from small ranges, so no
-example starts a large allocation or a long run.  Output paths are drawn
-from a fixed set inside a temporary directory."""
+Inputs stay at n <= 4 attributes.  Epochs, ReLU nodes and grid
+resolution are bounded by the CLI (`MAX_EPOCHS`, `MAX_RELU_NODES`,
+`MAX_RESOLUTION`), but even those bounds allow long runs, so they are
+drawn from small ranges and no example starts a large allocation or a long
+run.  Output paths are drawn from a fixed set inside a temporary
+directory."""
 
 import contextlib
 import io
@@ -90,15 +92,14 @@ fixed = mostly(joined(st.tuples(names, floats | st.floats(0, 1).map(repr)).map("
 @st.composite
 def cell_sources(draw):
     """A model and a cell, a weights file, both or neither, then maybe a
-    threshold, a dataset and a label column."""
+    dataset and a label column."""
     kind = draw(st.sampled_from(["model", "model", "weights", "weights", "both", "none"]))
     argv = []
     if kind in ("model", "both"):
         argv += ["--model=" + draw(models), "--cell=" + draw(ints(-1, 8))]
     if kind in ("weights", "both"):
         argv += ["--weights-override=" + draw(weights)]
-    for option, values in {"--threshold": floats, "--data": datasets,
-                           "--label": labels}.items():
+    for option, values in {"--data": datasets, "--label": labels}.items():
         if draw(st.booleans()):
             argv.append(f"{option}={draw(values)}")
     return argv
@@ -113,15 +114,18 @@ OPTIONS = {
                "--fuzzifier": mostly(st.sampled_from(["minmax", "logistic"]))}, False),
     "partition": ({"--model": models, "--data": datasets},
                   {"--label": labels, "--out": out_files}, False),
-    "explain": ({}, {"--bcl-max": ints(-1, 60), "--out-dir": out_dirs}, True),
+    "explain": ({}, {"--threshold": floats, "--bcl-max": ints(-1, 60),
+                     "--out-dir": out_dirs}, True),
     "shapley": ({}, {"--out": out_files}, True),
-    "project": ({"--keep": name_lists}, {"--bcl-max": ints(-1, 60)}, True),
+    "project": ({"--keep": name_lists},
+                {"--threshold": floats, "--bcl-max": ints(-1, 60)}, True),
     "hypothesis": ({"--hypothesis": formulas},
-                   {"--bcl-max": ints(-1, 60), "--level": ints(-1, 5),
+                   {"--threshold": floats, "--bcl-max": ints(-1, 60), "--level": ints(-1, 5),
                     "--hypothesis2": formulas, "--names": name_lists}, True),
     "trend": ({"--vary": name_lists},
-              {"--bcl-max": ints(-1, 8), "--fixed": fixed, "--levels": level_sets,
-               "--resolution": ints(-1, 12), "--out": out_files}, True),
+              {"--threshold": floats, "--bcl-max": ints(-1, 8), "--fixed": fixed,
+               "--levels": level_sets, "--resolution": ints(-1, 12), "--out": out_files},
+              True),
     "classify": ({"--model": models, "--data": datasets}, {"--label": labels}, False),
 }
 

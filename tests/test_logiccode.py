@@ -10,7 +10,6 @@ from annlogic.logiccode import (
     BitTensor,
     LogicExpressionBits,
     ScaledCellWeights,
-    ScalingParams,
     approx_forward,
     bitcode,
     energy_report,
@@ -40,9 +39,7 @@ from oracles import (
 
 
 def scaled(weights, tau=0.5):
-    return ScaledCellWeights(
-        tuple(weights), ScalingParams(0.0, 1.0, tau), None
-    )
+    return ScaledCellWeights(tuple(weights), tau)
 
 
 class TestScaleWeights:
@@ -68,7 +65,7 @@ class TestScaleWeights:
         joint = scale_weights(cells, 1.5, scope="joint")
         assert np.array_equal(joint[0].weights, (0.0, 1 / 3))
         assert np.array_equal(joint[1].weights, (2 / 3, 1.0))
-        assert joint[0].params.scaled_threshold == 0.5
+        assert joint[0].threshold == 0.5
         per = scale_weights(cells, 1.5, scope="per-cell")
         assert np.array_equal(per[0].weights, (0.0, 1.0))
         assert np.array_equal(per[1].weights, (0.0, 1.0))
@@ -83,7 +80,7 @@ class TestScaleWeights:
             mt = random_minterm(rng, 2)
             raw = float(np.dot(w, mt))
             scl = float(np.dot(sw.weights, mt))
-            assert (raw > tau) == (scl > sw.params.scaled_threshold) or (
+            assert (raw > tau) == (scl > sw.threshold) or (
                 math.isclose(raw, tau, abs_tol=1e-12)
             )
         # constant cells (cell 0 is the zero map): the scaled evaluation is
@@ -92,7 +89,7 @@ class TestScaleWeights:
         for c, tau in ((0.0, -0.4), (0.0, 0.4), (-1.3, -2.0), (0.7, 1.1), (2.0, 0.0)):
             sw = scale_weights([CellWeights((c,) * 8)], tau)[0]
             scl = rows @ sw.weights
-            assert ((scl > sw.params.scaled_threshold) == (c > tau)).all()
+            assert ((scl > sw.threshold) == (c > tau)).all()
 
 
 class TestBitcode:
@@ -131,7 +128,7 @@ class TestBitcode:
 
     def test_out_of_range_weight(self):
         with pytest.raises(ValueError):
-            ScaledCellWeights((1.2, 0.0), ScalingParams(0, 1, 0.5), None)
+            ScaledCellWeights((1.2, 0.0), 0.5)
 
     @pytest.mark.parametrize("bcl_max", [-1, 53, 2000])
     def test_bcl_max_out_of_range(self, bcl_max):
@@ -286,7 +283,7 @@ class TestLevelAccuracy:
         rng = np.random.default_rng(8)
         mt = minterm_transform(rng.uniform(0, 1, (50, 2)))
         labels = (mt @ np.array(w) > 0.4).astype(int)
-        assert level_accuracy(bt, sw.params, mt, labels) == 1.0
+        assert level_accuracy(bt, sw.threshold, mt, labels) == 1.0
 
     def test_single_attribute_toy(self):
         w = (0.0, 1.0)
@@ -294,12 +291,12 @@ class TestLevelAccuracy:
         bt = bitcode(sw, 3)
         d = np.linspace(0, 1, 21)
         mt = minterm_transform(d[:, None])
-        assert level_accuracy(bt, sw.params, mt, (d > 0.5).astype(int), [0]) == 1.0
+        assert level_accuracy(bt, sw.threshold, mt, (d > 0.5).astype(int), [0]) == 1.0
 
     def test_empty_samples(self):
         sw = scaled((0.5, 0.5))
         with pytest.raises(ValueError):
-            level_accuracy(bitcode(sw, 3), sw.params, np.empty((0, 2)), [])
+            level_accuracy(bitcode(sw, 3), sw.threshold, np.empty((0, 2)), [])
 
 
 class TestProject:
@@ -381,8 +378,7 @@ class TestArrayValueTypes:
 
     @given(odd_vectors(UNIT))
     def test_scaled_weights_rule(self, values):
-        params = ScalingParams(0.0, 1.0, 0.5)
-        assert self.accepts(ScaledCellWeights, values, params) == scaled_weights_ok(values)
+        assert self.accepts(ScaledCellWeights, values, 0.5) == scaled_weights_ok(values)
 
     @given(odd_bit_rows())
     def test_bit_tensor_rule(self, rows):
@@ -395,7 +391,7 @@ class TestArrayValueTypes:
     def test_arrays_are_read_only_copies(self):
         source = np.array([0.0, 0.25, 1.0, 0.5])
         cw = CellWeights(source)
-        sw = ScaledCellWeights(source, ScalingParams(0.0, 1.0, 0.5))
+        sw = ScaledCellWeights(source, 0.5)
         bt = bitcode(sw, 2)
         e = level_expression(bt, 0)
         source[0] = 0.75
