@@ -238,20 +238,22 @@ def trend_grid(
     levels: list[int] | None = None,
     resolution: int = 21,
 ) -> TrendGrid:
-    """Evaluate the level-restricted approximation over a uniform [0,1]
-    grid of one or two varied attributes; the rest sit at fixed degrees
-    (default 0.5).  A varied attribute takes the grid value even if it also
-    has a fixed degree.  Degrees outside [0,1] are a ValueError."""
+    """Evaluate the level-restricted approximation over a uniform [0,1] grid
+    of one or two varied attributes; the rest sit at fixed degrees (default
+    0.5), and a varied attribute takes the grid value even if it has one.
+    Degrees outside [0,1] and attribute indices outside 0..n-1 are a ValueError."""
     n = bt.n
     if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
         raise ValueError("vary must name one or two distinct attributes")
     if any(not 0 <= j < n for j in vary):
         raise ValueError("varied attribute index out of range")
+    fixed = fixed or {}
+    if any(not 0 <= j < n for j in fixed):
+        raise ValueError("fixed attribute index out of range")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}")
-    fixed = fixed or {}
     base = [float(fixed.get(j, 0.5)) for j in range(n)]
     if levels is None:
         levels = list(range(bt.bcl_max + 1))

@@ -8,12 +8,14 @@ minterm index throughout the package.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_ATTRIBUTES = 12  # 2^12 = 4096 minterms
+_BLOCK_VALUES = 2**16  # minterm values expanded per block: 512 KB of float64
 
 
 class ArityMismatchError(ValueError):
@@ -138,16 +140,28 @@ def _degrees(degrees) -> np.ndarray:
 def minterm_transform(degrees: np.ndarray) -> np.ndarray:
     """Expand degrees of shape (..., n) into the minterm values of shape
     (..., 2^n): products of degrees and complements, attribute 1 on the
-    most significant index bit.  Each attribute is one broadcast Kronecker
-    step, mt <- mt (x) (1 - m_j, m_j), taken over all rows at once."""
+    most significant index bit.  Rows are expanded in blocks of at most
+    _BLOCK_VALUES minterm values, so the work stays in cache: within a
+    block, level j+1 (attributes 1..j+1) is written from level j with two
+    strided products, level * (1 - m_j) and level * m_j, alternating
+    between a scratch block and the output so the last level lands in it."""
     n = np.shape(degrees)[-1]
     if n > MAX_ATTRIBUTES:
         raise ValueError(f"{n} attributes exceed the maximum of {MAX_ATTRIBUTES}")
     d = _degrees(degrees)
-    pairs = np.stack((1.0 - d, d), axis=-1)  # (..., n, 2)
-    mt = np.ones(d.shape[:-1] + (1,))
-    for j in range(n):
-        size = 2 * mt.shape[-1]
-        mt = (mt[..., :, None] * pairs[..., j, None, :]).reshape(d.shape[:-1] + (size,))
-    return mt
-
+    rows = d.reshape(math.prod(d.shape[:-1]), n)
+    complements = 1.0 - rows
+    out = np.empty((len(rows), 2**n))
+    step = max(1, _BLOCK_VALUES >> n)
+    scratch = np.empty((min(step, len(rows)), max(1, 2**n // 2)))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        buffers = (out[block], scratch[: len(out[block])])
+        level = buffers[n % 2][:, :1]
+        level[...] = 1.0
+        for j in range(n):
+            nxt = buffers[(n - 1 - j) % 2][:, : 2 * level.shape[1]]
+            np.multiply(level, complements[block, j, None], out=nxt[:, 0::2])
+            np.multiply(level, rows[block, j, None], out=nxt[:, 1::2])
+            level = nxt
+    return out.reshape(d.shape[:-1] + (2**n,))

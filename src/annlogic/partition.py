@@ -88,15 +88,18 @@ def partition_dataset(
 ) -> tuple[CellReportRow, ...]:
     """Assign every row of the (N, 2^n) minterm matrix `samples` to its
     cell; returns one row per non-empty cell, sorted by descending total
-    count (ties by cell number).  Rows are grouped by their distinct status
-    rows, so the cell number is only formed once per non-empty cell."""
-    cells, slot, total = np.unique(
-        relu_status(ann, samples), axis=0, return_inverse=True, return_counts=True
-    )
-    ones = np.bincount(slot.ravel(), weights=labels, minlength=len(cells))
+    count (ties by cell number).  Rows are grouped by one key per row, its
+    status bits packed into bytes, so the cell number is only formed once
+    per non-empty cell, from the status of the cell's first row."""
+    status = relu_status(ann, samples)
+    key = np.packbits(status, axis=1)
+    _, first, slot, total = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                      return_index=True, return_inverse=True,
+                                      return_counts=True)
+    ones = np.bincount(slot, weights=labels, minlength=len(first))
     rows = [
-        CellReportRow(cell_number(bits), int(c1), int(t - c1))
-        for bits, c1, t in zip(cells, ones, total)
+        CellReportRow(cell_number(status[i]), int(c1), int(t - c1))
+        for i, c1, t in zip(first, ones, total)
     ]
     rows.sort(key=lambda r: (-r.total, r.cell.p))
     return tuple(rows)

@@ -212,6 +212,12 @@ class TestTrendGrid:
             with pytest.raises(ValueError, match=r"\[0,1\]"):
                 trend_grid(bt, vary=[0], fixed={2: bad}, resolution=3)
 
+    def test_fixed_index_out_of_range(self):
+        bt = self.tensor([(0, 1, 1, 0)])
+        for fixed in ({7: 0.3, 9: 5.0}, {2: 0.5}, {-1: 0.5}):
+            with pytest.raises(ValueError, match="fixed attribute index"):
+                trend_grid(bt, [0], fixed, None, 3)
+
     def test_two_varied_axes_order(self):
         # expression a and not b: values[ia, ib] = a * (1 - b)
         bt = self.tensor([(0, 0, 1, 0)])

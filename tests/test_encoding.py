@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from annlogic import encoding
 from annlogic.encoding import (
     ArityMismatchError,
     FuzzifierSpec,
@@ -136,6 +139,34 @@ class TestMintermTransform:
         assert mt.shape == (len(degrees), 2 ** degrees.shape[1])
         assert np.array_equal(mt, minterms_kron(degrees))
         assert np.allclose(mt.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 8, 12])
+    def test_matches_kron_across_block_edges(self, n):
+        # two full blocks and one row of a third
+        rows = 2 * max(1, encoding._BLOCK_VALUES >> n) + 1
+        degrees = np.random.default_rng(n).uniform(0, 1, (rows, n))
+        degrees[::5, 0] = 1.0
+        degrees[::7, -1] = 0.0
+        assert np.array_equal(minterm_transform(degrees), minterms_kron(degrees))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 3, 5), (5,)], ids=["empty", "batch", "row"])
+    def test_matches_kron_for_any_batch_shape(self, shape):
+        degrees = np.random.default_rng(3).uniform(0, 1, shape)
+        mt = minterm_transform(degrees)
+        assert mt.shape == shape[:-1] + (32,)
+        assert np.array_equal(mt.reshape(-1, 32), minterms_kron(degrees.reshape(-1, 5)))
+
+    def test_peak_memory_is_the_output_plus_one_block(self):
+        # 3,000 rows of 4,096 minterms: 93.75 MiB of output, and at most
+        # 1 MiB more while expanding
+        degrees = np.full((3000, 12), 0.25)
+        tracemalloc.start()
+        try:
+            mt = minterm_transform(degrees)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mt.nbytes + 2**20
 
 
 class TestMintermBits:

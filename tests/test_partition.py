@@ -34,9 +34,10 @@ def random_rows(rng, n, count):
 
 @st.composite
 def nets_and_rows(draw):
-    """A small random network and up to 40 minterm rows with labels."""
+    """A small random network, with up to 12 ReLU nodes so that a packed
+    status key can span two bytes, and up to 40 minterm rows with labels."""
     seed = draw(st.integers(0, 2**32 - 1))
-    n, l, count = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    n, l, count = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(0, 40))
     rng = np.random.default_rng(seed)
     ann = random_simple_ann(rng, n, l, extra_pre=draw(st.booleans()),
                             extra_post=draw(st.booleans()))
@@ -100,6 +101,15 @@ class TestPartitionDataset:
         rows = partition_dataset(ann, mt, labels)
         got = [(r.cell.p, r.count_label1, r.count_label0) for r in rows]
         assert got == partition_rows(ann, mt, labels)
+
+    def test_more_than_64_status_bits(self):
+        rng = np.random.default_rng(8)
+        ann = random_simple_ann(rng, 3, 70)
+        mt, labels = random_rows(rng, 3, 400)
+        rows = partition_dataset(ann, mt, labels)
+        got = [(r.cell.p, r.count_label1, r.count_label0) for r in rows]
+        assert got == partition_rows(ann, mt, labels)
+        assert len(rows) > 1 and max(p for p, _, _ in got) >= 2**64
 
 
 class TestExtractCellWeights:
