@@ -50,7 +50,6 @@ from .qldt import Leaf, QldtNode, Split, build_qldt, build_qldts, eval_qldt, ren
 from .analysis import (
     ComparisonMetrics,
     TrendGrid,
-    ast_to_minterms,
     compare,
     parse_hypothesis,
     trend_grid,

@@ -1,11 +1,10 @@
-"""Hypothesis handling and inspection aids: a propositional-logic parser,
-conversion to minterm bit vectors, confusion-matrix comparison of
-expressions, and trend grids over one or two attributes."""
+"""Hypothesis handling and inspection aids: a propositional-logic parser
+that yields the formula's truth table over the minterms, confusion-matrix
+comparison of expressions, and trend grids over one or two attributes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -24,36 +23,6 @@ class HypothesisSyntaxError(ValueError):
 class UnknownAttributeError(ValueError):
     pass
 
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "HypothesisAst"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "HypothesisAst"
-    right: "HypothesisAst"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "HypothesisAst"
-    right: "HypothesisAst"
-
-
-@dataclass(frozen=True)
-class Xor:
-    left: "HypothesisAst"
-    right: "HypothesisAst"
-
-
-HypothesisAst = Union[Atom, Not, And, Or, Xor]
 
 _KEYWORDS = {"and": "and", "or": "or", "xor": "xor", "not": "not",
              "&": "and", "|": "or", "!": "not", "~": "not"}
@@ -83,11 +52,16 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """expr := term (('or'|'xor') term)* ; term := factor ('and' factor)* ;
     factor := 'not' factor | '(' expr ')' | atom.  Keywords are
-    case-insensitive; '!', '&', '|' are aliases."""
+    case-insensitive; '!', '~', '&', '|' are aliases.  Each production returns
+    the truth table of its subformula over all 2^n assignments."""
 
     def __init__(self, tokens: list[str], names: list[str]):
         self.tokens = tokens
         self.names = names
+        n = len(names)
+        col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
+        # a repeated name binds its last column
+        self.columns = {name: col[j] for j, name in enumerate(names)}
         self.pos = 0
 
     def _kind(self, token: str) -> str | None:
@@ -103,83 +77,61 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> HypothesisAst:
-        ast = self.expr()
+    def parse(self) -> np.ndarray:
+        truth = self.expr()
         if self.peek() is not None:
             raise HypothesisSyntaxError(
                 f"unexpected token {self.peek()!r}", self.pos + 1
             )
-        return ast
+        return truth
 
-    def expr(self) -> HypothesisAst:
-        node = self.term()
+    def expr(self) -> np.ndarray:
+        truth = self.term()
         while self.peek() is not None and self._kind(self.peek()) in ("or", "xor"):
             op = self._kind(self.take())
             rhs = self.term()
-            node = Or(node, rhs) if op == "or" else Xor(node, rhs)
-        return node
+            truth = truth | rhs if op == "or" else truth ^ rhs
+        return truth
 
-    def term(self) -> HypothesisAst:
-        node = self.factor()
+    def term(self) -> np.ndarray:
+        truth = self.factor()
         while self.peek() is not None and self._kind(self.peek()) == "and":
             self.take()
-            node = And(node, self.factor())
-        return node
+            truth = truth & self.factor()
+        return truth
 
-    def factor(self) -> HypothesisAst:
+    def factor(self) -> np.ndarray:
         tok = self.peek()
         if tok is None:
             raise HypothesisSyntaxError("unexpected end of input", self.pos + 1)
         if self._kind(tok) == "not":
             self.take()
-            return Not(self.factor())
+            return ~self.factor()
         if tok == "(":
             self.take()
-            node = self.expr()
+            truth = self.expr()
             if self.peek() != ")":
                 raise HypothesisSyntaxError("expected ')'", self.pos + 1)
             self.take()
-            return node
+            return truth
         if tok == ")" or self._kind(tok) is not None:
             raise HypothesisSyntaxError(f"unexpected token {tok!r}", self.pos + 1)
         self.take()
-        if tok not in self.names:
+        if tok not in self.columns:
             raise UnknownAttributeError(
                 f"unknown attribute {tok!r}; known: {', '.join(self.names)}"
             )
-        return Atom(tok)
+        return self.columns[tok]
 
 
-def parse_hypothesis(text: str, names: list[str]) -> HypothesisAst:
+def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
+    """Truth-table the formula over all 2^n assignments of the attributes
+    `names` (attribute 1 on the most significant index bit)."""
     parser = _Parser(_tokenize(text), list(names))
     try:
-        return parser.parse()
+        return LogicExpressionBits(parser.parse(), len(names))
     except RecursionError:
         raise HypothesisSyntaxError("formula nests too deeply", parser.pos + 1) from None
-
-
-def _truth(ast: HypothesisAst, columns: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(ast, Atom):
-        return columns[ast.name]
-    if isinstance(ast, Not):
-        return ~_truth(ast.child, columns)
-    if isinstance(ast, And):
-        return _truth(ast.left, columns) & _truth(ast.right, columns)
-    if isinstance(ast, Or):
-        return _truth(ast.left, columns) | _truth(ast.right, columns)
-    if isinstance(ast, Xor):
-        return _truth(ast.left, columns) ^ _truth(ast.right, columns)
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
-def ast_to_minterms(ast: HypothesisAst, names: list[str]) -> LogicExpressionBits:
-    """Truth-table the formula over all 2^n assignments (attribute 1 on
-    the most significant index bit), one boolean column per attribute;
-    a repeated name binds its last column."""
-    n = len(names)
-    col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
-    columns = {name: col[j] for j, name in enumerate(names)}
-    return LogicExpressionBits(_truth(ast, columns), n)
 
 
 @dataclass(frozen=True)

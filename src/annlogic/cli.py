@@ -229,7 +229,9 @@ def _write_csv(path, header, rows):
 
 def cmd_explain(args):
     cw, names, threshold, spec, data = _cell_weights_from_args(args)
-    scaled = logiccode.scale_weights([cw], threshold)[0]
+    if data is not None and spec is not None and not len(data[1]):
+        raise CliError("dataset has no rows")
+    scaled = logiccode.scale_weights(cw, threshold)
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
     recon = bt.reconstruction()
@@ -321,7 +323,7 @@ def cmd_project(args):
     keep = _resolve_keep(args.keep, names)
     projected = logiccode.project(cw, keep)
     kept_names = [names[j] for j in sorted(keep)]
-    scaled = logiccode.scale_weights([projected], threshold)[0]
+    scaled = logiccode.scale_weights(projected, threshold)
     bt = logiccode.bitcode(scaled, args.bcl_max)
     report = logiccode.energy_report(scaled, bt)
     print(f"kept={','.join(kept_names)}")
@@ -346,15 +348,13 @@ def cmd_hypothesis(args):
         names, _ = _names_and_rows(args)
         if names is None:
             raise CliError("--names or --data required with --hypothesis2")
-        h2 = analysis.parse_hypothesis(args.hypothesis2, names)
-        e = analysis.ast_to_minterms(h2, names)
+        e = analysis.parse_hypothesis(args.hypothesis2, names)
     else:
         cw, names, threshold, *_ = _cell_weights_from_args(args)
-        scaled = logiccode.scale_weights([cw], threshold)[0]
+        scaled = logiccode.scale_weights(cw, threshold)
         bt = logiccode.bitcode(scaled, args.bcl_max)
         e = logiccode.level_expression(bt, args.level)
-    h = analysis.parse_hypothesis(args.hypothesis, names)
-    m = analysis.compare(e, analysis.ast_to_minterms(h, names))
+    m = analysis.compare(e, analysis.parse_hypothesis(args.hypothesis, names))
     for key in ("v11", "v10", "v01", "v00"):
         print(f"{key}={getattr(m, key)}")
     print(f"accuracy={_fmt(m.accuracy)}")
@@ -368,7 +368,7 @@ def cmd_hypothesis(args):
 
 def cmd_trend(args):
     cw, names, threshold, *_ = _cell_weights_from_args(args)
-    scaled = logiccode.scale_weights([cw], threshold)[0]
+    scaled = logiccode.scale_weights(cw, threshold)
     bt = logiccode.bitcode(scaled, args.bcl_max)
     vary = _resolve_keep(args.vary, names)
     levels = _parse_levels(args.levels, args.bcl_max)

@@ -99,36 +99,19 @@ class EnergyReport:
     degenerate: bool = False
 
 
-def scale_weights(
-    cells: list[CellWeights], threshold: float, scope: str = "joint"
-) -> list[ScaledCellWeights]:
-    """Scale minterm weights onto [0,1].  'joint' scope (the default over
-    the supplied cells) shares one min/max; 'per-cell' scales each cell by
-    its own extremes."""
-    if not cells:
-        raise ValueError("no cells to scale")
-    if scope not in ("joint", "per-cell"):
-        raise ValueError(f"unknown scaling scope {scope!r}")
+def scale_weights(cw: CellWeights, threshold: float) -> ScaledCellWeights:
+    """Scale a cell's minterm weights onto [0,1] by its own min and max,
+    and the threshold by the same affine map."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-
-    def scale_one(cw: CellWeights, lo: float, hi: float) -> ScaledCellWeights:
-        # a constant cell scales to all ones, so every evaluation is
-        # sum(minterms) = 1 up to rounding: put the threshold halfway off 1
-        # on the side the constant decides
-        if lo == hi:
-            return ScaledCellWeights(np.ones_like(cw.weights), 0.5 if lo > threshold else 1.5)
-        scaled = (cw.weights - lo) / (hi - lo)
-        return ScaledCellWeights(np.clip(scaled, 0.0, 1.0), (threshold - lo) / (hi - lo))
-
-    if scope == "joint":
-        allw = np.concatenate([cw.weights for cw in cells])
-        lo, hi = float(allw.min()), float(allw.max())
-        return [scale_one(cw, lo, hi) for cw in cells]
-    return [
-        scale_one(cw, float(cw.weights.min()), float(cw.weights.max()))
-        for cw in cells
-    ]
+    lo, hi = float(cw.weights.min()), float(cw.weights.max())
+    # a constant cell scales to all ones, so every evaluation is
+    # sum(minterms) = 1 up to rounding: put the threshold halfway off 1
+    # on the side the constant decides
+    if lo == hi:
+        return ScaledCellWeights(np.ones_like(cw.weights), 0.5 if lo > threshold else 1.5)
+    scaled = (cw.weights - lo) / (hi - lo)
+    return ScaledCellWeights(np.clip(scaled, 0.0, 1.0), (threshold - lo) / (hi - lo))
 
 
 def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:

@@ -18,7 +18,6 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from annlogic.analysis import And, Atom, Not, Or, Xor
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
@@ -164,27 +163,78 @@ def bitcode_loop(weights, bcl_max):
     )
 
 
-def eval_bool(ast, assignment):
-    if isinstance(ast, Atom):
-        return assignment[ast.name]
-    if isinstance(ast, Not):
-        return not eval_bool(ast.child, assignment)
-    if isinstance(ast, And):
-        return eval_bool(ast.left, assignment) and eval_bool(ast.right, assignment)
-    if isinstance(ast, Or):
-        return eval_bool(ast.left, assignment) or eval_bool(ast.right, assignment)
-    if isinstance(ast, Xor):
-        return eval_bool(ast.left, assignment) != eval_bool(ast.right, assignment)
-    raise TypeError(f"not an AST node: {ast!r}")
+def eval_bool(tree, assignment):
+    """A formula tree is an attribute name, ("not", t), or (op, l, r) with
+    op one of "and", "or", "xor"."""
+    if isinstance(tree, str):
+        return assignment[tree]
+    op, *children = tree
+    values = [eval_bool(child, assignment) for child in children]
+    if op == "not":
+        return not values[0]
+    if op == "and":
+        return values[0] and values[1]
+    if op == "or":
+        return values[0] or values[1]
+    if op == "xor":
+        return values[0] != values[1]
+    raise ValueError(f"not a formula tree: {tree!r}")
 
 
-def truth_table_loop(ast, names):
+def truth_table_loop(tree, names):
     """One assignment dict per minterm; a repeated name keeps its last bit."""
     n = len(names)
     return tuple(
-        int(eval_bool(ast, {name: bool(bit(k, j, n)) for j, name in enumerate(names)}))
+        int(eval_bool(tree, {name: bool(bit(k, j, n)) for j, name in enumerate(names)}))
         for k in range(2**n)
     )
+
+
+# How tightly each operator binds; "or" and "xor" bind alike, left to right.
+_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}
+_ALIASES = {"or": ["|"], "xor": [], "and": ["&"], "not": ["!", "~"]}
+
+
+def formulas(names):
+    """(tree, text) pairs: a formula tree of 1 .. 12 attribute
+    names and its text, with parentheses only where the grammar needs them
+    and each keyword in random case or as one of its aliases."""
+
+    @st.composite
+    def draw(draw):
+        def grow(leaves):
+            if leaves == 1:
+                tree = draw(st.sampled_from(names))
+            else:
+                left = draw(st.integers(1, leaves - 1))
+                op = draw(st.sampled_from(["and", "or", "xor"]))
+                tree = (op, grow(left), grow(leaves - left))
+            while draw(st.sampled_from([False, False, False, True])):
+                tree = ("not", tree)
+            return tree
+
+        def keyword(op):
+            spelling = draw(st.sampled_from([op] + _ALIASES[op]))
+            upper = draw(st.lists(st.booleans(), min_size=len(spelling),
+                                  max_size=len(spelling)))
+            return "".join(c.upper() if u else c for c, u in zip(spelling, upper))
+
+        def render(tree, binds):
+            """The text of `tree` where its context binds `binds` tightly."""
+            if isinstance(tree, str):
+                return tree
+            op = tree[0]
+            if op == "not":
+                text = f"{keyword(op)} {render(tree[1], _BINDS[op])}"
+            else:
+                text = (f"{render(tree[1], _BINDS[op])} {keyword(op)} "
+                        f"{render(tree[2], _BINDS[op] + 1)}")
+            return f"({text})" if _BINDS[op] < binds else text
+
+        tree = grow(draw(st.integers(1, 12)))
+        return tree, render(tree, 0)
+
+    return draw()
 
 
 def _entropy(pos, total):

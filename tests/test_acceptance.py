@@ -80,7 +80,7 @@ def test_criterion_01_reference_weight_table():
 def test_criterion_02_projection_table():
     with criterion(2, "two-attribute projection golden table"):
         projected = al.project(al.CellWeights(REF16_WEIGHTS), [0, 1])
-        sw = al.scale_weights([projected], 0.5, scope="per-cell")[0]
+        sw = al.scale_weights(projected, 0.5)
         for got, want in zip(sw.weights, (1.0, 0.44, 0.53, 0.0)):
             assert abs(got - want) <= 0.005
         bt = al.bitcode(sw, 3)
@@ -233,8 +233,8 @@ def test_criterion_08_qldt_equivalence():
 def test_criterion_09_hypothesis_metrics():
     with criterion(9, "hypothesis comparison metrics"):
         names = ["a", "b"]
-        e = al.ast_to_minterms(al.parse_hypothesis("a", names), names)
-        h = al.ast_to_minterms(al.parse_hypothesis("a or b", names), names)
+        e = al.parse_hypothesis("a", names)
+        h = al.parse_hypothesis("a or b", names)
         m = al.compare(e, e)
         assert m.accuracy == 1.0 and m.equivalent
         m = al.compare(e, h)
@@ -270,7 +270,7 @@ def test_criterion_10_end_to_end(banknote_csv):
         # most class-1-pure non-empty cell
         best = max(rows, key=lambda r: (r.count_label1 / r.total, r.total))
         cw = al.extract_cell_weights(ann, best.cell)
-        sw = al.scale_weights([cw], ann.threshold, scope="per-cell")[0]
+        sw = al.scale_weights(cw, ann.threshold)
         bt = al.bitcode(sw, 3)
         members = (al.relu_status(ann, mts) == best.cell.bits).all(axis=1)
         tau = sw.threshold

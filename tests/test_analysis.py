@@ -4,37 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annlogic.analysis import (
-    And,
-    Atom,
     HypothesisSyntaxError,
-    Not,
-    Or,
     UnknownAttributeError,
-    Xor,
-    ast_to_minterms,
     compare,
     parse_hypothesis,
     trend_grid,
 )
+from annlogic.cli import main
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, LogicExpressionBits, approx_forward
-from oracles import truth_table_loop
+from oracles import formulas, truth_table_loop
 
 AB = ["a", "b"]
+ABC = ["a", "b", "c"]
 
 
-def bits(text, names):
-    return ast_to_minterms(parse_hypothesis(text, names), names)
+def active(text, names):
+    return parse_hypothesis(text, names).active
 
 
 class TestParser:
-    def test_or(self):
-        assert parse_hypothesis("a or b", AB) == Or(Atom("a"), Atom("b"))
+    """Precedence and associativity, pinned as truth tables over the
+    minterms (attribute 1 on the most significant index bit)."""
 
     def test_not_parenthesized(self):
-        assert parse_hypothesis("not (a and b)", AB) == Not(
-            And(Atom("a"), Atom("b"))
-        )
+        assert np.array_equal(active("not (a and b)", AB), (1, 1, 1, 0))
 
     def test_double_operator(self):
         with pytest.raises(HypothesisSyntaxError) as exc:
@@ -42,20 +36,36 @@ class TestParser:
         assert exc.value.position == 3
 
     def test_aliases_and_case(self):
-        assert np.array_equal(bits("!a & b", AB).active, bits("NOT a AND b", AB).active)
+        assert np.array_equal(active("!a & b", AB), active("NOT a AND b", AB))
 
     def test_precedence(self):
-        # not > and > or, left-associative
-        assert parse_hypothesis("not a and b or a", AB) == Or(
-            And(Not(Atom("a")), Atom("b")), Atom("a")
-        )
+        # (not a and b) or a; not binds tightest, then and
+        assert np.array_equal(active("not a and b or a", AB), (0, 1, 1, 1))
 
-    def test_xor_keyword(self):
-        assert parse_hypothesis("a xor b", AB) == Xor(Atom("a"), Atom("b"))
+    def test_and_binds_tighter_than_or(self):
+        # a or (b and c)
+        assert np.array_equal(active("a or b and c", ABC), (0, 0, 0, 1, 1, 1, 1, 1))
+
+    def test_xor_binds_like_or_left_to_right(self):
+        # (a or b) xor c, and (a xor b) or c
+        assert np.array_equal(active("a or b xor c", ABC), (0, 1, 1, 0, 1, 0, 1, 0))
+        assert np.array_equal(active("a xor b or c", ABC), (0, 1, 1, 1, 1, 1, 0, 1))
+
+    def test_double_negation(self):
+        assert np.array_equal(active("not not a", AB), (0, 0, 1, 1))
+
+    def test_repeated_name_binds_last_column(self):
+        assert np.array_equal(active("a", ["a", "b", "a"]), (0, 1) * 4)
 
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttributeError):
             parse_hypothesis("a or q", AB)
+
+    def test_known_names_listed_as_given(self, capsys):
+        argv = ["hypothesis", "--names", "a,b,a", "--hypothesis", "a or q",
+                "--hypothesis2", "a"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown attribute 'q'; known: a, b, a\n"
 
     def test_unbalanced_paren(self):
         with pytest.raises(HypothesisSyntaxError):
@@ -65,26 +75,29 @@ class TestParser:
         with pytest.raises(HypothesisSyntaxError):
             parse_hypothesis("", AB)
 
+    def test_nests_too_deeply(self):
+        with pytest.raises(HypothesisSyntaxError, match="formula nests too deeply"):
+            parse_hypothesis("(" * 2000 + "a" + ")" * 2000, AB)
+
 
 class TestAstToMinterms:
     def test_or_truth_table(self):
-        assert np.array_equal(bits("a or b", AB).active, (0, 1, 1, 1))
+        assert np.array_equal(active("a or b", AB), (0, 1, 1, 1))
 
     def test_idempotence(self):
-        assert np.array_equal(bits("a and a", AB).active, bits("a", AB).active)
+        assert np.array_equal(active("a and a", AB), active("a", AB))
 
     def test_contradiction(self):
-        assert np.array_equal(bits("a and not a", AB).active, (0, 0, 0, 0))
+        assert np.array_equal(active("a and not a", AB), (0, 0, 0, 0))
 
     def test_xor_is_symmetric_difference(self):
-        x = bits("a xor b", AB)
-        a = bits("a", AB).active
-        b = bits("b", AB).active
+        x = parse_hypothesis("a xor b", AB)
+        a = active("a", AB)
+        b = active("b", AB)
         assert np.array_equal(x.active, a ^ b)
 
     def test_boolean_laws_random(self):
         names = ["a", "b", "c"]
-        rng = np.random.default_rng(0)
         pairs = [
             ("not (a and b)", "not a or not b"),
             ("not (a or b)", "not a and not b"),
@@ -93,48 +106,35 @@ class TestAstToMinterms:
             ("a or (b and c)", "(a or b) and (a or c)"),
         ]
         for lhs, rhs in pairs:
-            assert np.array_equal(bits(lhs, names).active, bits(rhs, names).active)
+            assert np.array_equal(active(lhs, names), active(rhs, names))
 
     @settings(deadline=None)
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6), st.data())
     def test_matches_per_assignment_oracle(self, names, data):
         # Names may repeat; a repeated name binds its last column.
-        def binary(op):
-            return lambda children: st.tuples(children, children).map(
-                lambda lr: op(*lr)
-            )
-
-        ast = data.draw(
-            st.recursive(
-                st.sampled_from(names).map(Atom),
-                lambda c: st.one_of(
-                    c.map(Not), binary(And)(c), binary(Or)(c), binary(Xor)(c)
-                ),
-                max_leaves=12,
-            )
-        )
-        got = ast_to_minterms(ast, names)
+        tree, text = data.draw(formulas(names))
+        got = parse_hypothesis(text, names)
         assert got.n == len(names)
-        assert np.array_equal(got.active, truth_table_loop(ast, names))
+        assert np.array_equal(got.active, truth_table_loop(tree, names))
 
 
 class TestCompare:
     def test_self_comparison(self):
-        e = bits("a and b", AB)
+        e = parse_hypothesis("a and b", AB)
         m = compare(e, e)
         assert m.accuracy == 1.0
         assert m.equivalent
         assert m.implies_forward and m.implies_backward
 
     def test_complement(self):
-        e = bits("a", AB)
+        e = parse_hypothesis("a", AB)
         m = compare(e, e.complement())
         assert m.accuracy == 0.0
         assert m.v11 == 0 and m.v00 == 0
 
     def test_worked_example(self):
-        e = bits("a", AB)
-        h = bits("a or b", AB)
+        e = parse_hypothesis("a", AB)
+        h = parse_hypothesis("a or b", AB)
         m = compare(e, h)
         assert (m.v11, m.v10, m.v01, m.v00) == (2, 0, 1, 1)
         assert m.accuracy == 0.75
@@ -150,8 +150,8 @@ class TestCompare:
             assert m.v11 + m.v10 + m.v01 + m.v00 == 8
 
     def test_swap_symmetry(self):
-        e = bits("a", AB)
-        h = bits("b", AB)
+        e = parse_hypothesis("a", AB)
+        h = parse_hypothesis("b", AB)
         m1 = compare(e, h)
         m2 = compare(h, e)
         assert (m1.v10, m1.v01) == (m2.v01, m2.v10)
@@ -165,7 +165,7 @@ class TestCompare:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            compare(bits("a", AB), bits("a", ["a", "b", "c"]))
+            compare(parse_hypothesis("a", AB), parse_hypothesis("a", ["a", "b", "c"]))
 
 
 class TestTrendGrid:

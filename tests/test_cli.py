@@ -338,6 +338,10 @@ BAD_INPUTS = {
     "csv-row-field-over-limit": (
         {"bad.csv": LONG_FIELD_CSV, "model.json": ONE_ATTRIBUTE_MODEL},
         ["partition", "--model", "model.json", "--data", "bad.csv"]),
+    "explain-data-header-only": (
+        {"model.json": ONE_ATTRIBUTE_MODEL, "empty.csv": "a,label\n"},
+        ["explain", "--model", "model.json", "--cell", "1", "--data", "empty.csv",
+         "--out-dir", "out"]),
     "csv-row-wider-than-header": (
         {"bad.csv": WIDE_ROW_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
     "csv-13-attributes": (

@@ -44,31 +44,21 @@ def scaled(weights, tau=0.5):
 
 class TestScaleWeights:
     def test_degenerate_all_equal(self):
-        sw = scale_weights([CellWeights((2.5, 2.5, 2.5, 2.5))], 1.0)[0]
+        sw = scale_weights(CellWeights((2.5, 2.5, 2.5, 2.5)), 1.0)
         assert np.array_equal(sw.weights, (1.0, 1.0, 1.0, 1.0))
 
     def test_projected_reference_weights(self):
-        sw = scale_weights([CellWeights((3.357, 2.262, 2.440, 1.397))], 0.5)[0]
+        sw = scale_weights(CellWeights((3.357, 2.262, 2.440, 1.397)), 0.5)
         assert sw.weights == pytest.approx((1.0, 0.441, 0.532, 0.0), abs=5e-4)
 
     def test_order_preserving(self):
         rng = np.random.default_rng(0)
         w = tuple(rng.normal(size=8))
-        sw = scale_weights([CellWeights(w)], 0.0)[0]
+        sw = scale_weights(CellWeights(w), 0.0)
         for i in range(8):
             for j in range(8):
                 if w[i] < w[j]:
                     assert sw.weights[i] < sw.weights[j]
-
-    def test_joint_scope_shares_extremes(self):
-        cells = [CellWeights((0.0, 1.0)), CellWeights((2.0, 3.0))]
-        joint = scale_weights(cells, 1.5, scope="joint")
-        assert np.array_equal(joint[0].weights, (0.0, 1 / 3))
-        assert np.array_equal(joint[1].weights, (2 / 3, 1.0))
-        assert joint[0].threshold == 0.5
-        per = scale_weights(cells, 1.5, scope="per-cell")
-        assert np.array_equal(per[0].weights, (0.0, 1.0))
-        assert np.array_equal(per[1].weights, (0.0, 1.0))
 
     def test_sign_preservation_vs_threshold(self):
         # scaled comparison against the scaled threshold matches unscaled
@@ -76,7 +66,7 @@ class TestScaleWeights:
         for _ in range(20):
             w = tuple(rng.normal(size=4))
             tau = float(rng.normal())
-            sw = scale_weights([CellWeights(w)], tau)[0]
+            sw = scale_weights(CellWeights(w), tau)
             mt = random_minterm(rng, 2)
             raw = float(np.dot(w, mt))
             scl = float(np.dot(sw.weights, mt))
@@ -87,7 +77,7 @@ class TestScaleWeights:
         # sum(minterms) = 1 up to rounding, on either side of 1
         rows = minterm_transform(rng.uniform(0, 1, (200, 3)))
         for c, tau in ((0.0, -0.4), (0.0, 0.4), (-1.3, -2.0), (0.7, 1.1), (2.0, 0.0)):
-            sw = scale_weights([CellWeights((c,) * 8)], tau)[0]
+            sw = scale_weights(CellWeights((c,) * 8), tau)
             scl = rows @ sw.weights
             assert ((scl > sw.threshold) == (c > tau)).all()
 
@@ -306,7 +296,7 @@ class TestProject:
         assert projected.weights == pytest.approx(
             (3.357, 2.262, 2.440, 1.397), abs=1e-9
         )
-        sw = scale_weights([projected], 0.5, scope="per-cell")[0]
+        sw = scale_weights(projected, 0.5)
         assert sw.weights == pytest.approx((1.0, 0.44, 0.53, 0.0), abs=5e-3)
 
     def test_keep_all_identity(self):
