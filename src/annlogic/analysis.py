@@ -129,7 +129,7 @@ def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
     `names` (attribute 1 on the most significant index bit)."""
     parser = _Parser(_tokenize(text), list(names))
     try:
-        return LogicExpressionBits(parser.parse(), len(names))
+        return LogicExpressionBits(parser.parse())
     except RecursionError:
         raise HypothesisSyntaxError("formula nests too deeply", parser.pos + 1) from None
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from itertools import compress, product
 from pathlib import Path
 
@@ -179,7 +180,11 @@ def cmd_train(args):
     names, X, y = load_dataset(args.data, args.label)
     if not len(y):
         raise CliError("dataset has no rows")
-    spec = fit_fuzzifier(X, args.fuzzifier)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        spec = fit_fuzzifier(X, args.fuzzifier)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     cfg = network.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed
     )
@@ -276,7 +281,7 @@ def cmd_explain(args):
     trees = qldt.build_qldts([logiccode.level_expression(bt, bcl) for bcl in levels])
     for bcl, tree in zip(levels, trees):
         dot_path = out_dir / f"level_{bcl}.dot"
-        dot_path.write_text(qldt.render(tree, names, format="dot"))
+        dot_path.write_text(qldt.render(tree, names))
         print(f"tree level 2^-{bcl}: {dot_path}")
 
     if data is not None and spec is not None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import CellWeights, _freeze, _power_of_two
+from .partition import CellWeights, _arity, _freeze
 
 DEFAULT_BCL_MAX = 3
 MAX_BCL = 52
@@ -24,8 +24,6 @@ class ScaledCellWeights:
 
     def __post_init__(self):
         w = _freeze(self, "weights", np.array(self.weights, dtype=float))
-        if w.ndim != 1 or not _power_of_two(w.size):
-            raise ValueError("weight vector length must be a power of two")
         if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError("scaled weights must lie in [0,1]")
 
@@ -40,11 +38,9 @@ class BitTensor:
 
     def __post_init__(self):
         b = np.asarray(self.bits)  # ragged rows are a ValueError here
-        if b.ndim != 2 or not len(b) or not _power_of_two(b.shape[1]):
-            raise ValueError("a bit tensor has at least one row of 2^n bits")
         if not ((b == 0) | (b == 1)).all():
             raise ValueError("bits must be 0 or 1")
-        _freeze(self, "bits", b.astype(np.uint8))
+        _freeze(self, "bits", b.astype(np.uint8), 2)
 
     @property
     def bcl_max(self) -> int:
@@ -52,7 +48,7 @@ class BitTensor:
 
     @property
     def n(self) -> int:
-        return self.bits.shape[1].bit_length() - 1
+        return _arity(self.bits)
 
     def reconstruction(self, levels: list[int] | None = None) -> np.ndarray:
         """Sum over the chosen levels (all by default) of 2^-bcl * bits[bcl],
@@ -69,18 +65,16 @@ class LogicExpressionBits:
     that marks its active minterms."""
 
     active: np.ndarray
-    n: int
 
     def __post_init__(self):
         a = np.asarray(self.active)
-        if a.shape != (2**self.n,):
-            raise ValueError("bit vector length must be 2^n")
         if not ((a == 0) | (a == 1)).all():
             raise ValueError("bits must be 0 or 1")
         _freeze(self, "active", a.astype(bool))
 
-    def complement(self) -> "LogicExpressionBits":
-        return LogicExpressionBits(~self.active, self.n)
+    @property
+    def n(self) -> int:
+        return _arity(self.active)
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,8 @@ def scale_weights(cw: CellWeights, threshold: float) -> ScaledCellWeights:
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     lo, hi = float(cw.weights.min()), float(cw.weights.max())
+    if not np.isfinite(hi - lo):
+        raise ValueError("weight range overflows float64")
     # a constant cell scales to all ones, so every evaluation is
     # sum(minterms) = 1 up to rounding: put the threshold halfway off 1
     # on the side the constant decides
@@ -129,7 +125,7 @@ def level_expression(bt: BitTensor, bcl: int) -> LogicExpressionBits:
     """The logic expression of one bit-code level: its slice of the tensor."""
     if not 0 <= bcl <= bt.bcl_max:
         raise ValueError(f"level {bcl} out of range 0..{bt.bcl_max}")
-    return LogicExpressionBits(bt.bits[bcl], bt.n)
+    return LogicExpressionBits(bt.bits[bcl])
 
 
 def _minterm_sum(mt, coefficients: np.ndarray):
@@ -201,4 +197,5 @@ def project(cw: CellWeights, keep: list[int]) -> CellWeights:
     if len(set(keep)) != len(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
     dropped = tuple(j for j in range(n) if j not in keep)
-    return CellWeights(cw.weights.reshape((2,) * n).sum(axis=dropped).ravel())
+    with np.errstate(over="ignore"):  # CellWeights rejects an overflowed sum
+        return CellWeights(cw.weights.reshape((2,) * n).sum(axis=dropped).ravel())

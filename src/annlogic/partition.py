@@ -43,25 +43,27 @@ class CellWeights:
 
     def __post_init__(self):
         w = _freeze(self, "weights", np.array(self.weights, dtype=float))
-        if w.ndim != 1 or not _power_of_two(w.size):
-            raise ValueError("weight vector length must be a power of two")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
 
     @property
     def n(self) -> int:
-        return self.weights.size.bit_length() - 1
+        return _arity(self.weights)
 
 
-def _freeze(obj, name: str, a: np.ndarray) -> np.ndarray:
-    """Store `a`, made read-only, as field `name` of the frozen `obj`."""
+def _freeze(obj, name: str, a: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Store `a`, made read-only, as field `name` of the frozen `obj` if it has
+    the minterm shape: `ndim` axes, none empty, and 2^n entries on the last."""
+    if a.ndim != ndim or 0 in a.shape or a.shape[-1] & (a.shape[-1] - 1):
+        raise ValueError(f"{name}: need a {ndim}-D array, no axis empty, 2^n entries on the last")
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
     return a
 
 
-def _power_of_two(k: int) -> bool:
-    return k > 0 and not k & (k - 1)
+def _arity(a: np.ndarray) -> int:
+    """n of an array with 2^n entries on its last axis."""
+    return a.shape[-1].bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,17 @@ def shapley(cw: CellWeights) -> np.ndarray:
     v(S) = weight of the minterm whose non-negated attributes are S, as
     Harsanyi dividends: Sh_i = sum over S containing i of m(S)/|S|, where
     m is the Moebius transform of v, taken as (lo, hi - lo) on each axis
-    of the (2,)*n weight tensor.  Returns the (n,) values."""
+    of the (2,)*n weight tensor.  Returns the (n,) values; values past the
+    float64 range are a ValueError."""
     n = cw.n
     m = cw.weights.reshape((2,) * n)
-    for axis in range(n):
-        lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
-        m = np.stack((lo, hi - lo), axis=axis)
     size = np.indices((2,) * n).sum(axis=0)
-    share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
-    return np.array([np.take(share, 1, axis=i).sum() for i in range(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(n):
+            lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
+            m = np.stack((lo, hi - lo), axis=axis)
+        share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
+        values = np.array([np.take(share, 1, axis=i).sum() for i in range(n)])
+    if not np.isfinite(values).all():
+        raise ValueError("Shapley values overflow float64")
+    return values

@@ -144,21 +144,9 @@ def _eval(t: QldtNode, d: np.ndarray) -> float:
     return (1.0 - m) * _eval(t.low, d) + m * _eval(t.high, d)
 
 
-def render(t: QldtNode, names: list[str] | None = None, format: str = "dot") -> str:
-    """Deterministic text rendering; dashed (DOT) or '~'-prefixed (ASCII)
-    low edges, solid/plain high edges, low before high."""
-    if format == "dot":
-        return _render_dot(t, names)
-    if format == "ascii":
-        return _render_ascii(t, names)
-    raise ValueError(f"unknown render format {format!r}")
-
-
-def _name(j: int, names) -> str:
-    return names[j] if names else f"a{j + 1}"
-
-
-def _render_dot(t: QldtNode, names) -> str:
+def render(t: QldtNode, names: list[str] | None = None) -> str:
+    """Deterministic DOT rendering: dashed low edges, solid high edges,
+    low before high."""
     lines = ["digraph qldt {"]
     counter = [0]
 
@@ -169,7 +157,8 @@ def _render_dot(t: QldtNode, names) -> str:
             label = "active" if node.active else "inactive"
             lines.append(f'  n{nid} [label="{label}", shape=box];')
         else:
-            lines.append(f'  n{nid} [label="{_name(node.attribute, names)}"];')
+            name = names[node.attribute] if names else f"a{node.attribute + 1}"
+            lines.append(f'  n{nid} [label="{name}"];')
             low_id = emit(node.low)
             high_id = emit(node.high)
             lines.append(f"  n{nid} -> n{low_id} [style=dashed];")
@@ -178,20 +167,4 @@ def _render_dot(t: QldtNode, names) -> str:
 
     emit(t)
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_ascii(t: QldtNode, names) -> str:
-    lines = []
-
-    def emit(node, prefix: str, indent: int):
-        pad = "  " * indent
-        if isinstance(node, Leaf):
-            lines.append(f"{pad}{prefix}{'active' if node.active else 'inactive'}")
-            return
-        lines.append(f"{pad}{prefix}{_name(node.attribute, names)}")
-        emit(node.low, "~", indent + 1)
-        emit(node.high, "", indent + 1)
-
-    emit(t, "", 0)
     return "\n".join(lines) + "\n"

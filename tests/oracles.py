@@ -56,31 +56,47 @@ def minterm_bits(k, n):
     return [bit(k, j, n) for j in range(n)]
 
 
-def _power_of_two(k):
-    return k > 0 and not k & (k - 1)
+def _shape(x):
+    """The shape of a nested list: () for a bare value, None if ragged."""
+    if not isinstance(x, (list, tuple)):
+        return ()
+    inner = {_shape(v) for v in x}
+    if len(inner) > 1 or None in inner:
+        return None
+    return (len(x),) + (inner.pop() if inner else ())
+
+
+def _values(x):
+    return [v for item in x for v in _values(item)] if isinstance(x, (list, tuple)) else [x]
+
+
+def shape_ok(x, ndim=1):
+    """The shape rule all four minterm value types share: `ndim` axes,
+    none of them empty, and 2^n entries on the last."""
+    shape = _shape(x)
+    return (shape is not None and len(shape) == ndim and all(shape)
+            and not shape[-1] & (shape[-1] - 1))
 
 
 def cell_weights_ok(values):
     """CellWeights' rule, one weight at a time: 2^n finite weights."""
-    return _power_of_two(len(values)) and all(math.isfinite(w) for w in values)
+    return shape_ok(values) and all(math.isfinite(w) for w in _values(values))
 
 
 def scaled_weights_ok(values):
     """ScaledCellWeights' rule: 2^n weights, each in [0,1]."""
-    return _power_of_two(len(values)) and all(0.0 <= w <= 1.0 for w in values)
+    return shape_ok(values) and all(0.0 <= w <= 1.0 for w in _values(values))
 
 
 def bit_tensor_ok(rows):
     """BitTensor's rule: at least one row, rows of equal length 2^n, every
     entry 0 or 1."""
-    widths = {len(row) for row in rows}
-    return (len(widths) == 1 and _power_of_two(widths.pop())
-            and all(b in (0, 1) for row in rows for b in row))
+    return shape_ok(rows, 2) and all(b in (0, 1) for b in _values(rows))
 
 
-def expression_bits_ok(active, n):
+def expression_bits_ok(active):
     """LogicExpressionBits' rule: 2^n entries, each 0 or 1."""
-    return len(active) == 2**n and all(b in (0, 1) for b in active)
+    return shape_ok(active) and all(b in (0, 1) for b in _values(active))
 
 
 # NaN, +-inf, values outside [0,1] and non-0/1 bits, mixed with valid ones
@@ -92,33 +108,39 @@ UNIT = st.floats(0, 1)
 BITS = st.sampled_from([0, 1, False, True, 0.0, 1.0])
 
 
-def _lengths(max_len):
-    return st.sampled_from([1, 2, 4, 8]) | st.integers(0, max_len)
-
-
 def _vector(valid, k):
     """k values: all from `valid`, or each from `valid` or the odd values."""
     return (st.lists(valid, min_size=k, max_size=k)
             | st.lists(valid | _ODD_VALUES, min_size=k, max_size=k))
 
 
-def odd_vectors(valid, max_len=17):
-    """Lists of any length up to max_len, power of two or not, whose
-    values come from `valid` or are NaN, infinite, out of range or no bit."""
-    return _lengths(max_len).flatmap(lambda k: _vector(valid, k))
+def _nest(values, shape):
+    """The flat list `values` as nested lists of the given shape."""
+    if len(shape) == 1:
+        return values
+    step = len(values) // shape[0] if shape[0] else 0
+    return [_nest(values[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
 
 
-def odd_expressions(max_n=4):
-    """(active, n) pairs for a logic expression: 2^n values, or any other
-    number of them."""
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.tuples(_vector(BITS, 2**n) | odd_vectors(BITS), st.just(n)))
+def _odd_array(valid, ndim, max_len):
+    if ndim == 0:
+        return valid | _ODD_VALUES
+    lengths = st.sampled_from([1, 2, 4, 8]) | st.integers(0, max_len)
+    shapes = st.tuples(*[st.integers(0, 3)] * (ndim - 1), lengths)
+    shaped = shapes.flatmap(
+        lambda shape: _vector(valid, math.prod(shape)).map(lambda v: _nest(v, shape)))
+    if ndim == 1:
+        return shaped
+    return shaped | st.lists(_odd_array(valid, ndim - 1, max_len), max_size=3)
 
 
-def odd_bit_rows(max_rows=4):
-    """Row lists for a bit tensor: rows of one shared length, or ragged."""
-    shared = _lengths(9).flatmap(lambda k: st.lists(_vector(BITS, k), max_size=max_rows))
-    return shared | st.lists(odd_vectors(BITS, 9), max_size=max_rows)
+def odd_arrays(valid, ndim, other_ndims, max_len=17):
+    """Nested lists with `ndim` axes, or about as often with any of
+    `other_ndims` (0 is a bare value): of one shape, with any axis empty or
+    of any length, or ragged; their values come from `valid` or are NaN,
+    infinite, out of range or no bit."""
+    return _odd_array(valid, ndim, max_len) | st.sampled_from(other_ndims).flatmap(
+        lambda d: _odd_array(valid, d, max_len))
 
 
 def shapley_permutation_oracle(weights, n):

@@ -205,7 +205,7 @@ def test_criterion_08_qldt_equivalence():
     with criterion(8, "tree evaluation equals expression evaluation"):
         grid2 = [0.0, 0.3, 0.5, 0.8, 1.0]
         for bits in itertools.product((0, 1), repeat=4):
-            e = al.LogicExpressionBits(bits, 2)
+            e = al.LogicExpressionBits(bits)
             tree = al.build_qldt(e)
             for a in grid2:
                 for b in grid2:
@@ -216,14 +216,14 @@ def test_criterion_08_qldt_equivalence():
         for n in (3, 4):
             for _ in range(100):
                 bits = tuple(int(b) for b in rng.integers(0, 2, 2**n))
-                e = al.LogicExpressionBits(bits, n)
+                e = al.LogicExpressionBits(bits)
                 tree = al.build_qldt(e)
                 for _ in range(4):
                     f = rng.uniform(0, 1, n)
                     want = al.eval_expression(e, minterm_transform(f))
                     assert abs(al.eval_qldt(tree, f) - want) < 1e-9
         # the worked two-attribute tree formula
-        tree = al.build_qldt(al.LogicExpressionBits((0, 1, 1, 1), 2))
+        tree = al.build_qldt(al.LogicExpressionBits((0, 1, 1, 1)))
         for m1, m2 in [(0.2, 0.7), (0.0, 1.0), (0.5, 0.5), (0.9, 0.1)]:
             want = m2 + (1 - m2) * m1
             got = al.eval_qldt(tree, (m1, m2))
@@ -243,12 +243,8 @@ def test_criterion_09_hypothesis_metrics():
         assert m.implies_forward
         rng = np.random.default_rng(47)
         for _ in range(50):
-            x = al.LogicExpressionBits(
-                tuple(int(b) for b in rng.integers(0, 2, 8)), 3
-            )
-            y = al.LogicExpressionBits(
-                tuple(int(b) for b in rng.integers(0, 2, 8)), 3
-            )
+            x = al.LogicExpressionBits(rng.integers(0, 2, 8))
+            y = al.LogicExpressionBits(rng.integers(0, 2, 8))
             m = al.compare(x, y)
             assert m.v11 + m.v10 + m.v01 + m.v00 == 8
 

@@ -128,7 +128,7 @@ class TestCompare:
 
     def test_complement(self):
         e = parse_hypothesis("a", AB)
-        m = compare(e, e.complement())
+        m = compare(e, LogicExpressionBits(~e.active))
         assert m.accuracy == 0.0
         assert m.v11 == 0 and m.v00 == 0
 
@@ -144,8 +144,8 @@ class TestCompare:
     def test_counts_sum(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            e = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)), 3)
-            h = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)), 3)
+            e = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)))
+            h = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)))
             m = compare(e, h)
             assert m.v11 + m.v10 + m.v01 + m.v00 == 8
 
@@ -158,7 +158,7 @@ class TestCompare:
         assert m1.accuracy == m2.accuracy
 
     def test_degenerate_precision(self):
-        empty = LogicExpressionBits((0, 0, 0, 0), 2)
+        empty = LogicExpressionBits((0, 0, 0, 0))
         m = compare(empty, empty)
         assert m.precision == 0.0 and m.precision_degenerate
         assert m.recall == 0.0 and m.recall_degenerate

@@ -58,6 +58,16 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_constant_attribute_warns_in_one_line(self, tmp_path, capsys):
+        data = tmp_path / "const.csv"
+        data.write_text("a,b,label\n0.5,1,0\n0.5,2,1\n0.5,3,1\n")
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"),
+                   "--epochs", "10"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == "warning: attribute 1 is constant (0.5); degree fixed at 1\n"
+        assert captured.out.startswith("attributes=a,b\n")
+
     def test_bad_label_value(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("a,label\n1.0,3\n2.0,0\n")
@@ -398,6 +408,15 @@ BAD_INPUTS = {
     "train-lr-1e150-one-epoch": (
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e150",
              "--epochs", "1"]),
+    # finite weights whose differences or sums overflow float64
+    "shapley-weights-span-overflows": (
+        {"w.txt": "1e308\n-1e308\n0\n1\n"}, ["shapley", "--weights-override", "w.txt"]),
+    "explain-weights-span-overflows": (
+        {"w.txt": "1e308\n-1e308\n0\n1\n"},
+        ["explain", "--weights-override", "w.txt", "--out-dir", "out"]),
+    "project-weights-sum-overflows": (
+        {"w.txt": "1e308\n1e308\n0\n1\n"},
+        ["project", "--weights-override", "w.txt", "--keep", "1"]),
 }
 
 
