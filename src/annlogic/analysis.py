@@ -4,6 +4,7 @@ comparison of expressions, and trend grids over one or two attributes."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,114 +25,69 @@ class UnknownAttributeError(ValueError):
     pass
 
 
+_TOKEN = re.compile(r"([()&|!~]|\w+)|(\S)")  # a token, or a character no token holds
 _KEYWORDS = {"and": "and", "or": "or", "xor": "xor", "not": "not",
              "&": "and", "|": "or", "!": "not", "~": "not"}
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()&|!~":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise HypothesisSyntaxError(f"unexpected character {c!r}", len(tokens) + 1)
-    return tokens
-
-
-class _Parser:
-    """expr := term (('or'|'xor') term)* ; term := factor ('and' factor)* ;
-    factor := 'not' factor | '(' expr ')' | atom.  Keywords are
-    case-insensitive; '!', '~', '&', '|' are aliases.  Each production returns
-    the truth table of its subformula over all 2^n assignments."""
-
-    def __init__(self, tokens: list[str], names: list[str]):
-        self.tokens = tokens
-        self.names = names
-        n = len(names)
-        col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
-        # a repeated name binds its last column
-        self.columns = {name: col[j] for j, name in enumerate(names)}
-        self.pos = 0
-
-    def _kind(self, token: str) -> str | None:
-        return _KEYWORDS.get(token.lower())
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise HypothesisSyntaxError("unexpected end of input", self.pos + 1)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> np.ndarray:
-        truth = self.expr()
-        if self.peek() is not None:
-            raise HypothesisSyntaxError(
-                f"unexpected token {self.peek()!r}", self.pos + 1
-            )
-        return truth
-
-    def expr(self) -> np.ndarray:
-        truth = self.term()
-        while self.peek() is not None and self._kind(self.peek()) in ("or", "xor"):
-            op = self._kind(self.take())
-            rhs = self.term()
-            truth = truth | rhs if op == "or" else truth ^ rhs
-        return truth
-
-    def term(self) -> np.ndarray:
-        truth = self.factor()
-        while self.peek() is not None and self._kind(self.peek()) == "and":
-            self.take()
-            truth = truth & self.factor()
-        return truth
-
-    def factor(self) -> np.ndarray:
-        tok = self.peek()
-        if tok is None:
-            raise HypothesisSyntaxError("unexpected end of input", self.pos + 1)
-        if self._kind(tok) == "not":
-            self.take()
-            return ~self.factor()
-        if tok == "(":
-            self.take()
-            truth = self.expr()
-            if self.peek() != ")":
-                raise HypothesisSyntaxError("expected ')'", self.pos + 1)
-            self.take()
-            return truth
-        if tok == ")" or self._kind(tok) is not None:
-            raise HypothesisSyntaxError(f"unexpected token {tok!r}", self.pos + 1)
-        self.take()
-        if tok not in self.columns:
-            raise UnknownAttributeError(
-                f"unknown attribute {tok!r}; known: {', '.join(self.names)}"
-            )
-        return self.columns[tok]
+_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}  # '(' binds 0
+_APPLY = {"or": np.logical_or, "xor": np.logical_xor, "and": np.logical_and}
+MAX_NESTING = 256  # parentheses and negations waiting at once
 
 
 def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
     """Truth-table the formula over all 2^n assignments of the attributes
-    `names` (attribute 1 on the most significant index bit)."""
-    parser = _Parser(_tokenize(text), list(names))
-    try:
-        return LogicExpressionBits(parser.parse())
-    except RecursionError:
-        raise HypothesisSyntaxError("formula nests too deeply", parser.pos + 1) from None
+    `names` (attribute 1 on the most significant index bit).  'not' binds
+    tightest, then 'and', then 'or' and 'xor' alike, left to right.
+    Keywords are case-insensitive; '!', '~', '&', '|' are aliases.  One
+    operator-precedence pass keeps a stack of truth tables and a stack of
+    waiting '(', 'not' and binary operators."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        if match[2]:
+            raise HypothesisSyntaxError(f"unexpected character {match[2]!r}", len(tokens) + 1)
+        tokens.append(match[1])
+    n = len(names)
+    col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
+    # a repeated name binds its last column
+    columns = {name: col[j] for j, name in enumerate(names)}
+    truths, waiting = [], []
+
+    def fold(binds):  # apply the waiting operators that bind at least as tightly
+        while waiting and _BINDS.get(waiting[-1], 0) >= binds:
+            op, rhs = waiting.pop(), truths.pop()
+            truths.append(~rhs if op == "not" else _APPLY[op](truths.pop(), rhs))
+
+    operand = True  # the next token must start an operand
+    for pos, tok in enumerate(tokens, 1):
+        kind = _KEYWORDS.get(tok.lower())
+        if operand and (tok == "(" or kind == "not"):
+            if waiting.count("(") + waiting.count("not") == MAX_NESTING:
+                raise HypothesisSyntaxError("formula nests too deeply", pos)
+            waiting.append(kind or tok)
+        elif operand:
+            if tok == ")" or kind is not None:
+                raise HypothesisSyntaxError(f"unexpected token {tok!r}", pos)
+            if tok not in columns:
+                raise UnknownAttributeError(
+                    f"unknown attribute {tok!r}; known: {', '.join(names)}"
+                )
+            truths.append(columns[tok])
+            operand = False
+        elif kind in _APPLY:
+            fold(_BINDS[kind])
+            waiting.append(kind)
+            operand = True
+        elif tok == ")" and "(" in waiting:
+            fold(1)
+            waiting.pop()
+        else:
+            why = "expected ')'" if "(" in waiting else f"unexpected token {tok!r}"
+            raise HypothesisSyntaxError(why, pos)
+    if operand:
+        raise HypothesisSyntaxError("unexpected end of input", len(tokens) + 1)
+    fold(1)
+    if waiting:
+        raise HypothesisSyntaxError("expected ')'", len(tokens) + 1)
+    return LogicExpressionBits(truths[0])
 
 
 @dataclass(frozen=True)

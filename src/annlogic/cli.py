@@ -118,11 +118,14 @@ def _parse_levels(text, bcl_max):
 
 def _names_and_rows(args):
     """Attribute names and rows (X, y) from --data, else names from --names
-    (where the command has it), else (None, None)."""
+    (where the command has it), else (None, None).  --names with --data is
+    an error: the dataset's header names the attributes."""
+    names = getattr(args, "names", None)
     if args.data:
+        if names is not None:
+            raise CliError("--names cannot be combined with --data")
         names, X, y = load_dataset(args.data, args.label)
         return names, (X, y)
-    names = getattr(args, "names", None)
     if names:
         names = [t.strip() for t in names.split(",") if t.strip()]
         if len(names) > MAX_ATTRIBUTES:
@@ -380,7 +383,9 @@ def cmd_trend(args):
     fixed = {}
     if args.fixed:
         for part in args.fixed.split(","):
-            key, _, val = part.partition("=")
+            key, eq, val = part.partition("=")
+            if not eq:
+                raise CliError(f"--fixed entry {part!r} is not of the form name=degree")
             idx = _resolve_keep(key, names)[0]
             if idx in vary or idx in fixed:
                 why = "both varied and fixed" if idx in vary else "fixed twice"

@@ -197,5 +197,8 @@ def project(cw: CellWeights, keep: list[int]) -> CellWeights:
     if len(set(keep)) != len(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
     dropped = tuple(j for j in range(n) if j not in keep)
-    with np.errstate(over="ignore"):  # CellWeights rejects an overflowed sum
-        return CellWeights(cw.weights.reshape((2,) * n).sum(axis=dropped).ravel())
+    with np.errstate(over="ignore"):
+        projected = cw.weights.reshape((2,) * n).sum(axis=dropped).ravel()
+    if not np.isfinite(projected).all():
+        raise ValueError("projected weights overflow float64")
+    return CellWeights(projected)

@@ -228,6 +228,8 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
     ann = SimpleAnn(pre, post, threshold)
     if ann.input_size != doc["input_size"] or ann.relu_count != doc["relu_count"]:
         raise ModelFormatError("declared sizes do not match matrix shapes")
+    if ann.input_size.bit_count() != 1:
+        raise ModelFormatError(f"input size {ann.input_size} is not a power of two")
     if ann.input_size > 2**MAX_ATTRIBUTES:
         raise ModelFormatError(
             f"input size {ann.input_size} exceeds 2^{MAX_ATTRIBUTES} minterms"

@@ -108,6 +108,49 @@ MUTANTS = [
     ("train-warning-not-recorded", "cli.py",
      'warnings.simplefilter("always", UserWarning)', "pass",
      ["test_cli.py"]),
+    # the hypothesis parser's precedence, associativity and nesting bound
+    ("parser-and-binds-like-or", "analysis.py",
+     '_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}',
+     '_BINDS = {"or": 1, "xor": 1, "and": 1, "not": 3}',
+     ["test_analysis.py"]),
+    ("parser-xor-binds-like-and", "analysis.py",
+     '_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}',
+     '_BINDS = {"or": 1, "xor": 2, "and": 2, "not": 3}',
+     ["test_analysis.py"]),
+    ("parser-not-after-binary-fold", "analysis.py",
+     '_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}',
+     '_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 1}',
+     ["test_analysis.py"]),
+    ("parser-fold-strictly-tighter", "analysis.py",
+     "_BINDS.get(waiting[-1], 0) >= binds:", "_BINDS.get(waiting[-1], 0) > binds:",
+     ["test_analysis.py"]),
+    ("parser-right-associative", "analysis.py",
+     "fold(_BINDS[kind])", "fold(_BINDS[kind] + 1)",
+     ["test_analysis.py"]),
+    ("parser-no-nesting-check", "analysis.py",
+     'if waiting.count("(") + waiting.count("not") == MAX_NESTING:', "if False:",
+     ["test_analysis.py"]),
+    ("parser-nesting-counts-binary-operators", "analysis.py",
+     'if waiting.count("(") + waiting.count("not") == MAX_NESTING:',
+     "if len(waiting) == MAX_NESTING:",
+     ["test_analysis.py"]),
+    ("parser-repeated-name-binds-first-column", "analysis.py",
+     "columns = {name: col[j] for j, name in enumerate(names)}",
+     "columns = {name: col[j] for j, name in reversed(list(enumerate(names)))}",
+     ["test_analysis.py"]),
+    # input checks at the boundary
+    ("model-input-size-not-power-of-two", "network.py",
+     "if ann.input_size.bit_count() != 1:", "if False:",
+     ["test_cli.py"]),
+    ("project-no-overflow-check", "logiccode.py",
+     "if not np.isfinite(projected).all():", "if False:",
+     ["test_cli.py"]),
+    ("names-with-data-allowed", "cli.py",
+     "if names is not None:", "if False:",
+     ["test_cli.py"]),
+    ("fixed-entry-without-equals", "cli.py",
+     "if not eq:", "if False:",
+     ["test_cli.py"]),
 ]
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annlogic.analysis import (
+    MAX_NESTING,
     HypothesisSyntaxError,
     UnknownAttributeError,
     compare,
@@ -21,6 +22,15 @@ ABC = ["a", "b", "c"]
 
 def active(text, names):
     return parse_hypothesis(text, names).active
+
+
+def nested(depth, heads=("(",)):
+    """`depth` heads taken in turn from `heads`, around the atom 'a'.  Each
+    head ends in its one opener, '(' or a negation, so all `depth` openers
+    wait at once.  Returns the formula and the position of the last opener."""
+    chosen = [heads[i % len(heads)] for i in range(depth)]
+    closers = sum(h.endswith("(") for h in chosen)
+    return " ".join(chosen + ["a"] + [")"] * closers), len(" ".join(chosen).split())
 
 
 class TestParser:
@@ -78,6 +88,71 @@ class TestParser:
     def test_nests_too_deeply(self):
         with pytest.raises(HypothesisSyntaxError, match="formula nests too deeply"):
             parse_hypothesis("(" * 2000 + "a" + ")" * 2000, AB)
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("", "unexpected end of input", 1),
+        ("not", "unexpected end of input", 2),
+        ("NOT", "unexpected end of input", 2),
+        ("not not", "unexpected end of input", 3),
+        ("a and", "unexpected end of input", 3),
+        ("a xor", "unexpected end of input", 3),
+        ("(a b)", "expected ')'", 3),
+        ("((a)", "expected ')'", 5),
+        ("(a", "expected ')'", 3),
+        ("~(a", "expected ')'", 4),
+        ("(not (a) b)", "expected ')'", 6),
+        ("(a or b) and (b", "expected ')'", 9),
+        ("a )", "unexpected token ')'", 2),
+        (")", "unexpected token ')'", 1),
+        ("( )", "unexpected token ')'", 2),
+        ("a|b)", "unexpected token ')'", 4),
+        ("a or (b and not)", "unexpected token ')'", 7),
+        ("a or or b", "unexpected token 'or'", 3),
+        ("a & & b", "unexpected token '&'", 3),
+        ("and a", "unexpected token 'and'", 1),
+        ("a b", "unexpected token 'b'", 2),
+        ("(a) b", "unexpected token 'b'", 4),
+        ("(a or b) c)", "unexpected token 'c'", 6),
+        ("a ! b", "unexpected token '!'", 2),
+        ("a ( b", "unexpected token '('", 2),
+        ("a and b NOT", "unexpected token 'NOT'", 4),
+        ("a $ b", "unexpected character '$'", 2),
+        ("$", "unexpected character '$'", 1),
+    ])
+    def test_malformed_formula_message(self, text, message, position):
+        with pytest.raises(HypothesisSyntaxError) as exc:
+            parse_hypothesis(text, AB)
+        assert str(exc.value) == f"{message} (at token {position})"
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text,name", [("q and (", "q"), ("b or é", "é")])
+    def test_unknown_attribute_raised_when_read(self, text, name):
+        with pytest.raises(UnknownAttributeError) as exc:
+            parse_hypothesis(text, AB)
+        assert str(exc.value) == f"unknown attribute {name!r}; known: a, b"
+
+    @pytest.mark.parametrize("heads", [("(",), ("not",), ("NOT", "("), ("a and (",),
+                                       ("~", "(", "b xor (", "a or ! b and (")])
+    def test_nests_up_to_max_nesting(self, heads):
+        text, _ = nested(MAX_NESTING, heads)
+        assert parse_hypothesis(text, AB).n == 2
+        text, position = nested(MAX_NESTING + 1, heads)
+        with pytest.raises(HypothesisSyntaxError) as exc:
+            parse_hypothesis(text, AB)
+        assert str(exc.value) == f"formula nests too deeply (at token {position})"
+
+    def test_only_waiting_openers_count(self):
+        # each negation and parenthesis is done before the next one opens
+        assert np.array_equal(active(" and ".join(["not (not a)"] * 300), AB), (0, 0, 1, 1))
+
+    def test_nesting_bound_does_not_depend_on_the_stack(self):
+        text, _ = nested(250)
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else active(text, AB)
+
+        assert np.array_equal(active(text, AB), (0, 0, 1, 1))
+        assert np.array_equal(deeper(300), (0, 0, 1, 1))
 
 
 class TestAstToMinterms:

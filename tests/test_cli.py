@@ -512,6 +512,26 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                       "--epochs", "1"],
                  "training diverged (non-finite loss); lower the learning rate",
                  id="train-lr-1e150-one-epoch"),
+    pytest.param({"model.json": json.dumps(dict(_model_doc([[[0.1, 0.2, 0.3]]]),
+                                                input_size=3))},
+                 ["shapley", "--model", "model.json", "--cell", "1"],
+                 "input size 3 is not a power of two", id="model-input-size-3"),
+    pytest.param({"w.txt": "1e308\n1e308\n0\n1\n"},
+                 ["project", "--weights-override", "w.txt", "--keep", "1"],
+                 "projected weights overflow float64", id="project-weights-sum-overflows"),
+    # --names with --data: the dataset's header names the attributes
+    pytest.param({"w.txt": "0.9,0.4,0.7,0.8", "d.csv": "a,b,label\n0.1,0.2,0\n"},
+                 ["hypothesis", "--weights-override", "w.txt", "--data", "d.csv",
+                  "--names", "x,y", "--hypothesis", "x and y"],
+                 "--names cannot be combined with --data", id="names-with-data"),
+    pytest.param({"d.csv": "a,b,label\n0.1,0.2,0\n"},
+                 ["hypothesis", "--data", "d.csv", "--names", "a,b", "--hypothesis", "a",
+                  "--hypothesis2", "b"],
+                 "--names cannot be combined with --data", id="names-with-data-hypothesis2"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--fixed", "a2"],
+                 "--fixed entry 'a2' is not of the form name=degree",
+                 id="trend-fixed-without-equals"),
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):
