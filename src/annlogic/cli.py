@@ -8,7 +8,7 @@ import argparse
 import csv
 import sys
 import warnings
-from itertools import compress, product
+from itertools import compress, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,9 @@ def load_dataset(path, label_column):
     """Read a CSV with a header row; returns (attribute names, X, y): the
     (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
     numbered as in the file, the header being row 1; blank rows are
-    skipped.  The csv reader parses every unquoted field as a number."""
+    skipped.  A body of plain text (see `_is_plain`) is read by np.loadtxt,
+    any other again from the top by the csv reader, which parses every
+    unquoted field as a number.  Both read a field as float() does."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"dataset file not found: {path}")
@@ -42,16 +44,58 @@ def load_dataset(path, label_column):
             raise CliError(
                 f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
-        reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
-        try:
-            records = list(reader)
-        except (ValueError, csv.Error) as exc:
-            raise CliError(f"row {reader.line_num + 1}: {exc}") from None
-    width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    filled = width > 0
+        table, row_no = _split_body(fh, len(header)) or _csv_body(fh, len(header))
+    _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
+    label_idx = header.index(label_column)
+    labels = table[:, label_idx]
+    _reject_rows(~np.isin(labels, (0.0, 1.0)), row_no, "has a label other than 0 or 1")
+    names = header[:label_idx] + header[label_idx + 1:]
+    return names, np.delete(table, label_idx, axis=1), labels.astype(int)
+
+
+def _is_plain(text):
+    """Only ASCII digits, signs, points, exponent letters, commas and LF: on
+    such text np.loadtxt splits the fields the csv reader splits, and reads
+    a field, to the same value, exactly when float() does."""
+    return not text.encode().translate(None, b"0123456789+-.eE,\n")
+
+
+def _split_body(fh, width):
+    """(table, row_no) of the body, read by np.loadtxt 1,024 lines at a time;
+    None if a block is not plain after CRLF -> LF, holds a line over the
+    csv field limit, or a row that is not `width` numbers."""
+    tables, row_nos, first = [np.empty((0, width))], [np.empty(0, np.intp)], 2
+    while block := list(islice(fh, 1024)):
+        text = "".join(block).replace("\r\n", "\n")
+        if not _is_plain(text) or max(map(len, block)) > csv.field_size_limit():
+            return None
+        lines = text.split("\n")
+        filled = np.flatnonzero(list(map(len, lines)))
+        if len(filled):  # np.loadtxt warns on a block of blank lines
+            try:
+                rows = np.loadtxt(lines, delimiter=",", comments=None)
+                tables.append(rows.reshape(len(filled), width))
+            except ValueError:  # ragged, not `width` wide, or a field float() rejects
+                return None
+        row_nos.append(filled + first)
+        first += len(block)
+    return np.concatenate(tables), np.concatenate(row_nos)
+
+
+def _csv_body(fh, width):
+    """(table, row_no) of the body, read again from the top by the csv reader."""
+    fh.seek(0)
+    next(csv.reader(fh))
+    reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+    try:
+        records = list(reader)
+    except (ValueError, csv.Error) as exc:
+        raise CliError(f"row {reader.line_num + 1}: {exc}") from None
+    widths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    filled = widths > 0
     row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
-    _reject_rows(width[filled] != len(header), row_no,
-                 f"has a column count other than the header's {len(header)}")
+    _reject_rows(widths[filled] != width, row_no,
+                 f"has a column count other than the header's {width}")
     records = list(compress(records, filled))
     try:
         table = np.array(records, dtype=float)
@@ -63,13 +107,7 @@ def load_dataset(path, label_column):
             except ValueError as exc:
                 raise CliError(f"row {no}: {exc}") from None
         raise
-    table = table.reshape(-1, len(header))
-    _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
-    label_idx = header.index(label_column)
-    labels = table[:, label_idx]
-    _reject_rows(~np.isin(labels, (0.0, 1.0)), row_no, "has a label other than 0 or 1")
-    names = header[:label_idx] + header[label_idx + 1:]
-    return names, np.delete(table, label_idx, axis=1), labels.astype(int)
+    return table.reshape(-1, width), row_no
 
 
 def _reject_rows(bad, row_no, what):
@@ -353,6 +391,9 @@ def cmd_project(args):
 
 def cmd_hypothesis(args):
     if args.hypothesis2 is not None:
+        for option in ("--model", "--cell", "--weights-override", "--threshold"):
+            if getattr(args, option[2:].replace("-", "_")) is not None:
+                raise CliError(f"{option} cannot be combined with --hypothesis2")
         names, _ = _names_and_rows(args)
         if names is None:
             raise CliError("--names or --data required with --hypothesis2")
@@ -383,14 +424,16 @@ def cmd_trend(args):
     fixed = {}
     if args.fixed:
         for part in args.fixed.split(","):
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise CliError(f"--fixed entry {part!r} is not of the form name=degree")
+            try:
+                key, val = part.split("=")
+                degree = float(val)
+            except ValueError:
+                raise CliError(f"--fixed entry {part!r} is not of the form name=degree") from None
             idx = _resolve_keep(key, names)[0]
             if idx in vary or idx in fixed:
                 why = "both varied and fixed" if idx in vary else "fixed twice"
                 raise CliError(f"attribute {names[idx]!r} is {why}")
-            fixed[idx] = float(val)
+            fixed[idx] = degree
     grid = analysis.trend_grid(bt, vary, fixed, levels, args.resolution)
     level_tag = "+".join(str(b) for b in levels)
     header = [names[j] for j in vary] + ["level_set", "value"]

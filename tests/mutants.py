@@ -148,9 +148,33 @@ MUTANTS = [
     ("names-with-data-allowed", "cli.py",
      "if names is not None:", "if False:",
      ["test_cli.py"]),
-    ("fixed-entry-without-equals", "cli.py",
-     "if not eq:", "if False:",
+    ("fixed-entry-error-not-named", "cli.py",
+     'except ValueError:\n                raise CliError(f"--fixed entry',
+     'except TypeError:\n                raise CliError(f"--fixed entry',
      ["test_cli.py"]),
+    ("hypothesis2-accepts-cell-options", "cli.py",
+     'if getattr(args, option[2:].replace("-", "_")) is not None:', "if False:",
+     ["test_cli.py"]),
+    # the dataset reader's fast path, one rule at a time
+    ("plain-allows-quote", "cli.py",
+     'b"0123456789+-.eE,\\n"', 'b"0123456789+-.eE,\\n\\""',
+     ["test_dataset.py"]),
+    ("plain-allows-lone-cr", "cli.py",
+     'b"0123456789+-.eE,\\n"', 'b"0123456789+-.eE,\\n\\r"',
+     ["test_dataset.py"]),
+    ("plain-allows-any-ascii", "cli.py",
+     'return not text.encode().translate(None, b"0123456789+-.eE,\\n")',
+     "return text.isascii()",
+     ["test_dataset.py"]),
+    ("fast-path-no-field-limit-check", "cli.py",
+     " or max(map(len, block)) > csv.field_size_limit()", "",
+     ["test_dataset.py"]),
+    ("fast-path-blank-lines-out-of-row-numbers", "cli.py",
+     "row_nos.append(filled + first)", "row_nos.append(np.arange(len(filled)) + first)",
+     ["test_dataset.py"]),
+    ("fast-path-accepts-wrong-width", "cli.py",
+     "rows.reshape(len(filled), width)", "rows.reshape(-1, width)",
+     ["test_dataset.py"]),
 ]
 
 

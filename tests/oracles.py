@@ -11,13 +11,19 @@ significant bit.  The benchmark imports tests/conftest.py for its
 banknote data, so hypothesis is imported here and not there.
 """
 
+import csv
 import itertools
 import math
+import random
+from itertools import compress
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from annlogic.cli import CliError
+from annlogic.encoding import MAX_ATTRIBUTES
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
@@ -525,3 +531,115 @@ def compose_cell_weights(singles, cell):
                 raise ValueError(f"missing single-node cell {p}")
             total = total + by_cell[p].weights
     return CellWeights(total, cell)
+
+
+# The dataset reader as it was before the body was split on line ends and
+# commas: every row goes through the csv reader.
+def load_dataset_csv(path, label_column):
+    """Read a CSV with a header row; returns (attribute names, X, y): the
+    (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
+    numbered as in the file, the header being row 1; blank rows are
+    skipped.  The csv reader parses every unquoted field as a number."""
+    p = Path(path)
+    if not p.exists():
+        raise CliError(f"dataset file not found: {path}")
+    with open(p, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise CliError(f"dataset file is empty: {path}") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise CliError(f"row 1: {exc}") from None
+        if label_column not in header:
+            raise CliError(f"label column {label_column!r} not in header {header}")
+        if len(header) - 1 > MAX_ATTRIBUTES:
+            raise CliError(
+                f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
+            )
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+        try:
+            records = list(reader)
+        except (ValueError, csv.Error) as exc:
+            raise CliError(f"row {reader.line_num + 1}: {exc}") from None
+    width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    filled = width > 0
+    row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
+    _reject_rows(width[filled] != len(header), row_no,
+                 f"has a column count other than the header's {len(header)}")
+    records = list(compress(records, filled))
+    try:
+        table = np.array(records, dtype=float)
+    except ValueError:
+        # a quoted or empty field that the reader kept as text: name its row
+        for no, record in zip(row_no, records):
+            try:
+                np.array(record, dtype=float)
+            except ValueError as exc:
+                raise CliError(f"row {no}: {exc}") from None
+        raise
+    table = table.reshape(-1, len(header))
+    _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
+    label_idx = header.index(label_column)
+    labels = table[:, label_idx]
+    _reject_rows(~np.isin(labels, (0.0, 1.0)), row_no, "has a label other than 0 or 1")
+    names = header[:label_idx] + header[label_idx + 1:]
+    return names, np.delete(table, label_idx, axis=1), labels.astype(int)
+
+
+def _reject_rows(bad, row_no, what):
+    if bad.any():
+        raise CliError(f"row {row_no[np.argmax(bad)]} {what}")
+
+
+# Fields that are not a plain valid number, each a defect the csv reader
+# and a faster reader could read apart: a quoted number, quoted text, a
+# quoted comma and a quoted newline, an empty field, float()'s underscore,
+# space and Unicode digit rules, a separator float() does not strip, values
+# that are not finite, near-numbers made of number characters, a long valid
+# number and a field past the csv module's 131,072-character limit.
+ODD_FIELDS = ('"0.5"', '"x"', '""', '"1,5"', '"1\n2"', "", " 1", "1 ", "1_0", "\u0661",
+              "\x1c1", "nan", "-inf", "1e400", "1e", "+-1", "1.2.3", ".", "e5", "1e+", "--0",
+              "0." + "3" * 2000, "0" * 131_072 + "1")
+# Lines other than a valid row: blank, whitespace only, one field too
+# many or too few, a label other than 0 or 1.
+ODD_LINES = ("blank", "spaces", "wider", "narrower", "label-2")
+
+
+@st.composite
+def dataset_texts(draw):
+    """The text of a dataset CSV with a "label" column: runs of valid rows
+    (repr floats, 0/1 labels) mixed with odd fields, odd lines and odd line
+    ends (a lone CR, an LF line in a CRLF file), LF or CRLF throughout and
+    maybe no final newline.  A long run of rows spans more than one of
+    cli.load_dataset's 1,024-line blocks."""
+    width = draw(st.integers(1, 4))
+    header = [f"a{j}" for j in range(1, width)]
+    header.insert(draw(st.integers(0, width - 1)), "label")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def row():
+        return [str(rng.randint(0, 1)) if name == "label" else repr(rng.uniform(-5.0, 5.0))
+                for name in header]
+
+    lines = [",".join(header) + end]
+    runs = st.one_of(st.integers(1, 8), st.integers(1000, 1100))
+    odd = st.one_of(st.sampled_from(ODD_FIELDS), st.sampled_from(ODD_LINES),
+                    st.sampled_from(["\r", "\n"]))
+    for part in draw(st.lists(st.one_of(runs, odd), max_size=6)):
+        if isinstance(part, int):
+            lines += [",".join(row()) + end for _ in range(part)]
+            continue
+        fields, line_end = row(), end
+        if part in ("\r", "\n"):
+            line_end = part
+        elif part in ODD_LINES:
+            fields = {"blank": [""], "spaces": ["  "], "wider": fields + ["0.5"],
+                      "narrower": fields[1:],
+                      "label-2": [f if name != "label" else "2"
+                                  for f, name in zip(fields, header)]}[part]
+        else:
+            fields[rng.randrange(width)] = part
+        lines.append(",".join(fields) + line_end)
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text

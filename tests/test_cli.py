@@ -408,6 +408,21 @@ BAD_INPUTS = {
     "train-lr-1e150-one-epoch": (
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e150",
              "--epochs", "1"]),
+    # a cell option with --hypothesis2, which reads no cell
+    "hypothesis2-with-model": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--model", "missing.json"]),
+    "hypothesis2-with-cell": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--cell", "99"]),
+    "hypothesis2-with-weights-override": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--weights-override", "ref16.txt"]),
+    "hypothesis2-with-threshold": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--threshold", "7"]),
+    "trend-fixed-degree-not-a-number": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--fixed", "a2=x"]),
     # finite weights whose differences or sums overflow float64
     "shapley-weights-span-overflows": (
         {"w.txt": "1e308\n-1e308\n0\n1\n"}, ["shapley", "--weights-override", "w.txt"]),
@@ -532,6 +547,22 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                       "--fixed", "a2"],
                  "--fixed entry 'a2' is not of the form name=degree",
                  id="trend-fixed-without-equals"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--fixed", "a2="],
+                 "--fixed entry 'a2=' is not of the form name=degree",
+                 id="trend-fixed-empty-degree"),
+    pytest.param({}, ["trend", "--weights-override", "ref16.txt", "--vary", "1",
+                      "--fixed", "a2=x"],
+                 "--fixed entry 'a2=x' is not of the form name=degree",
+                 id="trend-fixed-degree-not-a-number"),
+    # --hypothesis2 reads no cell, so no cell option applies
+    pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+                      "--model", "missing.json", "--cell", "99"],
+                 "--model cannot be combined with --hypothesis2", id="hypothesis2-with-model"),
+    pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+                      "--threshold", "7"],
+                 "--threshold cannot be combined with --hypothesis2",
+                 id="hypothesis2-with-threshold"),
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):

@@ -1,0 +1,116 @@
+"""cli.load_dataset against the csv-reader oracle: the same (names, X, y)
+bit for bit, or the same error text, on any CSV text."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from annlogic import cli
+from annlogic.cli import load_dataset
+from oracles import dataset_texts, load_dataset_csv
+
+
+def outcome(load, path):
+    """What a reader makes of the file: its result as bytes, or its error."""
+    try:
+        names, X, y = load(path, "label")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return names, X.shape, X.dtype, X.tobytes(), y.dtype, y.tobytes()
+
+
+def assert_reads_as_oracle(path, text):
+    path.write_text(text, newline="")
+    assert outcome(load_dataset, path) == outcome(load_dataset_csv, path)
+
+
+def rows(k, width=3, seed=0):
+    """k valid rows of `width` columns, the label last."""
+    rng = np.random.default_rng(seed)
+    return [",".join([*map(repr, rng.uniform(-5, 5, width - 1).tolist()), str(b)])
+            for b in rng.integers(0, 2, k).tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset_texts())
+def test_reads_as_the_csv_reader(tmp_path_factory, text):
+    assert_reads_as_oracle(tmp_path_factory.mktemp("csv") / "d.csv", text)
+
+
+LONG = "\n".join(rows(1500)) + "\n"
+CASES = {
+    "lf": "a,b,label\n" + LONG,
+    "crlf": "a,b,label\r\n" + LONG.replace("\n", "\r\n"),
+    "crlf-with-an-lf-line": "a,b,label\r\n0.1,0.2,0\n0.3,0.4,1\r\n",
+    "no-final-newline": "a,b,label\n" + LONG.rstrip("\n"),
+    "header-only": "a,b,label\n",
+    "blank-lines-only": "a,b,label\n\n\n",
+    "blank-block": "a,b,label\n" + "\n" * 1100 + "0.1,0.2,1\n",
+    "blank-lines-then-bad-label": "a,b,label\n\n\n0.1,0.2,2\n",
+    "bad-label-in-second-block": "a,b,label\n\n" + LONG + "0.1,0.2,2\n",
+    "nan-in-second-block": "a,b,label\n" + LONG + "\n0.1,nan,1\n",
+    "overflow-in-second-block": "a,b,label\n" + LONG + "0.1,1e400,1\n",
+    "every-row-too-narrow": "a,b,label\n0.1,0\n0.2,1\n0.3,0\n",
+    "every-row-too-wide": "a,b,label\n0.1,0.2,0.3,0\n",
+    "ragged-rows": "a,b,label\n0.1,0.2,0\n0.1,0,0.2,1\n0.1,0\n",
+    "quoted-number": 'a,b,label\n0.1,"0.2",0\n',
+    "quoted-newline": 'a,b,label\n0.1,"0.\n2",0\n',
+    "lone-cr": "a,b,label\r0.1,0.2,0\r0.3,0.4,1\r",
+    "lone-cr-then-comma": "a,label\n1\r,0\n",
+    "whitespace-only-line": "a,b,label\n0.1,0.2,0\n  \n",
+    "field-with-separator-char": "a,b,label\n\x1c0.1,0.2,0\n",
+    "underscore": "a,b,label\n1_0,0.2,0\n",
+    "unicode-digit": "a,b,label\n١,0.2,0\n",
+    "number-over-field-limit": "a,label\n" + "0" * 131_072 + "1,0\n",
+    "number-at-field-limit": "a,label\n" + "0" * 131_071 + "1,0\n",
+    "quoted-header": '"a,1",b,label\n0.1,0.2,0\n',
+}
+
+
+@pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+def test_reads_as_the_csv_reader_on(tmp_path, text):
+    assert_reads_as_oracle(tmp_path / "d.csv", text)
+
+
+def test_row_numbers_count_blank_lines_across_blocks(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,label\n\n" + LONG + "\n\n0.1,0.2,2\n")
+    assert cli.main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: row 1505 has a label other than 0 or 1\n"
+
+
+@pytest.mark.parametrize("text,plain", [
+    ("", True),
+    ("0.5,1\n", True),
+    ("-1.5e-3,+2E+07,.5,5.\n\n", True),
+    ('"0.5",1\n', False),
+    ("0.5,1\r", False),
+    ("0.5,1\r\n", False),
+    (" 1,0\n", False),
+    ("1\t,0\n", False),
+    ("nan,0\n", False),
+    ("1_0,0\n", False),
+    ("١,0\n", False),
+    ("\x1c1,0\n", False),
+    ("1#,0\n", False),
+])
+def test_only_number_characters_commas_and_lf_are_plain(text, plain):
+    assert cli._is_plain(text) is plain
+
+
+@pytest.mark.parametrize("n_rows", [3000, 50_000])
+def test_peak_memory_is_no_higher_than_the_csv_reader(tmp_path, n_rows):
+    data = tmp_path / "d.csv"
+    data.write_text(",".join(f"x{j}" for j in range(8)) + ",label\n"
+                    + "\n".join(rows(n_rows, width=9)) + "\n")
+    peaks = []
+    for load in (load_dataset_csv, load_dataset):
+        tracemalloc.start()
+        try:
+            load(data, "label")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
