@@ -131,7 +131,7 @@ def compare(e: LogicExpressionBits, h: LogicExpressionBits) -> ComparisonMetrics
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrendGrid:
     axis: tuple[float, ...]
     fixed: tuple[float, ...]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, logiccode, network, partition, qldt
-from .encoding import MAX_ATTRIBUTES, fit_fuzzifier, fuzzify, minterm_transform
+from .encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES, fit_fuzzifier, fuzzify, minterm_transform
 
 
 class CliError(Exception):
@@ -208,6 +208,14 @@ def _cell_weights_from_args(args):
     return cw, names, threshold, spec, rows
 
 
+def _coded(cw, threshold, args):
+    """The cell scaled onto [0, 1] and bit-coded to level --bcl-max, which
+    defaults to logiccode.DEFAULT_BCL_MAX."""
+    scaled = logiccode.scale_weights(cw, threshold)
+    bcl_max = logiccode.DEFAULT_BCL_MAX if args.bcl_max is None else args.bcl_max
+    return scaled, logiccode.bitcode(scaled, bcl_max)
+
+
 def _fmt(x, nd=3):
     return f"{x:.{nd}f}"
 
@@ -277,8 +285,7 @@ def cmd_explain(args):
     cw, names, threshold, spec, data = _cell_weights_from_args(args)
     if data is not None and spec is not None and not len(data[1]):
         raise CliError("dataset has no rows")
-    scaled = logiccode.scale_weights(cw, threshold)
-    bt = logiccode.bitcode(scaled, args.bcl_max)
+    scaled, bt = _coded(cw, threshold, args)
     report = logiccode.energy_report(scaled, bt)
     recon = bt.reconstruction()
 
@@ -287,7 +294,7 @@ def cmd_explain(args):
     n = cw.n
     header = (
         ["k"] + names + ["weight", "scaled"]
-        + [f"bit_2^-{b}" for b in range(args.bcl_max + 1)] + ["reconstruction"]
+        + [f"bit_2^-{b}" for b in range(bt.bcl_max + 1)] + ["reconstruction"]
     )
     columns = zip(_minterm_codes(n), cw.weights.tolist(), scaled.weights.tolist(),
                   bt.bits.T.tolist(), recon.tolist())
@@ -318,7 +325,7 @@ def cmd_explain(args):
             f"level 2^-{le.bcl}: set_bits={le.set_bits} "
             f"energy={_fmt(le.absolute)} ({_fmt(le.relative_percent, 1)}%)"
         )
-    levels = range(args.bcl_max + 1)
+    levels = range(bt.bcl_max + 1)
     trees = qldt.build_qldts([logiccode.level_expression(bt, bcl) for bcl in levels])
     for bcl, tree in zip(levels, trees):
         dot_path = out_dir / f"level_{bcl}.dot"
@@ -328,7 +335,7 @@ def cmd_explain(args):
     if data is not None and spec is not None:
         X, y = data
         mt = minterm_transform(fuzzify(X, spec))
-        for bcl in range(args.bcl_max + 1):
+        for bcl in levels:
             acc = logiccode.level_accuracy(
                 bt, scaled.threshold, mt, y, list(range(bcl + 1))
             )
@@ -369,8 +376,7 @@ def cmd_project(args):
     keep = _resolve_keep(args.keep, names)
     projected = logiccode.project(cw, keep)
     kept_names = [names[j] for j in sorted(keep)]
-    scaled = logiccode.scale_weights(projected, threshold)
-    bt = logiccode.bitcode(scaled, args.bcl_max)
+    scaled, bt = _coded(projected, threshold, args)
     report = logiccode.energy_report(scaled, bt)
     print(f"kept={','.join(kept_names)}")
     columns = zip(_minterm_codes(projected.n), projected.weights.tolist(),
@@ -391,7 +397,8 @@ def cmd_project(args):
 
 def cmd_hypothesis(args):
     if args.hypothesis2 is not None:
-        for option in ("--model", "--cell", "--weights-override", "--threshold"):
+        for option in ("--model", "--cell", "--weights-override", "--threshold",
+                       "--bcl-max", "--level"):
             if getattr(args, option[2:].replace("-", "_")) is not None:
                 raise CliError(f"{option} cannot be combined with --hypothesis2")
         names, _ = _names_and_rows(args)
@@ -400,9 +407,8 @@ def cmd_hypothesis(args):
         e = analysis.parse_hypothesis(args.hypothesis2, names)
     else:
         cw, names, threshold, *_ = _cell_weights_from_args(args)
-        scaled = logiccode.scale_weights(cw, threshold)
-        bt = logiccode.bitcode(scaled, args.bcl_max)
-        e = logiccode.level_expression(bt, args.level)
+        _, bt = _coded(cw, threshold, args)
+        e = logiccode.level_expression(bt, args.level or 0)
     m = analysis.compare(e, analysis.parse_hypothesis(args.hypothesis, names))
     for key in ("v11", "v10", "v01", "v00"):
         print(f"{key}={getattr(m, key)}")
@@ -417,10 +423,9 @@ def cmd_hypothesis(args):
 
 def cmd_trend(args):
     cw, names, threshold, *_ = _cell_weights_from_args(args)
-    scaled = logiccode.scale_weights(cw, threshold)
-    bt = logiccode.bitcode(scaled, args.bcl_max)
+    _, bt = _coded(cw, threshold, args)
     vary = _resolve_keep(args.vary, names)
-    levels = _parse_levels(args.levels, args.bcl_max)
+    levels = _parse_levels(args.levels, bt.bcl_max)
     fixed = {}
     if args.fixed:
         for part in args.fixed.split(","):
@@ -485,8 +490,9 @@ def build_parser():
     coded = argparse.ArgumentParser(add_help=False, parents=[cell])
     coded.add_argument("--threshold", type=float,
                        help="classifier threshold when using --weights-override")
-    coded.add_argument("--bcl-max", type=int, default=logiccode.DEFAULT_BCL_MAX,
-                       help=f"finest bit level, 0..{logiccode.MAX_BCL}")
+    coded.add_argument("--bcl-max", type=int,
+                       help=f"finest bit level, 0..{logiccode.MAX_BCL} "
+                            f"(default {logiccode.DEFAULT_BCL_MAX})")
 
     p = sub.add_parser("train", help="train a minterm-input network")
     p.add_argument("--data", required=True)
@@ -496,7 +502,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuzzifier", choices=["minmax", "logistic"], default="minmax")
+    p.add_argument("--fuzzifier", choices=list(FUZZIFIER_KINDS), default="minmax")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("partition", parents=[rows], help="partition a dataset into ReLU cells")
@@ -517,7 +523,7 @@ def build_parser():
 
     p = sub.add_parser("hypothesis", parents=[coded],
                        help="compare a formula with a level expression")
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=int, help="bit level of the cell expression (default 0)")
     p.add_argument("--hypothesis", required=True)
     p.add_argument("--hypothesis2",
                    help="compare two formulas instead of using a model")

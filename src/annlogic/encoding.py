@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_ATTRIBUTES = 12  # 2^12 = 4096 minterms
+# each fuzzifier kind's two per-attribute parameters, in model-file key order
+FUZZIFIER_KINDS = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")}
 _BLOCK_VALUES = 2**16  # minterm values expanded per block: 512 KB of float64
 
 
@@ -24,61 +26,51 @@ class ArityMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class FuzzifierSpec:
-    """Per-attribute monotone maps onto [0,1].
+    """Per-attribute monotone maps onto [0,1]; `params` holds the kind's two
+    parameter tuples, named in FUZZIFIER_KINDS, one entry per attribute.
 
-    kind 'minmax': m(x) = (x - lo) / (hi - lo), clamped; a degenerate
-    attribute (lo == hi) maps to the constant 1.
-    kind 'logistic': m(x) = 1 / (1 + exp(-steepness * (x - midpoint))).
+    kind 'minmax', params (lo, hi): m(x) = (x - lo) / (hi - lo), clamped; a
+    degenerate attribute (lo == hi) maps to the constant 1.
+    kind 'logistic', params (midpoint, steepness):
+    m(x) = 1 / (1 + exp(-steepness * (x - midpoint))).
     """
 
     kind: str
-    lo: tuple[float, ...] = field(default=())
-    hi: tuple[float, ...] = field(default=())
-    midpoint: tuple[float, ...] = field(default=())
-    steepness: tuple[float, ...] = field(default=())
+    params: tuple[tuple[float, ...], tuple[float, ...]]
 
     def __post_init__(self):
-        if self.kind not in ("minmax", "logistic"):
+        if self.kind not in FUZZIFIER_KINDS:
             raise ValueError(f"unknown fuzzifier kind {self.kind!r}")
-        if self.kind == "minmax":
-            if len(self.lo) != len(self.hi):
-                raise ValueError("lo/hi length mismatch")
-            if any(l > h for l, h in zip(self.lo, self.hi)):
-                raise ValueError("lo must not exceed hi")
-        else:
-            if len(self.midpoint) != len(self.steepness):
-                raise ValueError("midpoint/steepness length mismatch")
-        if not np.isfinite([*self.lo, *self.hi, *self.midpoint, *self.steepness]).all():
+        first, second = self.params
+        if len(first) != len(second):
+            raise ValueError("/".join(FUZZIFIER_KINDS[self.kind]) + " length mismatch")
+        if self.kind == "minmax" and any(l > h for l, h in zip(first, second)):
+            raise ValueError("lo must not exceed hi")
+        if not np.isfinite([first, second]).all():
             raise ValueError("fuzzifier fields must be finite")
 
     @property
     def arity(self) -> int:
-        return len(self.lo) if self.kind == "minmax" else len(self.midpoint)
+        return len(self.params[0])
 
     def to_dict(self) -> dict:
-        if self.kind == "minmax":
-            return {"kind": "minmax", "lo": list(self.lo), "hi": list(self.hi)}
-        return {
-            "kind": "logistic",
-            "midpoint": list(self.midpoint),
-            "steepness": list(self.steepness),
-        }
+        params = (list(map(float, p)) for p in self.params)
+        return {"kind": self.kind, **dict(zip(FUZZIFIER_KINDS[self.kind], params))}
 
     @staticmethod
     def from_dict(d: dict) -> "FuzzifierSpec":
-        """Inverse of `to_dict`; a missing or non-numeric field is a ValueError."""
+        """Inverse of `to_dict`.  A missing field, or one that is not a list of
+        JSON numbers (a bool or a numeric string is not one), is a ValueError;
+        an integer past the float range is an OverflowError."""
         kind = d.get("kind")
-        fields = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")}
-        if kind not in fields:
+        if not isinstance(kind, str) or kind not in FUZZIFIER_KINDS:
             raise ValueError(f"unknown fuzzifier kind {kind!r}")
-        for name in fields[kind]:
+        for name in FUZZIFIER_KINDS[kind]:
             if name not in d:
                 raise ValueError(f"fuzzifier missing field {name!r}")
-        try:
-            values = {name: tuple(map(float, d[name])) for name in fields[kind]}
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"fuzzifier fields must be lists of numbers: {exc}") from exc
-        return FuzzifierSpec(kind, **values)
+            if not isinstance(d[name], list) or not set(map(type, d[name])) <= {int, float}:
+                raise ValueError(f"fuzzifier field {name!r} must be a list of JSON numbers")
+        return FuzzifierSpec(kind, tuple(tuple(map(float, d[n])) for n in FUZZIFIER_KINDS[kind]))
 
 
 def fit_fuzzifier(X: np.ndarray, kind: str = "minmax") -> FuzzifierSpec:
@@ -100,12 +92,12 @@ def fit_fuzzifier(X: np.ndarray, kind: str = "minmax") -> FuzzifierSpec:
                 f"attribute {j + 1} is constant ({lo[j]}); degree fixed at 1",
                 stacklevel=2,
             )
-        return FuzzifierSpec("minmax", lo=tuple(lo), hi=tuple(hi))
+        return FuzzifierSpec("minmax", (tuple(lo), tuple(hi)))
     if kind == "logistic":
         mid = X.mean(axis=0)
         std = X.std(axis=0)
         steep = np.where(std > 0, 1.0 / np.where(std > 0, std, 1.0), 1.0)
-        return FuzzifierSpec("logistic", midpoint=tuple(mid), steepness=tuple(steep))
+        return FuzzifierSpec("logistic", (tuple(mid), tuple(steep)))
     raise ValueError(f"unknown fuzzifier kind {kind!r}")
 
 
@@ -118,13 +110,11 @@ def fuzzify(X: np.ndarray, spec: FuzzifierSpec) -> np.ndarray:
             f"raw values of shape {X.shape}, fuzzifier expects {spec.arity} attributes"
         )
     if spec.kind == "minmax":
-        lo = np.asarray(spec.lo)
-        hi = np.asarray(spec.hi)
+        lo, hi = map(np.asarray, spec.params)
         span = hi - lo
         degrees = np.where(span > 0, (X - lo) / np.where(span > 0, span, 1.0), 1.0)
     else:
-        mid = np.asarray(spec.midpoint)
-        steep = np.asarray(spec.steepness)
+        mid, steep = map(np.asarray, spec.params)
         degrees = 1.0 / (1.0 + np.exp(-steep * (X - mid)))
     return np.clip(degrees, 0.0, 1.0)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleAnn:
     """Bias-free network: pre_layers feed 2^n minterm inputs into the ReLU
     layer, post_layers map the ReLU outputs to the single output node."""
@@ -219,6 +220,8 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
             raise ModelFormatError(f"model file missing field {field_name!r}")
     if "biases" in doc or "bias" in doc:
         raise ModelFormatError("model format is bias-free; bias fields rejected")
+    if type(doc["threshold"]) not in (int, float):  # type(), as a bool is an int
+        raise ModelFormatError("threshold must be a JSON number")
     try:
         pre = tuple(np.array(w, dtype=float) for w in doc["pre_layers"])
         post = tuple(np.array(w, dtype=float) for w in doc["post_layers"])
@@ -226,7 +229,12 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad weight matrix or threshold: {exc}") from exc
     ann = SimpleAnn(pre, post, threshold)
-    if ann.input_size != doc["input_size"] or ann.relu_count != doc["relu_count"]:
+    # every layer is 2-D now: a list of rows of scalars
+    rows = chain.from_iterable((*doc["pre_layers"], *doc["post_layers"]))
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ModelFormatError("weights must be JSON numbers")
+    sizes = [doc["input_size"], doc["relu_count"]]
+    if sizes != [ann.input_size, ann.relu_count] or set(map(type, sizes)) != {int}:
         raise ModelFormatError("declared sizes do not match matrix shapes")
     if ann.input_size.bit_count() != 1:
         raise ModelFormatError(f"input size {ann.input_size} is not a power of two")
@@ -241,7 +249,7 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
         raise ModelFormatError("fuzzifier must be a JSON object or null")
     try:
         spec = FuzzifierSpec.from_dict(fz)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad fuzzifier: {exc}") from exc
     if 2**spec.arity != ann.input_size:
         raise ModelFormatError(

@@ -155,6 +155,28 @@ MUTANTS = [
     ("hypothesis2-accepts-cell-options", "cli.py",
      'if getattr(args, option[2:].replace("-", "_")) is not None:', "if False:",
      ["test_cli.py"]),
+    ("hypothesis2-accepts-level", "cli.py",
+     '"--bcl-max", "--level"):', '"--bcl-max"):',
+     ["test_cli.py"]),
+    # the fuzzifier kind table, and model numbers that must be JSON numbers
+    ("fuzzifier-minmax-order-unchecked", "encoding.py",
+     'if self.kind == "minmax" and any(l > h for l, h in zip(first, second)):', "if False:",
+     ["test_encoding.py", "test_cli.py"]),
+    ("fuzzifier-table-names-swapped", "encoding.py",
+     '{"minmax": ("lo", "hi"),', '{"minmax": ("hi", "lo"),',
+     ["test_encoding.py"]),
+    ("fuzzifier-takes-strings-and-bools", "encoding.py",
+     " or not set(map(type, d[name])) <= {int, float}", "",
+     ["test_encoding.py", "test_cli.py"]),
+    ("model-threshold-takes-strings-and-bools", "network.py",
+     'if type(doc["threshold"]) not in (int, float):', "if False:",
+     ["test_cli.py"]),
+    ("model-weights-take-strings-and-bools", "network.py",
+     "if not set(map(type, chain.from_iterable(rows))) <= {int, float}:", "if False:",
+     ["test_cli.py"]),
+    ("model-sizes-take-bools-and-floats", "network.py",
+     " or set(map(type, sizes)) != {int}", "",
+     ["test_cli.py"]),
     # the dataset reader's fast path, one rule at a time
     ("plain-allows-quote", "cli.py",
      'b"0123456789+-.eE,\\n"', 'b"0123456789+-.eE,\\n\\""',

@@ -264,6 +264,13 @@ class TestTrendGrid:
         grid = trend_grid(bt, vary=[0], levels=[0], resolution=5)
         assert np.allclose(grid.values, 1.0)
 
+    def test_compares_and_hashes_by_identity(self):
+        bt = self.tensor([(0, 0, 1, 1)])
+        grid, twin = (trend_grid(bt, vary=[0], resolution=3) for _ in range(2))
+        assert grid == grid
+        assert grid != twin
+        assert len({grid, twin, grid}) == 2
+
     def test_monotone_in_monotone_bit(self):
         # active {ab-, ab}: monotone in attribute a
         bt = self.tensor([(0, 0, 1, 1)])

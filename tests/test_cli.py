@@ -283,6 +283,42 @@ ONE_ATTRIBUTE_MODEL = json.dumps(dict(
 NONFINITE_FUZZIFIER_MODEL = _fuzzified_model(
     {"kind": "minmax", "lo": ["LO", 0.0], "hi": ["LO", 1.0]}).replace('"LO"', "1e999")
 
+# Model numbers must be JSON numbers: a numeric string or a bool is not one.
+# Each model here is loaded by `classify` on TWO_ATTRIBUTE_CSV.
+TWO_ATTRIBUTE_CSV = "a,b,label\n0.1,0.2,0\n0.9,0.8,1\n"
+MINMAX_2 = {"kind": "minmax", "lo": [0.0, 0.0], "hi": [1.0, 9.0]}
+NOT_JSON_NUMBERS = {
+    "lo-a-string-of-digits": (
+        _fuzzified_model({"kind": "minmax", "lo": "00", "hi": "19"}),
+        "bad fuzzifier: fuzzifier field 'lo' must be a list of JSON numbers"),
+    "lo-numeric-strings": (
+        _fuzzified_model(dict(MINMAX_2, lo=["0", "0"])),
+        "bad fuzzifier: fuzzifier field 'lo' must be a list of JSON numbers"),
+    "hi-bools": (
+        _fuzzified_model(dict(MINMAX_2, hi=[True, True])),
+        "bad fuzzifier: fuzzifier field 'hi' must be a list of JSON numbers"),
+    "threshold-numeric-string": (
+        json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=MINMAX_2, threshold="0.05")),
+        "threshold must be a JSON number"),
+    "threshold-bool": (
+        json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=MINMAX_2, threshold=True)),
+        "threshold must be a JSON number"),
+    "pre-layer-numeric-strings": (
+        json.dumps(_model_doc([[["0.1", "0.2", "0.3", "0.4"]]], fuzzifier=MINMAX_2)),
+        "weights must be JSON numbers"),
+    "post-layer-bool": (
+        json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=MINMAX_2,
+                              post_layers=[[[True]]])),
+        "weights must be JSON numbers"),
+    "relu-count-bool": (
+        json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=MINMAX_2, relu_count=True)),
+        "declared sizes do not match matrix shapes"),
+    "input-size-float": (
+        json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]], fuzzifier=MINMAX_2, input_size=4.0)),
+        "declared sizes do not match matrix shapes"),
+}
+CLASSIFY_ARGV = ["classify", "--model", "model.json", "--data", "d.csv"]
+
 
 BAD_INPUTS = {
     "model-not-an-object": (
@@ -421,6 +457,12 @@ BAD_INPUTS = {
     "hypothesis2-with-threshold": (
         {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
              "--threshold", "7"]),
+    "hypothesis2-with-level": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--level", "9"]),
+    "hypothesis2-with-bcl-max": (
+        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+             "--bcl-max", "99"]),
     "trend-fixed-degree-not-a-number": (
         {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--fixed", "a2=x"]),
     # finite weights whose differences or sums overflow float64
@@ -432,6 +474,14 @@ BAD_INPUTS = {
     "project-weights-sum-overflows": (
         {"w.txt": "1e308\n1e308\n0\n1\n"},
         ["project", "--weights-override", "w.txt", "--keep", "1"]),
+    "model-fuzzifier-kind-a-list": (
+        {"model.json": _fuzzified_model(dict(MINMAX_2, kind=["minmax"])),
+         "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV),
+    "model-fuzzifier-lo-above-hi": (
+        {"model.json": _fuzzified_model(dict(MINMAX_2, lo=[0.0, 10.0])),
+         "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV),
+    **{f"model-{name}": ({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV)
+       for name, (text, _) in NOT_JSON_NUMBERS.items()},
 }
 
 
@@ -563,6 +613,18 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                       "--threshold", "7"],
                  "--threshold cannot be combined with --hypothesis2",
                  id="hypothesis2-with-threshold"),
+    pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+                      "--level", "9", "--bcl-max", "99"],
+                 "--bcl-max cannot be combined with --hypothesis2",
+                 id="hypothesis2-with-level-and-bcl-max"),
+    pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
+                      "--level", "0"],
+                 "--level cannot be combined with --hypothesis2", id="hypothesis2-with-level"),
+    pytest.param({"model.json": _fuzzified_model(dict(MINMAX_2, lo=[0.0, 10.0])),
+                  "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV,
+                 "bad fuzzifier: lo must not exceed hi", id="fuzzifier-lo-above-hi"),
+    *[pytest.param({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV, message,
+                   id=f"model-{name}") for name, (text, message) in NOT_JSON_NUMBERS.items()],
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):

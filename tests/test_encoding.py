@@ -1,11 +1,14 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annlogic import encoding
 from annlogic.encoding import (
+    FUZZIFIER_KINDS,
     ArityMismatchError,
     FuzzifierSpec,
     fit_fuzzifier,
@@ -23,8 +26,7 @@ def make_samples(columns):
 class TestFitFuzzifier:
     def test_minmax_bounds(self):
         spec = fit_fuzzifier(make_samples([[1, 3, 5]]))
-        assert spec.lo == (1,)
-        assert spec.hi == (5,)
+        assert spec.params == ((1,), (5,))
 
     def test_constant_column_degenerate(self):
         with pytest.warns(UserWarning, match="constant"):
@@ -50,26 +52,80 @@ class TestFitFuzzifier:
         assert lows < 0.5 < highs
 
 
+# each kind's parameter names in model-file order, written out
+FIELDS = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")}
+
+
+@st.composite
+def specs(draw):
+    """A FuzzifierSpec of either kind over 0..12 attributes; minmax gets
+    lo <= hi per attribute."""
+    kind = draw(st.sampled_from(sorted(FUZZIFIER_KINDS)))
+    n = draw(st.integers(0, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pairs = draw(st.lists(st.tuples(finite, finite), min_size=n, max_size=n))
+    if kind == "minmax":
+        pairs = [tuple(sorted(pair)) for pair in pairs]
+    first, second = (tuple(p[i] for p in pairs) for i in (0, 1))
+    return FuzzifierSpec(kind, (first, second))
+
+
+class TestFuzzifierTable:
+    @given(specs())
+    def test_dict_round_trip(self, spec):
+        assert FuzzifierSpec.from_dict(spec.to_dict()) == spec
+
+    @given(specs())
+    def test_json_text_keeps_the_key_order(self, spec):
+        first, second = FIELDS[spec.kind]
+        expected = {"kind": spec.kind, first: list(spec.params[0]),
+                    second: list(spec.params[1])}
+        assert json.dumps(spec.to_dict()) == json.dumps(expected)
+
+    @given(specs(), st.integers(0, 1))
+    def test_length_mismatch_names_the_fields(self, spec, side):
+        d = spec.to_dict()
+        d[FIELDS[spec.kind][side]].append(0.0)
+        message = "/".join(FIELDS[spec.kind]) + " length mismatch"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FuzzifierSpec.from_dict(d)
+
+    def test_minmax_lo_above_hi_rejected(self):
+        with pytest.raises(ValueError, match="^lo must not exceed hi$"):
+            FuzzifierSpec("minmax", ((0.0, 2.0), (1.0, 1.0)))
+        assert FuzzifierSpec("logistic", ((0.0, 2.0), (1.0, 1.0))).arity == 2
+
+    @pytest.mark.parametrize("lo", ["00", ["0", "0"], [True, False], [0.0, None], 0.0])
+    def test_from_dict_takes_only_lists_of_json_numbers(self, lo):
+        with pytest.raises(ValueError, match="^fuzzifier field 'lo' must be a list of"):
+            FuzzifierSpec.from_dict({"kind": "minmax", "lo": lo, "hi": [1.0, 1.0]})
+
+    @pytest.mark.parametrize("kind", [None, "gauss", ["minmax"], {"minmax": 1}])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown fuzzifier kind"):
+            FuzzifierSpec.from_dict({"kind": kind, "lo": [0.0], "hi": [1.0]})
+
+
 class TestFuzzify:
     def test_endpoints(self):
-        spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
+        spec = FuzzifierSpec("minmax", ((0.0,), (4.0,)))
         assert fuzzify([[0.0], [4.0]], spec).tolist() == [[0.0], [1.0]]
 
     def test_interior(self):
-        spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
+        spec = FuzzifierSpec("minmax", ((0.0,), (4.0,)))
         assert fuzzify([1.0], spec).tolist() == [0.25]
 
     def test_clamping(self):
-        spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
+        spec = FuzzifierSpec("minmax", ((0.0,), (4.0,)))
         assert fuzzify([[-3.0], [9.0]], spec).tolist() == [[0.0], [1.0]]
 
     def test_arity_mismatch(self):
-        spec = FuzzifierSpec("minmax", lo=(0.0,), hi=(4.0,))
+        spec = FuzzifierSpec("minmax", ((0.0,), (4.0,)))
         with pytest.raises(ArityMismatchError):
             fuzzify([1.0, 2.0], spec)
 
     def test_monotone(self):
-        spec = FuzzifierSpec("minmax", lo=(0.0, -1.0), hi=(4.0, 1.0))
+        spec = FuzzifierSpec("minmax", ((0.0, -1.0), (4.0, 1.0)))
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.uniform(-2, 6, 2)

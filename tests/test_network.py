@@ -25,6 +25,14 @@ from conftest import random_minterm, random_simple_ann
 from oracles import choose_threshold_loop, train_layers, training_sets
 
 
+def test_simple_ann_compares_and_hashes_by_identity():
+    ann = random_simple_ann(np.random.default_rng(0), 2, 2)
+    twin = SimpleAnn(ann.pre_layers, ann.post_layers, ann.threshold)
+    assert ann == ann
+    assert ann != twin
+    assert len({ann, twin, ann}) == 2
+
+
 def identity_ann(threshold=0.5):
     return SimpleAnn((np.eye(2),), (np.array([[1.0, 1.0]]),), threshold)
 
@@ -194,11 +202,91 @@ class TestChooseThreshold:
         assert choose_threshold(outputs, labels) == choose_threshold_loop(outputs, labels)
 
 
+# model files as save_model wrote them before FuzzifierSpec held its
+# parameters as one `params` pair, one per fuzzifier kind
+SAVED_MODELS = {
+    "minmax": """{
+ "input_size": 4,
+ "relu_count": 1,
+ "pre_layers": [
+  [
+   [
+    0.05593380354115308,
+    -0.07005545138296437,
+    0.30127095900415723,
+    0.0015834925632548617
+   ]
+  ]
+ ],
+ "post_layers": [
+  [
+   [
+    -0.2371701499292833
+   ]
+  ]
+ ],
+ "threshold": -0.03747690206106175,
+ "fuzzifier": {
+  "kind": "minmax",
+  "lo": [
+   -2.0,
+   -1.25
+  ],
+  "hi": [
+   3.0,
+   2.5
+  ]
+ }
+}""",
+    "logistic": """{
+ "input_size": 4,
+ "relu_count": 1,
+ "pre_layers": [
+  [
+   [
+    0.05185642224269174,
+    -0.08009539105004834,
+    0.29954516006754267,
+    0.017551188765774123
+   ]
+  ]
+ ],
+ "post_layers": [
+  [
+   [
+    -0.23854998985831277
+   ]
+  ]
+ ],
+ "threshold": -0.027950126926275236,
+ "fuzzifier": {
+  "kind": "logistic",
+  "midpoint": [
+   0.8125,
+   0.625
+  ],
+  "steepness": [
+   0.5408987230262506,
+   0.7396002616336388
+  ]
+ }
+}""",
+}
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("kind", SAVED_MODELS)
+    def test_saved_model_loads_and_saves_to_the_same_bytes(self, tmp_path, kind):
+        (tmp_path / "old.json").write_text(SAVED_MODELS[kind])
+        ann, spec = load_model(tmp_path / "old.json")
+        assert spec.kind == kind
+        save_model(tmp_path / "new.json", ann, spec)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         ann = random_simple_ann(rng, 2, 3, extra_pre=True, extra_post=True)
-        spec = FuzzifierSpec("minmax", lo=(0.0, -1.0), hi=(2.0, 3.0))
+        spec = FuzzifierSpec("minmax", ((0.0, -1.0), (2.0, 3.0)))
         path = tmp_path / "model.json"
         save_model(path, ann, spec)
         loaded, spec2 = load_model(path)
