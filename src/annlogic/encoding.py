@@ -59,9 +59,10 @@ class FuzzifierSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FuzzifierSpec":
-        """Inverse of `to_dict`.  A missing field, or one that is not a list of
-        JSON numbers (a bool or a numeric string is not one), is a ValueError;
-        an integer past the float range is an OverflowError."""
+        """Inverse of `to_dict`.  A missing field, one that is not a list of
+        JSON numbers (a bool or a numeric string is not one), or a field the
+        kind does not read is a ValueError; an integer past the float range
+        is an OverflowError."""
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in FUZZIFIER_KINDS:
             raise ValueError(f"unknown fuzzifier kind {kind!r}")
@@ -70,6 +71,9 @@ class FuzzifierSpec:
                 raise ValueError(f"fuzzifier missing field {name!r}")
             if not isinstance(d[name], list) or not set(map(type, d[name])) <= {int, float}:
                 raise ValueError(f"fuzzifier field {name!r} must be a list of JSON numbers")
+        unread = sorted(map(repr, d.keys() - {"kind", *FUZZIFIER_KINDS[kind]}))
+        if unread:
+            raise ValueError(f"fuzzifier kind {kind!r} takes no field " + ", ".join(unread))
         return FuzzifierSpec(kind, tuple(tuple(map(float, d[n])) for n in FUZZIFIER_KINDS[kind]))
 
 

@@ -151,45 +151,65 @@ def train(
     """Full-batch gradient descent on MSE over the rows of the (N, 2^n)
     minterm matrix `mt` and their 0/1 labels, for the network 2^n inputs
     -> `relu_nodes` ReLU nodes (at most MAX_RELU_NODES) -> one output.
-    Returns (ann, training accuracy)."""
+    Returns (ann, training accuracy).  Every per-epoch array is allocated
+    once: (3l + 3)·N float64 values and an (N, l) bool mask."""
     X = np.asarray(mt, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if len(X) == 0:
         raise ValueError("no training samples")
     if X.ndim != 2 or labels.shape != (len(X),):
         raise ValueError("need an (N, 2^n) minterm matrix and N labels")
-    # with return_counts, np.unique does not import numpy.ma
-    if len(np.unique(labels, return_counts=True)[0]) < 2:
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if not 0 < labels.sum() < len(labels):
         raise ValueError("need at least one sample of each class")
     if min(X.shape[1], relu_nodes) < 1:
         raise ValueError("every layer needs at least one node")
     if relu_nodes > MAX_RELU_NODES:
         raise ValueError(f"{relu_nodes} ReLU nodes exceed the maximum of {MAX_RELU_NODES}")
+    # min and max carry a NaN through, and an infinity is one of them
+    if not np.isfinite([X.min(), X.max()]).all():
+        raise ValueError("minterm values must be finite")
 
     rng = np.random.default_rng(cfg.seed)
     w_pre = rng.normal(0.0, INIT_SCALE, size=(relu_nodes, X.shape[1]))
     w_post = rng.normal(0.0, INIT_SCALE, size=(1, relu_nodes))
-    # An overflow shows as a non-finite loss, checked before each update
-    # and once after the last one.
+    pre = np.empty((len(X), relu_nodes))
+    relu = np.empty_like(pre)
+    out = np.empty((len(X), 1))
+    d = np.empty(len(X))  # the residual, then the output gradient
+    sq = np.empty_like(d)
+    d_relu = np.empty_like(pre)
+    active = np.empty(pre.shape, dtype=bool)
+    g_pre = np.empty_like(w_pre)
+    g_post = np.empty_like(w_post)
+    # Each step writes into a buffer above.  The BLAS products keep the operand
+    # layouts X @ w_pre.T and (N, l).T @ X: other layouts change the bits.  An
+    # overflow shows as a non-finite loss, checked before each update and once
+    # after the last one; a sum of squares is finite iff its mean is.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs + 1):
-            pre = X @ w_pre.T
-            relu = np.maximum(pre, 0.0)
-            out = (relu @ w_post.T)[:, 0]
-            loss = float(np.mean((out - labels) ** 2))
-            if not math.isfinite(loss):
+            np.matmul(X, w_pre.T, out=pre)
+            np.maximum(pre, 0.0, out=relu)
+            np.matmul(relu, w_post.T, out=out)
+            np.subtract(out[:, 0], labels, out=d)
+            if not math.isfinite(np.add.reduce(np.square(d, out=sq))):
                 raise TrainingDivergedError(
                     "training diverged (non-finite loss); lower the learning rate"
                 )
             if epoch == cfg.epochs:
                 break
-            d = (2.0 / len(labels)) * (out - labels)[:, None]
-            g_post = d.T @ relu
-            g_pre = ((d @ w_post) * (pre > 0)).T @ X
-            w_pre = w_pre - cfg.learning_rate * g_pre
-            w_post = w_post - cfg.learning_rate * g_post
+            np.multiply(2.0 / len(labels), d, out=d)
+            np.matmul(d[None, :], relu, out=g_post)
+            # d @ w_post has inner size 1: one multiply per entry, here run
+            # node by node ("C" order over the transposed view) for long loops
+            np.multiply(w_post.T, d, out=d_relu.T, order="C")
+            np.multiply(d_relu, np.greater(pre, 0.0, out=active), out=d_relu)
+            np.matmul(d_relu.T, X, out=g_pre)
+            w_pre -= np.multiply(cfg.learning_rate, g_pre, out=g_pre)
+            w_post -= np.multiply(cfg.learning_rate, g_post, out=g_post)
 
-    tau, acc = choose_threshold(out, labels)
+    tau, acc = choose_threshold(out[:, 0], labels)
     return SimpleAnn((w_pre,), (w_post,), tau), acc
 
 

@@ -75,6 +75,25 @@ MUTANTS = [
     ("train-no-loss-check-after-last-update", "network.py",
      "for epoch in range(cfg.epochs + 1):", "for epoch in range(cfg.epochs):",
      ["test_network.py"]),
+    # the trainer's preallocated loop and its input checks
+    ("train-g-pre-after-w-post-update", "network.py",
+     'np.multiply(w_post.T, d, out=d_relu.T, order="C")\n'
+     "            np.multiply(d_relu, np.greater(pre, 0.0, out=active), out=d_relu)\n"
+     "            np.matmul(d_relu.T, X, out=g_pre)\n"
+     "            w_pre -= np.multiply(cfg.learning_rate, g_pre, out=g_pre)\n"
+     "            w_post -= np.multiply(cfg.learning_rate, g_post, out=g_post)\n",
+     "w_post -= np.multiply(cfg.learning_rate, g_post, out=g_post)\n"
+     '            np.multiply(w_post.T, d, out=d_relu.T, order="C")\n'
+     "            np.multiply(d_relu, np.greater(pre, 0.0, out=active), out=d_relu)\n"
+     "            np.matmul(d_relu.T, X, out=g_pre)\n"
+     "            w_pre -= np.multiply(cfg.learning_rate, g_pre, out=g_pre)\n",
+     ["test_network.py"]),
+    ("train-accepts-non-finite-minterms", "network.py",
+     "if not np.isfinite([X.min(), X.max()]).all():", "if False:",
+     ["test_network.py"]),
+    ("train-accepts-labels-other-than-0-1", "network.py",
+     "if not ((labels == 0) | (labels == 1)).all():", "if False:",
+     ["test_network.py"]),
     # the shared shape rule of the minterm value types, one clause at a time
     ("shape-rule-any-ndim", "partition.py",
      "if a.ndim != ndim or 0 in a.shape or", "if 0 in a.shape or",
@@ -167,6 +186,9 @@ MUTANTS = [
      ["test_encoding.py"]),
     ("fuzzifier-takes-strings-and-bools", "encoding.py",
      " or not set(map(type, d[name])) <= {int, float}", "",
+     ["test_encoding.py", "test_cli.py"]),
+    ("fuzzifier-keeps-unread-keys", "encoding.py",
+     "        if unread:\n", "        if False:\n",
      ["test_encoding.py", "test_cli.py"]),
     ("model-threshold-takes-strings-and-bools", "network.py",
      'if type(doc["threshold"]) not in (int, float):', "if False:",

@@ -443,6 +443,57 @@ def training_sets(max_n, max_rows):
     return draw()
 
 
+def seeded_training_sets(max_n, max_rows):
+    """Like `training_sets`, up to larger sizes: the degrees, uniform in
+    [0, 1) or rounded to crisp 0/1, and the labels come from a drawn seed."""
+
+    @st.composite
+    def draw(draw):
+        n, rows = draw(st.integers(1, max_n)), draw(st.integers(2, max_rows))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        degrees = rng.random((rows, n))
+        if draw(st.booleans()):
+            degrees = degrees.round()
+        labels = np.concatenate(([0, 1], rng.integers(0, 2, rows - 2)))
+        return minterms_kron(degrees), labels
+
+    return draw()
+
+
+# The trainer's epoch loop as it was before it wrote into preallocated
+# buffers: every step makes fresh arrays.
+def train_temporaries(mt, labels, relu_nodes, cfg):
+    """Full-batch gradient descent on MSE for the 2^n -> relu_nodes -> 1
+    network, with no input checks.  Returns (ann, training accuracy)."""
+    X = np.asarray(mt, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    w_pre = rng.normal(0.0, INIT_SCALE, size=(relu_nodes, X.shape[1]))
+    w_post = rng.normal(0.0, INIT_SCALE, size=(1, relu_nodes))
+    # An overflow shows as a non-finite loss, checked before each update
+    # and once after the last one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs + 1):
+            pre = X @ w_pre.T
+            relu = np.maximum(pre, 0.0)
+            out = (relu @ w_post.T)[:, 0]
+            loss = float(np.mean((out - labels) ** 2))
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    "training diverged (non-finite loss); lower the learning rate"
+                )
+            if epoch == cfg.epochs:
+                break
+            d = (2.0 / len(labels)) * (out - labels)[:, None]
+            g_post = d.T @ relu
+            g_pre = ((d @ w_post) * (pre > 0)).T @ X
+            w_pre = w_pre - cfg.learning_rate * g_pre
+            w_post = w_post - cfg.learning_rate * g_post
+
+    tau, acc = choose_threshold(out, labels)
+    return SimpleAnn((w_pre,), (w_post,), tau), acc
+
+
 def train_layers(mt, labels, arch, cfg, relu_after=1):
     """Full-batch gradient descent on MSE through any chain of bias-free
     layers: `arch` lists the layer sizes from the 2^n inputs to the single

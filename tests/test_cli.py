@@ -480,6 +480,9 @@ BAD_INPUTS = {
     "model-fuzzifier-lo-above-hi": (
         {"model.json": _fuzzified_model(dict(MINMAX_2, lo=[0.0, 10.0])),
          "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV),
+    "model-fuzzifier-unread-key": (
+        {"model.json": _fuzzified_model(dict(MINMAX_2, midpoint=[5.0, 5.0])),
+         "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV),
     **{f"model-{name}": ({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV)
        for name, (text, _) in NOT_JSON_NUMBERS.items()},
 }
@@ -623,6 +626,10 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     pytest.param({"model.json": _fuzzified_model(dict(MINMAX_2, lo=[0.0, 10.0])),
                   "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV,
                  "bad fuzzifier: lo must not exceed hi", id="fuzzifier-lo-above-hi"),
+    pytest.param({"model.json": _fuzzified_model(dict(MINMAX_2, midpoint=[5.0, 5.0])),
+                  "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV,
+                 "bad fuzzifier: fuzzifier kind 'minmax' takes no field 'midpoint'",
+                 id="fuzzifier-unread-key"),
     *[pytest.param({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV, message,
                    id=f"model-{name}") for name, (text, message) in NOT_JSON_NUMBERS.items()],
 ])

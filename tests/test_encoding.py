@@ -100,6 +100,22 @@ class TestFuzzifierTable:
         with pytest.raises(ValueError, match="^fuzzifier field 'lo' must be a list of"):
             FuzzifierSpec.from_dict({"kind": "minmax", "lo": lo, "hi": [1.0, 1.0]})
 
+    @given(specs(), st.sampled_from(["lo", "hi", "midpoint", "steepness", "bias", ""]))
+    def test_field_the_kind_does_not_read_rejected(self, spec, extra):
+        d = spec.to_dict()
+        if extra in d:
+            return
+        d[extra] = [5.0] * spec.arity
+        message = f"fuzzifier kind {spec.kind!r} takes no field {extra!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FuzzifierSpec.from_dict(d)
+
+    def test_every_unread_field_named(self):
+        d = {"kind": "minmax", "lo": [0.0], "hi": [1.0], "steepness": [1.0], "midpoint": [5.0]}
+        with pytest.raises(ValueError, match="^fuzzifier kind 'minmax' takes no field "
+                                             "'midpoint', 'steepness'$"):
+            FuzzifierSpec.from_dict(d)
+
     @pytest.mark.parametrize("kind", [None, "gauss", ["minmax"], {"minmax": 1}])
     def test_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="unknown fuzzifier kind"):

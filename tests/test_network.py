@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,13 @@ from annlogic.network import (
     train,
 )
 from conftest import random_minterm, random_simple_ann
-from oracles import choose_threshold_loop, train_layers, training_sets
+from oracles import (
+    choose_threshold_loop,
+    seeded_training_sets,
+    train_layers,
+    train_temporaries,
+    training_sets,
+)
 
 
 def test_simple_ann_compares_and_hashes_by_identity():
@@ -161,6 +168,42 @@ class TestTrain:
         mt = minterm_transform([[0.5], [0.5]])
         with pytest.raises(ValueError):
             train(mt, [1, 1], 2)
+
+    @pytest.mark.parametrize("row,value", [(0, np.nan), (3, np.inf), (20, -np.inf)])
+    def test_non_finite_minterm_rejected(self, row, value):
+        mt, labels = self.toy_samples()
+        mt[row, 1] = value
+        with pytest.raises(ValueError, match="^minterm values must be finite$"):
+            train(mt, labels, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, 2, -1, 0.5])
+    def test_label_other_than_0_or_1_rejected(self, bad):
+        mt, labels = self.toy_samples()
+        labels = labels.astype(float)
+        labels[labels == 1] = bad
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            train(mt, labels, 2)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seeded_training_sets(6, 300), st.integers(1, 8), st.integers(1, 30),
+           st.one_of(st.floats(0, 4), st.sampled_from([1e150, 1e200, 1e300])),
+           st.integers(0, 2**32 - 1))
+    def test_equals_trainer_with_temporaries(self, data, relu_nodes, epochs, lr, seed):
+        # the same floats, and the same inputs diverge, as the loop that
+        # made fresh arrays every step
+        mt, labels = data
+        cfg = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed)
+        try:
+            want, want_acc = train_temporaries(mt, labels, relu_nodes, cfg)
+        except TrainingDivergedError as exc:
+            with pytest.raises(TrainingDivergedError, match=f"^{re.escape(str(exc))}$"):
+                train(mt, labels, relu_nodes, cfg)
+            return
+        got, acc = train(mt, labels, relu_nodes, cfg)
+        assert np.array_equal(got.pre_layers[0], want.pre_layers[0])
+        assert np.array_equal(got.post_layers[0], want.post_layers[0])
+        assert got.threshold == want.threshold
+        assert acc == want_acc
 
     @settings(deadline=None, max_examples=50)
     @given(training_sets(3, 12), st.integers(1, 5), st.integers(1, 20),
