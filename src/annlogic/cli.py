@@ -8,7 +8,7 @@ import argparse
 import csv
 import sys
 import warnings
-from itertools import compress, islice, product
+from itertools import compress, count, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ def load_dataset(path, label_column):
             raise CliError(
                 f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
+        _reject_repeats(header, "dataset header")
         table, row_no = _split_body(fh, len(header)) or _csv_body(fh, len(header))
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
     label_idx = header.index(label_column)
@@ -115,6 +116,16 @@ def _reject_rows(bad, row_no, what):
         raise CliError(f"row {row_no[np.argmax(bad)]} {what}")
 
 
+def _reject_repeats(names, where):
+    """Each column name may occur once: a formula or --keep that names it
+    must mean one column."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise CliError(f"{where} repeats column {name!r}")
+        seen.add(name)
+
+
 def load_weights_file(path):
     """One weight per line, or comma-separated; length must be 2^n with
     n <= MAX_ATTRIBUTES."""
@@ -170,6 +181,7 @@ def _names_and_rows(args):
             raise CliError(
                 f"{len(names)} names exceed the maximum of {MAX_ATTRIBUTES} attributes"
             )
+        _reject_repeats(names, "--names")
         return names, None
     return None, None
 
@@ -221,8 +233,18 @@ def _fmt(x, nd=3):
 
 
 def _minterm_codes(n):
-    """The attribute bits of each minterm index, attribute 1 first."""
-    return np.indices((2,) * n).reshape(n, 2**n).T.tolist()
+    """The (2^n, n) attribute bits of each minterm index, attribute 1 first."""
+    return np.indices((2,) * n, dtype=np.uint8).reshape(n, 2**n).T
+
+
+def _digits(bits, sep):
+    """Each row of a 0/1 matrix as text, every digit followed by `sep`."""
+    rows, m = bits.shape
+    chars = np.empty((rows, m, 1 + len(sep)), dtype=np.uint8)
+    np.add(bits, ord("0"), out=chars[..., 0], casting="unsafe")
+    chars[..., 1:] = list(sep.encode())
+    text, width = chars.tobytes().decode(), m * (1 + len(sep))
+    return [text[i * width:(i + 1) * width] for i in range(rows)]
 
 
 def cmd_train(args):
@@ -281,28 +303,34 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_weights(path, names, cw, scaled, bt):
+    """weights.csv: per minterm k, its attribute bits, weight, scaled weight,
+    bits of levels 0..bcl_max and their reconstruction.  Only the header
+    can need quoting, so only it goes through the csv writer; each body line
+    is joined from whole columns and ends in CRLF, as the writer's do."""
+    header = (
+        ["k"] + names + ["weight", "scaled"]
+        + [f"bit_2^-{b}" for b in range(bt.bcl_max + 1)] + ["reconstruction"]
+    )
+    columns = (_digits(_minterm_codes(cw.n), ","), cw.weights.tolist(),
+               scaled.weights.tolist(), _digits(bt.bits.T, ","),
+               bt.reconstruction().tolist())
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join([f"{k},{a_bits}{w!r},{s!r},{bits}{r!r}\r\n"
+                          for k, a_bits, w, s, bits, r in zip(count(), *columns)]))
+
+
 def cmd_explain(args):
     cw, names, threshold, spec, data = _cell_weights_from_args(args)
     if data is not None and spec is not None and not len(data[1]):
         raise CliError("dataset has no rows")
     scaled, bt = _coded(cw, threshold, args)
     report = logiccode.energy_report(scaled, bt)
-    recon = bt.reconstruction()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = cw.n
-    header = (
-        ["k"] + names + ["weight", "scaled"]
-        + [f"bit_2^-{b}" for b in range(bt.bcl_max + 1)] + ["reconstruction"]
-    )
-    columns = zip(_minterm_codes(n), cw.weights.tolist(), scaled.weights.tolist(),
-                  bt.bits.T.tolist(), recon.tolist())
-    rows = [
-        [k] + a_bits + [repr(w), repr(s)] + bits + [repr(r)]
-        for k, (a_bits, w, s, bits, r) in enumerate(columns)
-    ]
-    _write_csv(out_dir / "weights.csv", header, rows)
+    _write_weights(out_dir / "weights.csv", names, cw, scaled, bt)
 
     energy_rows = [
         [le.bcl, le.set_bits, repr(le.absolute), repr(le.relative_percent)]
@@ -379,13 +407,10 @@ def cmd_project(args):
     scaled, bt = _coded(projected, threshold, args)
     report = logiccode.energy_report(scaled, bt)
     print(f"kept={','.join(kept_names)}")
-    columns = zip(_minterm_codes(projected.n), projected.weights.tolist(),
-                  scaled.weights.tolist(), bt.bits.T.tolist())
+    columns = zip(_digits(_minterm_codes(projected.n), ""), projected.weights.tolist(),
+                  scaled.weights.tolist(), _digits(bt.bits.T, ""))
     for bits, raw, s, code in columns:
-        print(
-            f"minterm {''.join(map(str, bits))}: raw={_fmt(raw)} "
-            f"scaled={_fmt(s)} bits={''.join(map(str, code))}"
-        )
+        print(f"minterm {bits}: raw={_fmt(raw)} scaled={_fmt(s)} bits={code}")
     print(f"weight_sum={_fmt(report.weight_sum)}")
     for le in report.levels:
         print(
@@ -467,86 +492,87 @@ def cmd_classify(args):
     return 0
 
 
-def build_parser():
+def _subcommands():
+    """Each subcommand's function, help and options, the shared ones first:
+    model and dataset rows, or a cell source, which a coded command follows
+    with the bit-coding options."""
+    rows = [("--model", dict(required=True)), ("--data", dict(required=True)),
+            ("--label", dict(default="label"))]
+    cell = [
+        ("--model", dict(help="model JSON file")),
+        ("--cell", dict(type=int, help="partition cell number")),
+        ("--weights-override", dict(help="file of raw minterm weights, bypassing extraction")),
+        ("--data", dict(help="CSV dataset (for attribute names/accuracy)")),
+        ("--label", dict(default="label", help="label column name")),
+    ]
+    coded = cell + [
+        ("--threshold", dict(type=float,
+                             help="classifier threshold when using --weights-override")),
+        ("--bcl-max", dict(type=int, help=f"finest bit level, 0..{logiccode.MAX_BCL} "
+                                          f"(default {logiccode.DEFAULT_BCL_MAX})")),
+    ]
+    out = [("--out", dict(help="CSV output path"))]
+    return {
+        "train": (cmd_train, "train a minterm-input network", [
+            ("--data", dict(required=True)),
+            ("--label", dict(default="label")),
+            ("--model", dict(required=True, help="output model path")),
+            ("--relu-nodes", dict(type=int, default=3)),
+            ("--epochs", dict(type=int, default=2000)),
+            ("--lr", dict(type=float, default=0.5)),
+            ("--seed", dict(type=int, default=0)),
+            ("--fuzzifier", dict(choices=list(FUZZIFIER_KINDS), default="minmax")),
+        ]),
+        "partition": (cmd_partition, "partition a dataset into ReLU cells", rows + out),
+        "explain": (cmd_explain, "scale, bit-code, and render one cell",
+                    coded + [("--out-dir", dict(default="explain_out"))]),
+        "shapley": (cmd_shapley, "attribute Shapley values of a cell", cell + out),
+        "project": (cmd_project, "marginalize a cell onto attributes",
+                    coded + [("--keep", dict(required=True, help="comma-separated attributes"))]),
+        "hypothesis": (cmd_hypothesis, "compare a formula with a level expression", coded + [
+            ("--level", dict(type=int, help="bit level of the cell expression (default 0)")),
+            ("--hypothesis", dict(required=True)),
+            ("--hypothesis2", dict(help="compare two formulas instead of using a model")),
+            ("--names", dict(help="comma-separated attribute names")),
+        ]),
+        "trend": (cmd_trend, "trend grid over one or two attributes", coded + [
+            ("--vary", dict(required=True, help="one or two attributes")),
+            ("--fixed", dict(help="fixed degrees, e.g. 'c=0.3,e=0.7'")),
+            ("--levels", dict(help="comma-separated level subset")),
+            ("--resolution", dict(type=int, default=21)),
+            *out,
+        ]),
+        "classify": (cmd_classify, "classify dataset rows with a model", rows),
+    }
+
+
+def build_parser(command=None):
+    """The parser of every subcommand; or, when `command` names one, of that
+    one alone.  Both print the same usage lines and error messages for any
+    argv that starts with `command`."""
+    table = _subcommands()
     parser = argparse.ArgumentParser(
         prog="annlogic",
         description="Interpret a simple ReLU network as weighted logic expressions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rows = argparse.ArgumentParser(add_help=False)
-    rows.add_argument("--model", required=True)
-    rows.add_argument("--data", required=True)
-    rows.add_argument("--label", default="label")
-
-    cell = argparse.ArgumentParser(add_help=False)
-    cell.add_argument("--model", help="model JSON file")
-    cell.add_argument("--cell", type=int, help="partition cell number")
-    cell.add_argument("--weights-override",
-                      help="file of raw minterm weights, bypassing extraction")
-    cell.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
-    cell.add_argument("--label", default="label", help="label column name")
-
-    coded = argparse.ArgumentParser(add_help=False, parents=[cell])
-    coded.add_argument("--threshold", type=float,
-                       help="classifier threshold when using --weights-override")
-    coded.add_argument("--bcl-max", type=int,
-                       help=f"finest bit level, 0..{logiccode.MAX_BCL} "
-                            f"(default {logiccode.DEFAULT_BCL_MAX})")
-
-    p = sub.add_parser("train", help="train a minterm-input network")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="label")
-    p.add_argument("--model", required=True, help="output model path")
-    p.add_argument("--relu-nodes", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuzzifier", choices=list(FUZZIFIER_KINDS), default="minmax")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("partition", parents=[rows], help="partition a dataset into ReLU cells")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("explain", parents=[coded], help="scale, bit-code, and render one cell")
-    p.add_argument("--out-dir", default="explain_out")
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("shapley", parents=[cell], help="attribute Shapley values of a cell")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_shapley)
-
-    p = sub.add_parser("project", parents=[coded], help="marginalize a cell onto attributes")
-    p.add_argument("--keep", required=True, help="comma-separated attributes")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("hypothesis", parents=[coded],
-                       help="compare a formula with a level expression")
-    p.add_argument("--level", type=int, help="bit level of the cell expression (default 0)")
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--hypothesis2",
-                   help="compare two formulas instead of using a model")
-    p.add_argument("--names", help="comma-separated attribute names")
-    p.set_defaults(func=cmd_hypothesis)
-
-    p = sub.add_parser("trend", parents=[coded], help="trend grid over one or two attributes")
-    p.add_argument("--vary", required=True, help="one or two attributes")
-    p.add_argument("--fixed", help="fixed degrees, e.g. 'c=0.3,e=0.7'")
-    p.add_argument("--levels", help="comma-separated level subset")
-    p.add_argument("--resolution", type=int, default=21)
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_trend)
-
-    p = sub.add_parser("classify", parents=[rows], help="classify dataset rows with a model")
-    p.set_defaults(func=cmd_classify)
-
+    if command in table:
+        # the usage line lists every subcommand, as the full parser's does
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(table) + "}")
+        table = {command: table[command]}
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, options) in table.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

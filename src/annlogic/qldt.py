@@ -148,23 +148,24 @@ def render(t: QldtNode, names: list[str] | None = None) -> str:
     """Deterministic DOT rendering: dashed low edges, solid high edges,
     low before high."""
     lines = ["digraph qldt {"]
-    counter = [0]
+    append = lines.append
+    count = 0
 
     def emit(node) -> int:
-        nid = counter[0]
-        counter[0] += 1
-        if isinstance(node, Leaf):
+        nonlocal count
+        nid = count
+        count += 1
+        if node.__class__ is Leaf:
             label = "active" if node.active else "inactive"
-            lines.append(f'  n{nid} [label="{label}", shape=box];')
+            append(f'  n{nid} [label="{label}", shape=box];')
         else:
             name = names[node.attribute] if names else f"a{node.attribute + 1}"
-            lines.append(f'  n{nid} [label="{name}"];')
+            append(f'  n{nid} [label="{name}"];')
             low_id = emit(node.low)
             high_id = emit(node.high)
-            lines.append(f"  n{nid} -> n{low_id} [style=dashed];")
-            lines.append(f"  n{nid} -> n{high_id} [style=solid];")
+            append(f"  n{nid} -> n{low_id} [style=dashed];\n  n{nid} -> n{high_id} [style=solid];")
         return nid
 
     emit(t)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    append("}\n")
+    return "\n".join(lines)

@@ -108,8 +108,8 @@ MUTANTS = [
      "return a.shape[-1].bit_length() - 1", "return a.shape[-1].bit_length()",
      ["test_logiccode.py", "test_partition.py"]),
     ("render-edge-styles-swapped", "qldt.py",
-     '[style=dashed];")\n            lines.append(f"  n{nid} -> n{high_id} [style=solid];")',
-     '[style=solid];")\n            lines.append(f"  n{nid} -> n{high_id} [style=dashed];")',
+     '[style=dashed];\\n  n{nid} -> n{high_id} [style=solid];"',
+     '[style=solid];\\n  n{nid} -> n{high_id} [style=dashed];"',
      ["test_qldt.py", "test_cli.py"]),
     # overflow checks on finite weights
     ("scale-no-span-check", "logiccode.py",
@@ -219,6 +219,21 @@ MUTANTS = [
     ("fast-path-accepts-wrong-width", "cli.py",
      "rows.reshape(len(filled), width)", "rows.reshape(-1, width)",
      ["test_dataset.py"]),
+    # explain's weights.csv from whole columns, the parser of one subcommand
+    # and unique column names
+    ("weights-csv-body-lf", "cli.py",
+     '{r!r}\\r\\n"', '{r!r}\\n"',
+     ["test_cli.py"]),
+    ("weights-csv-attribute-bits-lsb-first", "cli.py",
+     "reshape(n, 2**n).T", "reshape(n, 2**n)[::-1].T",
+     ["test_cli.py"]),
+    ("subcommand-parser-without-full-metavar", "cli.py",
+     'required=True,\n                                    metavar="{" + ",".join(table) + "}")',
+     "required=True)",
+     ["test_cli.py"]),
+    ("repeated-column-names-allowed", "cli.py",
+     "if name in seen:", "if False:",
+     ["test_cli.py"]),
 ]
 
 

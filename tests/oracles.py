@@ -9,8 +9,14 @@ loops below.  Minterm index k holds
 attribute j (0-based) on bit n-1-j, so attribute 1 is the most
 significant bit.  The benchmark imports tests/conftest.py for its
 banknote data, so hypothesis is imported here and not there.
+
+Implementations the package replaced live on here too, where tests
+require the same output from both: the csv-reader dataset loader, the
+list-per-row weights.csv writer, the DOT renderer and the command-line
+parser built from parent parsers.
 """
 
+import argparse
 import csv
 import itertools
 import math
@@ -22,8 +28,9 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from annlogic import cli, logiccode
 from annlogic.cli import CliError
-from annlogic.encoding import MAX_ATTRIBUTES
+from annlogic.encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
@@ -694,3 +701,142 @@ def dataset_texts(draw):
         lines.append(",".join(fields) + line_end)
     text = "".join(lines)
     return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+# explain's weights.csv as it was written before each body line was joined
+# from whole columns: one list per row through the csv writer.
+def weights_csv_lists(path, names, cw, scaled, bt):
+    """Write weights.csv for a cell, its scaled weights and bit tensor."""
+    n = cw.n
+    header = (
+        ["k"] + names + ["weight", "scaled"]
+        + [f"bit_2^-{b}" for b in range(bt.bcl_max + 1)] + ["reconstruction"]
+    )
+    codes = np.indices((2,) * n).reshape(n, 2**n).T.tolist()
+    columns = zip(codes, cw.weights.tolist(), scaled.weights.tolist(),
+                  bt.bits.T.tolist(), bt.reconstruction().tolist())
+    rows = [
+        [k] + a_bits + [repr(w), repr(s)] + bits + [repr(r)]
+        for k, (a_bits, w, s, bits, r) in enumerate(columns)
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# Characters a column name may hold that the csv writer must quote or that
+# are not ASCII.
+NAME_CHARS = st.sampled_from(["a", "Z", "1", ",", '"', " ", "\t", "\r", "\n", "é", "µ", "名", "😀"])
+
+
+def column_names(n):
+    """n column names, each 0-6 characters from NAME_CHARS."""
+    return st.lists(st.text(NAME_CHARS, max_size=6), min_size=n, max_size=n)
+
+
+# The DOT renderer as it was before the node test became a class check and
+# a split's two edge lines one string.
+def render_lines(t, names=None):
+    """Deterministic DOT rendering: dashed low edges, solid high edges,
+    low before high."""
+    lines = ["digraph qldt {"]
+    counter = [0]
+
+    def emit(node) -> int:
+        nid = counter[0]
+        counter[0] += 1
+        if isinstance(node, Leaf):
+            label = "active" if node.active else "inactive"
+            lines.append(f'  n{nid} [label="{label}", shape=box];')
+        else:
+            name = names[node.attribute] if names else f"a{node.attribute + 1}"
+            lines.append(f'  n{nid} [label="{name}"];')
+            low_id = emit(node.low)
+            high_id = emit(node.high)
+            lines.append(f"  n{nid} -> n{low_id} [style=dashed];")
+            lines.append(f"  n{nid} -> n{high_id} [style=solid];")
+        return nid
+
+    emit(t)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# The command-line parser as it was before one table drove it: every
+# subcommand built on each call, the shared options as three parent parsers.
+def build_parser_parents():
+    parser = argparse.ArgumentParser(
+        prog="annlogic",
+        description="Interpret a simple ReLU network as weighted logic expressions",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--model", required=True)
+    rows.add_argument("--data", required=True)
+    rows.add_argument("--label", default="label")
+
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--model", help="model JSON file")
+    cell.add_argument("--cell", type=int, help="partition cell number")
+    cell.add_argument("--weights-override",
+                      help="file of raw minterm weights, bypassing extraction")
+    cell.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
+    cell.add_argument("--label", default="label", help="label column name")
+
+    coded = argparse.ArgumentParser(add_help=False, parents=[cell])
+    coded.add_argument("--threshold", type=float,
+                       help="classifier threshold when using --weights-override")
+    coded.add_argument("--bcl-max", type=int,
+                       help=f"finest bit level, 0..{logiccode.MAX_BCL} "
+                            f"(default {logiccode.DEFAULT_BCL_MAX})")
+
+    p = sub.add_parser("train", help="train a minterm-input network")
+    p.add_argument("--data", required=True)
+    p.add_argument("--label", default="label")
+    p.add_argument("--model", required=True, help="output model path")
+    p.add_argument("--relu-nodes", type=int, default=3)
+    p.add_argument("--epochs", type=int, default=2000)
+    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fuzzifier", choices=list(FUZZIFIER_KINDS), default="minmax")
+    p.set_defaults(func=cli.cmd_train)
+
+    p = sub.add_parser("partition", parents=[rows], help="partition a dataset into ReLU cells")
+    p.add_argument("--out", help="CSV output path")
+    p.set_defaults(func=cli.cmd_partition)
+
+    p = sub.add_parser("explain", parents=[coded], help="scale, bit-code, and render one cell")
+    p.add_argument("--out-dir", default="explain_out")
+    p.set_defaults(func=cli.cmd_explain)
+
+    p = sub.add_parser("shapley", parents=[cell], help="attribute Shapley values of a cell")
+    p.add_argument("--out", help="CSV output path")
+    p.set_defaults(func=cli.cmd_shapley)
+
+    p = sub.add_parser("project", parents=[coded], help="marginalize a cell onto attributes")
+    p.add_argument("--keep", required=True, help="comma-separated attributes")
+    p.set_defaults(func=cli.cmd_project)
+
+    p = sub.add_parser("hypothesis", parents=[coded],
+                       help="compare a formula with a level expression")
+    p.add_argument("--level", type=int, help="bit level of the cell expression (default 0)")
+    p.add_argument("--hypothesis", required=True)
+    p.add_argument("--hypothesis2",
+                   help="compare two formulas instead of using a model")
+    p.add_argument("--names", help="comma-separated attribute names")
+    p.set_defaults(func=cli.cmd_hypothesis)
+
+    p = sub.add_parser("trend", parents=[coded], help="trend grid over one or two attributes")
+    p.add_argument("--vary", required=True, help="one or two attributes")
+    p.add_argument("--fixed", help="fixed degrees, e.g. 'c=0.3,e=0.7'")
+    p.add_argument("--levels", help="comma-separated level subset")
+    p.add_argument("--resolution", type=int, default=21)
+    p.add_argument("--out", help="CSV output path")
+    p.set_defaults(func=cli.cmd_trend)
+
+    p = sub.add_parser("classify", parents=[rows], help="classify dataset rows with a model")
+    p.set_defaults(func=cli.cmd_classify)
+
+    return parser

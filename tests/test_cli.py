@@ -8,12 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import annlogic
-from annlogic.cli import main
+from annlogic import cli
+from annlogic.cli import build_parser, main
 from annlogic.encoding import fit_fuzzifier
+from annlogic.logiccode import MAX_BCL, bitcode, scale_weights
 from annlogic.network import save_model
+from annlogic.partition import CellWeights
 from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, random_simple_ann, synthetic_banknote
+from oracles import build_parser_parents, column_names, weights_csv_lists
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +171,27 @@ def test_explain_files_golden(tmp_path, capsys, n, relu_nodes, cell):
     got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
            for name in EXPLAIN_SHA256[n, relu_nodes, cell]}
     assert got == EXPLAIN_SHA256[n, relu_nodes, cell]
+
+
+# Cells of 1 to 256 minterms whose weights and threshold span magnitudes
+# from subnormal to 1e300, so their reprs take every form; weight ranges
+# stay below the float64 overflow that scale_weights rejects.
+MAGNITUDES = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+           hnp.arrays(float, 2**n, elements=MAGNITUDES), column_names(n))),
+       MAGNITUDES, st.integers(0, MAX_BCL))
+def test_weights_csv_equals_csv_writer_rows(tmp_path_factory, cell, threshold, bcl_max):
+    weights, names = cell
+    cw = CellWeights(weights)
+    scaled = scale_weights(cw, threshold)
+    bt = bitcode(scaled, bcl_max)
+    out = tmp_path_factory.mktemp("weights")
+    cli._write_weights(out / "columns.csv", names, cw, scaled, bt)
+    weights_csv_lists(out / "lists.csv", names, cw, scaled, bt)
+    assert (out / "columns.csv").read_bytes() == (out / "lists.csv").read_bytes()
 
 
 class TestShapley:
@@ -318,6 +346,29 @@ NOT_JSON_NUMBERS = {
         "declared sizes do not match matrix shapes"),
 }
 CLASSIFY_ARGV = ["classify", "--model", "model.json", "--data", "d.csv"]
+
+# A column name may occur once in a dataset header or in --names.
+TRAIN_ARGV = ["train", "--data", "d.csv", "--model", "m.json", "--epochs", "5"]
+REPEATED_NAMES = {
+    "header-repeats-label": (
+        {"d.csv": "a,label,label\n0.1,0,1\n0.9,1,0\n"}, TRAIN_ARGV,
+        "dataset header repeats column 'label'"),
+    "header-repeats-attribute": (
+        {"d.csv": "a,a,label\n0.1,0.2,0\n0.9,0.8,1\n"}, TRAIN_ARGV,
+        "dataset header repeats column 'a'"),
+    "data-header-repeats-attribute": (
+        {"d.csv": "a,b,c,a,label\n0.1,0.2,0.3,0.4,0\n"},
+        ["hypothesis", "--weights-override", "ref16.txt", "--data", "d.csv",
+         "--hypothesis", "a and not a"],
+        "dataset header repeats column 'a'"),
+    "names-repeat-attribute": (
+        {}, ["hypothesis", "--weights-override", "ref16.txt", "--names", "a,b,c,a",
+             "--hypothesis", "a and not a"],
+        "--names repeats column 'a'"),
+    "names-repeat-with-hypothesis2": (
+        {}, ["hypothesis", "--names", "v, s ,s", "--hypothesis", "v", "--hypothesis2", "s"],
+        "--names repeats column 's'"),
+}
 
 
 BAD_INPUTS = {
@@ -485,6 +536,7 @@ BAD_INPUTS = {
          "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV),
     **{f"model-{name}": ({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV)
        for name, (text, _) in NOT_JSON_NUMBERS.items()},
+    **{name: (files, argv) for name, (files, argv, _) in REPEATED_NAMES.items()},
 }
 
 
@@ -632,6 +684,8 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                  id="fuzzifier-unread-key"),
     *[pytest.param({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV, message,
                    id=f"model-{name}") for name, (text, message) in NOT_JSON_NUMBERS.items()],
+    *[pytest.param(files, argv, message, id=name)
+      for name, (files, argv, message) in REPEATED_NAMES.items()],
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):
@@ -673,3 +727,53 @@ def test_command_does_not_import_numpy_ma(tmp_path, argv):
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
+# argv on which the parser of the named subcommand alone must act as the
+# parser of all: no argv, an unknown command, help at both levels, an
+# unrecognized option or argument, a missing required option, a bad type=
+# value, and one valid call per subcommand.
+SUBCOMMANDS = ["train", "partition", "explain", "shapley", "project", "hypothesis",
+               "trend", "classify"]
+PARSER_ARGVS = {
+    "none": [],
+    "unknown-command": ["frobnicate", "--cell", "1"],
+    "help": ["--help"],
+    **{f"{c}-help": [c, "--help"] for c in SUBCOMMANDS},
+    "unrecognized-option": ["shapley", "--weights-override", "w.txt", "--bogus"],
+    "unrecognized-argument": ["classify", "--model", "m.json", "--data", "d.csv", "extra"],
+    "missing-required": ["project", "--weights-override", "w.txt"],
+    "bad-int": ["explain", "--model", "m.json", "--cell", "x"],
+    "bad-choice": ["train", "--data", "d.csv", "--model", "m.json", "--fuzzifier", "gauss"],
+    "valid-train": ["train", "--data", "d.csv", "--model", "m.json", "--lr", "0.1",
+                    "--fuzzifier", "logistic"],
+    "valid-partition": ["partition", "--model", "m.json", "--data", "d.csv", "--out", "c.csv"],
+    "valid-explain": ["explain", "--weights-override", "w.txt", "--bcl-max", "5",
+                      "--threshold", "0.2", "--out-dir", "out"],
+    "valid-shapley": ["shapley", "--model", "m.json", "--cell", "3", "--label", "y"],
+    "valid-project": ["project", "--model", "m.json", "--cell", "1", "--keep", "1,2"],
+    "valid-hypothesis": ["hypothesis", "--names", "a,b", "--hypothesis", "a",
+                         "--hypothesis2", "b"],
+    "valid-trend": ["trend", "--weights-override", "w.txt", "--vary", "1,2",
+                    "--fixed", "3=0.5", "--resolution", "5", "--out", "t.csv"],
+    "valid-classify": ["classify", "--model", "m.json", "--data", "d.csv"],
+}
+
+
+def parsed(parser, argv, capsys):
+    """(exit status or None, stdout, stderr, Namespace or None) of parse_args."""
+    try:
+        args, status = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, status = None, exc.code
+    return (status, *capsys.readouterr(), args)
+
+
+@pytest.mark.parametrize("columns", ["80", "30"])
+@pytest.mark.parametrize("name,argv", PARSER_ARGVS.items(), ids=PARSER_ARGVS.keys())
+def test_subcommand_parser_acts_as_the_full_one(monkeypatch, capsys, columns, name, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    alone = parsed(build_parser(argv[0] if argv else None), argv, capsys)
+    assert alone == parsed(build_parser(), argv, capsys)
+    assert alone == parsed(build_parser_parents(), argv, capsys)
+    assert (alone[0] is None) == name.startswith("valid-")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import LogicExpressionBits, eval_expression
 from annlogic.qldt import Leaf, Split, build_qldt, build_qldts, eval_qldt, render
-from oracles import minterm_bits, qldt_recursive, qldt_rows, truth_tables
+from oracles import (column_names, minterm_bits, qldt_recursive, qldt_rows, render_lines,
+                     truth_tables)
 
 
 def expr(bits):
@@ -200,3 +201,11 @@ class TestRender:
     def test_deterministic(self):
         tree = build_qldt(expr((0, 1, 1, 0, 1, 0, 0, 1)))
         assert render(tree) == render(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(truth_tables(7, 4), st.data())
+    def test_equals_isinstance_renderer(self, drawn, data):
+        n, tables = drawn
+        names = data.draw(st.none() | column_names(n))
+        for tree in build_qldts([expr(t) for t in tables]):
+            assert render(tree, names) == render_lines(tree, names)
