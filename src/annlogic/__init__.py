@@ -46,7 +46,7 @@ from .logiccode import (
     project,
     scale_weights,
 )
-from .qldt import Leaf, QldtNode, Split, build_qldt, build_qldts, eval_qldt, render
+from .qldt import QldtNode, Split, build_qldt, build_qldts, eval_qldt, render
 from .analysis import (
     ComparisonMetrics,
     TrendGrid,

@@ -21,10 +21,6 @@ class HypothesisSyntaxError(ValueError):
         self.position = position
 
 
-class UnknownAttributeError(ValueError):
-    pass
-
-
 _TOKEN = re.compile(r"([()&|!~]|\w+)|(\S)")  # a token, or a character no token holds
 _KEYWORDS = {"and": "and", "or": "or", "xor": "xor", "not": "not",
              "&": "and", "|": "or", "!": "not", "~": "not"}
@@ -67,7 +63,7 @@ def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
             if tok == ")" or kind is not None:
                 raise HypothesisSyntaxError(f"unexpected token {tok!r}", pos)
             if tok not in columns:
-                raise UnknownAttributeError(
+                raise ValueError(
                     f"unknown attribute {tok!r}; known: {', '.join(names)}"
                 )
             truths.append(columns[tok])

@@ -17,10 +17,6 @@ from . import analysis, logiccode, network, partition, qldt
 from .encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES, fit_fuzzifier, fuzzify, minterm_transform
 
 
-class CliError(Exception):
-    pass
-
-
 def load_dataset(path, label_column):
     """Read a CSV with a header row; returns (attribute names, X, y): the
     (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
@@ -30,18 +26,18 @@ def load_dataset(path, label_column):
     unquoted field as a number.  Both read a field as float() does."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"dataset file not found: {path}")
+        raise ValueError(f"dataset file not found: {path}")
     with open(p, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise CliError(f"dataset file is empty: {path}") from None
+            raise ValueError(f"dataset file is empty: {path}") from None
         except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise CliError(f"row 1: {exc}") from None
+            raise ValueError(f"row 1: {exc}") from None
         if label_column not in header:
-            raise CliError(f"label column {label_column!r} not in header {header}")
+            raise ValueError(f"label column {label_column!r} not in header {header}")
         if len(header) - 1 > MAX_ATTRIBUTES:
-            raise CliError(
+            raise ValueError(
                 f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
         _reject_repeats(header, "dataset header")
@@ -91,7 +87,7 @@ def _csv_body(fh, width):
     try:
         records = list(reader)
     except (ValueError, csv.Error) as exc:
-        raise CliError(f"row {reader.line_num + 1}: {exc}") from None
+        raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
     widths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     filled = widths > 0
     row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
@@ -106,14 +102,14 @@ def _csv_body(fh, width):
             try:
                 np.array(record, dtype=float)
             except ValueError as exc:
-                raise CliError(f"row {no}: {exc}") from None
+                raise ValueError(f"row {no}: {exc}") from None
         raise
     return table.reshape(-1, width), row_no
 
 
 def _reject_rows(bad, row_no, what):
     if bad.any():
-        raise CliError(f"row {row_no[np.argmax(bad)]} {what}")
+        raise ValueError(f"row {row_no[np.argmax(bad)]} {what}")
 
 
 def _reject_repeats(names, where):
@@ -122,7 +118,7 @@ def _reject_repeats(names, where):
     seen = set()
     for name in names:
         if name in seen:
-            raise CliError(f"{where} repeats column {name!r}")
+            raise ValueError(f"{where} repeats column {name!r}")
         seen.add(name)
 
 
@@ -131,13 +127,13 @@ def load_weights_file(path):
     n <= MAX_ATTRIBUTES."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"weights file not found: {path}")
+        raise ValueError(f"weights file not found: {path}")
     text = p.read_text().replace(",", "\n")
     weights = [float(tok) for tok in text.split() if tok]
     if not weights or len(weights) & (len(weights) - 1):
-        raise CliError(f"weights file must hold a power-of-two count, got {len(weights)}")
+        raise ValueError(f"weights file must hold a power-of-two count, got {len(weights)}")
     if len(weights) > 2**MAX_ATTRIBUTES:
-        raise CliError(
+        raise ValueError(
             f"weights file holds {len(weights)} weights, more than "
             f"2^{MAX_ATTRIBUTES} minterms"
         )
@@ -147,7 +143,7 @@ def load_weights_file(path):
 def _load_model(path):
     p = Path(path)
     if not p.exists():
-        raise CliError(f"model file not found: {path}")
+        raise ValueError(f"model file not found: {path}")
     return network.load_model(p)
 
 
@@ -157,11 +153,11 @@ def _parse_levels(text, bcl_max):
     try:
         levels = sorted({int(t) for t in text.split(",") if t.strip() != ""})
     except ValueError:
-        raise CliError(f"bad level set {text!r}") from None
+        raise ValueError(f"bad level set {text!r}") from None
     if not levels:
-        raise CliError("level set is empty")
+        raise ValueError("level set is empty")
     if any(not 0 <= b <= bcl_max for b in levels):
-        raise CliError(f"levels must lie in 0..{bcl_max}")
+        raise ValueError(f"levels must lie in 0..{bcl_max}")
     return levels
 
 
@@ -172,13 +168,13 @@ def _names_and_rows(args):
     names = getattr(args, "names", None)
     if args.data:
         if names is not None:
-            raise CliError("--names cannot be combined with --data")
+            raise ValueError("--names cannot be combined with --data")
         names, X, y = load_dataset(args.data, args.label)
         return names, (X, y)
     if names:
         names = [t.strip() for t in names.split(",") if t.strip()]
         if len(names) > MAX_ATTRIBUTES:
-            raise CliError(
+            raise ValueError(
                 f"{len(names)} names exceed the maximum of {MAX_ATTRIBUTES} attributes"
             )
         _reject_repeats(names, "--names")
@@ -197,24 +193,24 @@ def _cell_weights_from_args(args):
     threshold = getattr(args, "threshold", None)
     if args.weights_override:
         if args.model or args.cell is not None:
-            raise CliError("--weights-override cannot be combined with --model or --cell")
+            raise ValueError("--weights-override cannot be combined with --model or --cell")
         cw = load_weights_file(args.weights_override)
         threshold = 0.5 if threshold is None else threshold
     elif not args.model:
-        raise CliError("either --model or --weights-override is required")
+        raise ValueError("either --model or --weights-override is required")
     elif threshold is not None:
-        raise CliError("--threshold applies only to --weights-override")
+        raise ValueError("--threshold applies only to --weights-override")
     else:
         ann, spec = _load_model(args.model)
         if args.cell is None:
-            raise CliError("--cell is required when extracting from a model")
+            raise ValueError("--cell is required when extracting from a model")
         cell = partition.CellId(args.cell, ann.relu_count)
         cw = partition.extract_cell_weights(ann, cell)
         threshold = ann.threshold
     if names is None:
         names = [f"a{j + 1}" for j in range(cw.n)]
     elif len(names) != cw.n:
-        raise CliError(
+        raise ValueError(
             f"{len(names)} attribute names given for a cell over {cw.n} attributes"
         )
     return cw, names, threshold, spec, rows
@@ -250,7 +246,7 @@ def _digits(bits, sep):
 def cmd_train(args):
     names, X, y = load_dataset(args.data, args.label)
     if not len(y):
-        raise CliError("dataset has no rows")
+        raise ValueError("dataset has no rows")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         spec = fit_fuzzifier(X, args.fuzzifier)
@@ -259,10 +255,7 @@ def cmd_train(args):
     cfg = network.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed
     )
-    try:
-        ann, acc = network.train(minterm_transform(fuzzify(X, spec)), y, args.relu_nodes, cfg)
-    except network.TrainingDivergedError as exc:
-        raise CliError(str(exc)) from exc
+    ann, acc = network.train(minterm_transform(fuzzify(X, spec)), y, args.relu_nodes, cfg)
     network.save_model(args.model, ann, spec)
     print(f"attributes={','.join(names)}")
     print(f"training_accuracy={_fmt(acc)}")
@@ -276,7 +269,7 @@ def _model_rows(args):
     model's fuzzifier, and their labels."""
     ann, spec = _load_model(args.model)
     if spec is None:
-        raise CliError("model has no fuzzifier; cannot ingest raw data")
+        raise ValueError("model has no fuzzifier; cannot ingest raw data")
     _, X, y = load_dataset(args.data, args.label)
     return ann, minterm_transform(fuzzify(X, spec)), y
 
@@ -324,7 +317,7 @@ def _write_weights(path, names, cw, scaled, bt):
 def cmd_explain(args):
     cw, names, threshold, spec, data = _cell_weights_from_args(args)
     if data is not None and spec is not None and not len(data[1]):
-        raise CliError("dataset has no rows")
+        raise ValueError("dataset has no rows")
     scaled, bt = _coded(cw, threshold, args)
     report = logiccode.energy_report(scaled, bt)
 
@@ -332,10 +325,8 @@ def cmd_explain(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_weights(out_dir / "weights.csv", names, cw, scaled, bt)
 
-    energy_rows = [
-        [le.bcl, le.set_bits, repr(le.absolute), repr(le.relative_percent)]
-        for le in report.levels
-    ]
+    energy_rows = zip(count(), report.set_bits, map(repr, report.absolute),
+                      map(repr, report.relative_percent))
     _write_csv(
         out_dir / "energy.csv",
         ["level", "set_bits", "absolute_energy", "relative_energy_percent"],
@@ -348,14 +339,13 @@ def cmd_explain(args):
     print(f"bitcode_sum={_fmt(report.bitcode_sum)}")
     if report.degenerate:
         print("energy=degenerate (weight sum is zero)")
-    for le in report.levels:
+    energies = zip(report.set_bits, report.absolute, report.relative_percent)
+    for bcl, (set_bits, absolute, relative) in enumerate(energies):
         print(
-            f"level 2^-{le.bcl}: set_bits={le.set_bits} "
-            f"energy={_fmt(le.absolute)} ({_fmt(le.relative_percent, 1)}%)"
+            f"level 2^-{bcl}: set_bits={set_bits} "
+            f"energy={_fmt(absolute)} ({_fmt(relative, 1)}%)"
         )
-    levels = range(bt.bcl_max + 1)
-    trees = qldt.build_qldts([logiccode.level_expression(bt, bcl) for bcl in levels])
-    for bcl, tree in zip(levels, trees):
+    for bcl, tree in enumerate(qldt.build_qldts(bt)):
         dot_path = out_dir / f"level_{bcl}.dot"
         dot_path.write_text(qldt.render(tree, names))
         print(f"tree level 2^-{bcl}: {dot_path}")
@@ -363,7 +353,7 @@ def cmd_explain(args):
     if data is not None and spec is not None:
         X, y = data
         mt = minterm_transform(fuzzify(X, spec))
-        for bcl in levels:
+        for bcl in range(bt.bcl_max + 1):
             acc = logiccode.level_accuracy(
                 bt, scaled.threshold, mt, y, list(range(bcl + 1))
             )
@@ -392,9 +382,9 @@ def _resolve_keep(keep_arg, names):
             try:
                 index = int(tok)
             except ValueError:
-                raise CliError(f"unknown attribute {tok!r}") from None
+                raise ValueError(f"unknown attribute {tok!r}") from None
             if not 1 <= index <= len(names):
-                raise CliError(f"attribute index {index} outside 1..{len(names)}")
+                raise ValueError(f"attribute index {index} outside 1..{len(names)}")
             keep.append(index - 1)
     return keep
 
@@ -412,10 +402,10 @@ def cmd_project(args):
     for bits, raw, s, code in columns:
         print(f"minterm {bits}: raw={_fmt(raw)} scaled={_fmt(s)} bits={code}")
     print(f"weight_sum={_fmt(report.weight_sum)}")
-    for le in report.levels:
+    for bcl, (set_bits, relative) in enumerate(zip(report.set_bits, report.relative_percent)):
         print(
-            f"level 2^-{le.bcl}: set_bits={le.set_bits} "
-            f"({_fmt(le.relative_percent, 1)}%)"
+            f"level 2^-{bcl}: set_bits={set_bits} "
+            f"({_fmt(relative, 1)}%)"
         )
     return 0
 
@@ -425,10 +415,10 @@ def cmd_hypothesis(args):
         for option in ("--model", "--cell", "--weights-override", "--threshold",
                        "--bcl-max", "--level"):
             if getattr(args, option[2:].replace("-", "_")) is not None:
-                raise CliError(f"{option} cannot be combined with --hypothesis2")
+                raise ValueError(f"{option} cannot be combined with --hypothesis2")
         names, _ = _names_and_rows(args)
         if names is None:
-            raise CliError("--names or --data required with --hypothesis2")
+            raise ValueError("--names or --data required with --hypothesis2")
         e = analysis.parse_hypothesis(args.hypothesis2, names)
     else:
         cw, names, threshold, *_ = _cell_weights_from_args(args)
@@ -458,11 +448,11 @@ def cmd_trend(args):
                 key, val = part.split("=")
                 degree = float(val)
             except ValueError:
-                raise CliError(f"--fixed entry {part!r} is not of the form name=degree") from None
+                raise ValueError(f"--fixed entry {part!r} is not of the form name=degree") from None
             idx = _resolve_keep(key, names)[0]
             if idx in vary or idx in fixed:
                 why = "both varied and fixed" if idx in vary else "fixed twice"
-                raise CliError(f"attribute {names[idx]!r} is {why}")
+                raise ValueError(f"attribute {names[idx]!r} is {why}")
             fixed[idx] = degree
     grid = analysis.trend_grid(bt, vary, fixed, levels, args.resolution)
     level_tag = "+".join(str(b) for b in levels)
@@ -575,7 +565,7 @@ def main(argv=None):
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,10 +20,6 @@ FUZZIFIER_KINDS = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")
 _BLOCK_VALUES = 2**16  # minterm values expanded per block: 512 KB of float64
 
 
-class ArityMismatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FuzzifierSpec:
     """Per-attribute monotone maps onto [0,1]; `params` holds the kind's two
@@ -87,7 +83,7 @@ def fit_fuzzifier(X: np.ndarray, kind: str = "minmax") -> FuzzifierSpec:
     if X.size == 0:
         raise ValueError("cannot fit a fuzzifier on an empty dataset")
     if X.ndim != 2:
-        raise ArityMismatchError(f"expected an (N, n) array of rows, got shape {X.shape}")
+        raise ValueError(f"expected an (N, n) array of rows, got shape {X.shape}")
     if kind == "minmax":
         lo = X.min(axis=0)
         hi = X.max(axis=0)
@@ -110,7 +106,7 @@ def fuzzify(X: np.ndarray, spec: FuzzifierSpec) -> np.ndarray:
     shape; out-of-range values clamp."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] != (spec.arity,):
-        raise ArityMismatchError(
+        raise ValueError(
             f"raw values of shape {X.shape}, fuzzifier expects {spec.arity} attributes"
         )
     if spec.kind == "minmax":

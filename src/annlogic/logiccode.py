@@ -78,17 +78,14 @@ class LogicExpressionBits:
 
 
 @dataclass(frozen=True)
-class LevelEnergy:
-    bcl: int
-    set_bits: int
-    absolute: float
-    relative_percent: float
-
-
-@dataclass(frozen=True)
 class EnergyReport:
+    """Per level bcl = 0 .. bcl_max, at index bcl: its set bits, absolute
+    energy and relative energy in percent."""
+
     weight_sum: float
-    levels: tuple[LevelEnergy, ...]
+    set_bits: tuple[int, ...]
+    absolute: tuple[float, ...]
+    relative_percent: tuple[float, ...]
     bitcode_sum: float
     degenerate: bool = False
 
@@ -162,13 +159,12 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
         raise ValueError("weight/bit tensor length mismatch")
     weight_sum = float(sw.weights.sum())
     degenerate = weight_sum == 0.0
-    levels = []
-    for bcl, count in enumerate(np.count_nonzero(bt.bits, axis=1).tolist()):
-        absolute = 2.0**-bcl * count
-        relative = 0.0 if degenerate else absolute / weight_sum * 100.0
-        levels.append(LevelEnergy(bcl, count, absolute, relative))
+    set_bits = np.count_nonzero(bt.bits, axis=1)
+    absolute = np.ldexp(set_bits, -np.arange(len(set_bits)))
+    relative = np.zeros_like(absolute) if degenerate else absolute / weight_sum * 100.0
     bitcode_sum = float(bt.reconstruction().sum())
-    return EnergyReport(weight_sum, tuple(levels), bitcode_sum, degenerate)
+    return EnergyReport(weight_sum, tuple(set_bits.tolist()), tuple(absolute.tolist()),
+                        tuple(relative.tolist()), bitcode_sum, degenerate)
 
 
 def level_accuracy(

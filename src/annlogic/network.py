@@ -19,14 +19,6 @@ MAX_EPOCHS = 1_000_000
 INIT_SCALE = 0.5  # standard deviation of the initial weights
 
 
-class ModelFormatError(ValueError):
-    pass
-
-
-class TrainingDivergedError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class SimpleAnn:
     """Bias-free network: pre_layers feed 2^n minterm inputs into the ReLU
@@ -42,21 +34,21 @@ class SimpleAnn:
         object.__setattr__(self, "pre_layers", pre)
         object.__setattr__(self, "post_layers", post)
         if not pre or not post:
-            raise ModelFormatError("need at least one layer before and after ReLU")
+            raise ValueError("need at least one layer before and after ReLU")
         chain = list(pre) + list(post)
         if any(w.ndim != 2 for w in chain):
-            raise ModelFormatError("every weight matrix must be 2-D")
+            raise ValueError("every weight matrix must be 2-D")
         for a, b in zip(chain, chain[1:]):
             if b.shape[1] != a.shape[0]:
-                raise ModelFormatError(
+                raise ValueError(
                     f"layer shapes do not chain: {a.shape} then {b.shape}"
                 )
         if post[-1].shape[0] != 1:
-            raise ModelFormatError("final layer must have exactly one output row")
+            raise ValueError("final layer must have exactly one output row")
         if not all(np.isfinite(w).all() for w in chain):
-            raise ModelFormatError("weights must be finite")
+            raise ValueError("weights must be finite")
         if not math.isfinite(self.threshold):
-            raise ModelFormatError("threshold must be finite")
+            raise ValueError("threshold must be finite")
 
     @property
     def input_size(self) -> int:
@@ -194,7 +186,7 @@ def train(
             np.matmul(relu, w_post.T, out=out)
             np.subtract(out[:, 0], labels, out=d)
             if not math.isfinite(np.add.reduce(np.square(d, out=sq))):
-                raise TrainingDivergedError(
+                raise ValueError(
                     "training diverged (non-finite loss); lower the learning rate"
                 )
             if epoch == cfg.epochs:
@@ -231,48 +223,48 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
         try:
             doc = json.load(fh, parse_constant=_reject_nonfinite)
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise ModelFormatError(f"malformed model file: {exc}") from exc
+            raise ValueError(f"malformed model file: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelFormatError("model file must hold a JSON object")
+        raise ValueError("model file must hold a JSON object")
     for field_name in ("input_size", "relu_count", "pre_layers", "post_layers",
                        "threshold"):
         if field_name not in doc:
-            raise ModelFormatError(f"model file missing field {field_name!r}")
+            raise ValueError(f"model file missing field {field_name!r}")
     if "biases" in doc or "bias" in doc:
-        raise ModelFormatError("model format is bias-free; bias fields rejected")
+        raise ValueError("model format is bias-free; bias fields rejected")
     if type(doc["threshold"]) not in (int, float):  # type(), as a bool is an int
-        raise ModelFormatError("threshold must be a JSON number")
+        raise ValueError("threshold must be a JSON number")
     try:
         pre = tuple(np.array(w, dtype=float) for w in doc["pre_layers"])
         post = tuple(np.array(w, dtype=float) for w in doc["post_layers"])
         threshold = float(doc["threshold"])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"bad weight matrix or threshold: {exc}") from exc
+        raise ValueError(f"bad weight matrix or threshold: {exc}") from exc
     ann = SimpleAnn(pre, post, threshold)
     # every layer is 2-D now: a list of rows of scalars
     rows = chain.from_iterable((*doc["pre_layers"], *doc["post_layers"]))
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        raise ModelFormatError("weights must be JSON numbers")
+        raise ValueError("weights must be JSON numbers")
     sizes = [doc["input_size"], doc["relu_count"]]
     if sizes != [ann.input_size, ann.relu_count] or set(map(type, sizes)) != {int}:
-        raise ModelFormatError("declared sizes do not match matrix shapes")
+        raise ValueError("declared sizes do not match matrix shapes")
     if ann.input_size.bit_count() != 1:
-        raise ModelFormatError(f"input size {ann.input_size} is not a power of two")
+        raise ValueError(f"input size {ann.input_size} is not a power of two")
     if ann.input_size > 2**MAX_ATTRIBUTES:
-        raise ModelFormatError(
+        raise ValueError(
             f"input size {ann.input_size} exceeds 2^{MAX_ATTRIBUTES} minterms"
         )
     fz = doc.get("fuzzifier")
     if fz is None:
         return ann, None
     if not isinstance(fz, dict):
-        raise ModelFormatError("fuzzifier must be a JSON object or null")
+        raise ValueError("fuzzifier must be a JSON object or null")
     try:
         spec = FuzzifierSpec.from_dict(fz)
     except (ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"bad fuzzifier: {exc}") from exc
+        raise ValueError(f"bad fuzzifier: {exc}") from exc
     if 2**spec.arity != ann.input_size:
-        raise ModelFormatError(
+        raise ValueError(
             f"fuzzifier over {spec.arity} attributes does not match input size "
             f"{ann.input_size}"
         )
@@ -280,4 +272,4 @@ def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
 
 
 def _reject_nonfinite(token):
-    raise ModelFormatError(f"non-finite number {token!r} in model file")
+    raise ValueError(f"non-finite number {token!r} in model file")

@@ -4,6 +4,7 @@ A tree is just another representation of an expression's active-minterm
 set: it is induced like a decision tree from the (2,)*n boolean truth
 tensor, but evaluated by summing, over all paths to active leaves, the
 products of the degrees (solid edge) or their complements (dashed edge).
+A tree is a `Split` or a leaf, the bool True (active) or False.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Union
 import numpy as np
 
 from .encoding import _degrees
-from .logiccode import LogicExpressionBits
-
-
-@dataclass(frozen=True)
-class Leaf:
-    active: bool
+from .logiccode import BitTensor, LogicExpressionBits
 
 
 @dataclass(frozen=True)
@@ -30,7 +26,7 @@ class Split:
     high: "QldtNode"  # non-negated branch
 
 
-QldtNode = Union[Leaf, Split]
+QldtNode = Union[Split, bool]
 
 
 def _entropy(pos: int, total: int) -> float:
@@ -42,27 +38,22 @@ def _entropy(pos: int, total: int) -> float:
 
 def build_qldt(e: LogicExpressionBits) -> QldtNode:
     """The tree of one expression; see `build_qldts`."""
-    return build_qldts([e])[0]
+    return build_qldts(BitTensor(e.active[None]))[0]
 
 
-def build_qldts(exprs) -> tuple[QldtNode, ...]:
-    """Induce a lossless tree from each expression's truth table, all over
-    one n.  Splits maximize information gain, ties go to the lowest
-    attribute index; pure subtrees and splits with identical children
+def build_qldts(bt: BitTensor) -> tuple[QldtNode, ...]:
+    """Induce a lossless tree from each row of the bit tensor, the truth
+    table of one level.  Splits maximize information gain, ties go to the
+    lowest attribute index; pure subtrees and splits with identical children
     collapse.  Equal subfunctions over the same attributes are one node,
     within a tree and across the trees.  The trees grow breadth first: the
     unique nodes at depth d are the rows of one (K, 2^(n-d)) truth matrix,
     split all at once; the nodes are then built from the deepest up."""
-    exprs = list(exprs)
-    if not exprs:
-        raise ValueError("need at least one expression")
-    n = exprs[0].n
-    if any(e.n != n for e in exprs):
-        raise ValueError("expressions must all have the same n")
+    n = bt.n
     index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
-    truth, attrs, roots = _intern(np.stack([e.active for e in exprs]),
-                                  np.tile(np.arange(n, dtype=np.uint8), (len(exprs), 1)))
-    depths = []  # per depth: (all-true flags, (node, attribute, lo, hi) splits)
+    truth, attrs, roots = _intern(bt.bits.astype(bool),
+                                  np.tile(np.arange(n, dtype=np.uint8), (len(bt.bits), 1)))
+    depths = []  # per depth: (all-true flags, the leaves, (node, attribute, lo, hi) splits)
     while True:
         width = truth.shape[1]
         pos = np.count_nonzero(truth, axis=1)
@@ -84,10 +75,8 @@ def build_qldts(exprs) -> tuple[QldtNode, ...]:
         truth, attrs, child = _intern(children, rest)
         depths[-1][1].extend(zip(inner.tolist(), attribute.tolist(),
                                  child[:k].tolist(), child[k:].tolist()))
-    leaves = (Leaf(False), Leaf(True))
     nodes: list[QldtNode] = []
-    for full, splits in reversed(depths):
-        level = [leaves[f] for f in full]
+    for level, splits in reversed(depths):
         for i, a, lo, hi in splits:
             low, high = nodes[lo], nodes[hi]
             level[i] = low if low is high else Split(a, low, high)
@@ -136,8 +125,8 @@ def eval_qldt(t: QldtNode, degrees) -> float:
 
 
 def _eval(t: QldtNode, d: np.ndarray) -> float:
-    if isinstance(t, Leaf):
-        return 1.0 if t.active else 0.0
+    if t.__class__ is bool:
+        return 1.0 if t else 0.0
     if t.attribute >= len(d):
         raise ValueError(f"attribute index {t.attribute} out of range")
     m = d[t.attribute]
@@ -155,8 +144,8 @@ def render(t: QldtNode, names: list[str] | None = None) -> str:
         nonlocal count
         nid = count
         count += 1
-        if node.__class__ is Leaf:
-            label = "active" if node.active else "inactive"
+        if node.__class__ is bool:
+            label = "active" if node else "inactive"
             append(f'  n{nid} [label="{label}", shape=box];')
         else:
             name = names[node.attribute] if names else f"a{node.attribute + 1}"

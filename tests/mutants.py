@@ -168,8 +168,8 @@ MUTANTS = [
      "if names is not None:", "if False:",
      ["test_cli.py"]),
     ("fixed-entry-error-not-named", "cli.py",
-     'except ValueError:\n                raise CliError(f"--fixed entry',
-     'except TypeError:\n                raise CliError(f"--fixed entry',
+     'except ValueError:\n                raise ValueError(f"--fixed entry',
+     'except TypeError:\n                raise ValueError(f"--fixed entry',
      ["test_cli.py"]),
     ("hypothesis2-accepts-cell-options", "cli.py",
      'if getattr(args, option[2:].replace("-", "_")) is not None:', "if False:",

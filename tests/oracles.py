@@ -29,17 +29,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from annlogic import cli, logiccode
-from annlogic.cli import CliError
 from annlogic.encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
-    TrainingDivergedError,
     choose_threshold,
     forward,
 )
 from annlogic.partition import CellWeights
-from annlogic.qldt import Leaf, Split
+from annlogic.qldt import Split
 
 
 def weight_vectors(max_n):
@@ -287,9 +285,9 @@ def qldt_rows(active, n):
 def _grow(rows, n, used):
     pos = sum(y for _, y in rows)
     if pos == 0:
-        return Leaf(False)
+        return False
     if pos == len(rows):
-        return Leaf(True)
+        return True
     base = _entropy(pos, len(rows))
     best_gain, best_attr = -1.0, -1
     for j in range(n):
@@ -332,9 +330,9 @@ def _split_recursive(truth, attributes, built, index_bits):
     total = truth.size
     pos = int(np.count_nonzero(truth))
     if pos == 0:
-        return Leaf(False)
+        return False
     if pos == total:
-        return Leaf(True)
+        return True
     base = _entropy(pos, total)
     half = total // 2
     high = truth.reshape(-1) @ index_bits[:total, -truth.ndim:]
@@ -351,6 +349,18 @@ def _split_recursive(truth, attributes, built, index_bits):
     if lo is hi:
         return lo
     return Split(attributes[best_axis], lo, hi)
+
+
+# The energy report as it was when each level was a record of its own.
+def energy_levels_loop(sw, bt):
+    """(set bits, absolute, relative percent) per level, one level at a time."""
+    weight_sum = float(sw.weights.sum())
+    levels = []
+    for bcl, count in enumerate(np.count_nonzero(bt.bits, axis=1).tolist()):
+        absolute = 2.0**-bcl * count
+        relative = 0.0 if weight_sum == 0.0 else absolute / weight_sum * 100.0
+        levels.append((count, absolute, relative))
+    return tuple(zip(*levels))
 
 
 def truth_tables(max_n, max_count):
@@ -486,7 +496,7 @@ def train_temporaries(mt, labels, relu_nodes, cfg):
             out = (relu @ w_post.T)[:, 0]
             loss = float(np.mean((out - labels) ** 2))
             if not math.isfinite(loss):
-                raise TrainingDivergedError(
+                raise ValueError(
                     "training diverged (non-finite loss); lower the learning rate"
                 )
             if epoch == cfg.epochs:
@@ -525,7 +535,7 @@ def train_layers(mt, labels, arch, cfg, relu_after=1):
         acts += activations(weights[relu_after:], np.maximum(acts[-1], 0.0))
         out = acts[-1][:, 0]
         if not math.isfinite(float(np.mean((out - labels) ** 2))):
-            raise TrainingDivergedError("training diverged")
+            raise ValueError("training diverged")
         grads = [None] * len(weights)
         d = (2.0 / len(labels)) * (out - labels)[:, None]
         for i in range(len(weights) - 1, relu_after - 1, -1):
@@ -600,25 +610,25 @@ def load_dataset_csv(path, label_column):
     skipped.  The csv reader parses every unquoted field as a number."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"dataset file not found: {path}")
+        raise ValueError(f"dataset file not found: {path}")
     with open(p, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise CliError(f"dataset file is empty: {path}") from None
+            raise ValueError(f"dataset file is empty: {path}") from None
         except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise CliError(f"row 1: {exc}") from None
+            raise ValueError(f"row 1: {exc}") from None
         if label_column not in header:
-            raise CliError(f"label column {label_column!r} not in header {header}")
+            raise ValueError(f"label column {label_column!r} not in header {header}")
         if len(header) - 1 > MAX_ATTRIBUTES:
-            raise CliError(
+            raise ValueError(
                 f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
         reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
         try:
             records = list(reader)
         except (ValueError, csv.Error) as exc:
-            raise CliError(f"row {reader.line_num + 1}: {exc}") from None
+            raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
     width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     filled = width > 0
     row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
@@ -633,7 +643,7 @@ def load_dataset_csv(path, label_column):
             try:
                 np.array(record, dtype=float)
             except ValueError as exc:
-                raise CliError(f"row {no}: {exc}") from None
+                raise ValueError(f"row {no}: {exc}") from None
         raise
     table = table.reshape(-1, len(header))
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
@@ -646,7 +656,7 @@ def load_dataset_csv(path, label_column):
 
 def _reject_rows(bad, row_no, what):
     if bad.any():
-        raise CliError(f"row {row_no[np.argmax(bad)]} {what}")
+        raise ValueError(f"row {row_no[np.argmax(bad)]} {what}")
 
 
 # Fields that are not a plain valid number, each a defect the csv reader
@@ -746,8 +756,8 @@ def render_lines(t, names=None):
     def emit(node) -> int:
         nid = counter[0]
         counter[0] += 1
-        if isinstance(node, Leaf):
-            label = "active" if node.active else "inactive"
+        if isinstance(node, bool):
+            label = "active" if node else "inactive"
             lines.append(f'  n{nid} [label="{label}", shape=box];')
         else:
             name = names[node.attribute] if names else f"a{node.attribute + 1}"

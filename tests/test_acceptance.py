@@ -52,7 +52,7 @@ def test_criterion_01_reference_weight_table():
             assert got == REF16_BITS[k], f"bit code mismatch at minterm {k}"
         report = al.energy_report(sw, bt)
         assert abs(report.weight_sum - 9.46) <= 0.005
-        assert [l.set_bits for l in report.levels] == [1, 11, 8, 6]
+        assert list(report.set_bits) == [1, 11, 8, 6]
         assert report.bitcode_sum == 9.25
         # Reference row, rounded to whole percent.  Each entry is
         # 2^-bcl * set_bits / weight_sum * 100: the first three (11, 58, 21)
@@ -61,19 +61,19 @@ def test_criterion_01_reference_weight_table():
         # 2^-3 entry is then 0.125 * 6 / 9.456 * 100 = 7.93, i.e. 8.
         expected_rel = (11.0, 58.0, 21.0, 8.0)
         table_sum = math.fsum(REF16_WEIGHTS)
-        for bcl, (level, want, count) in enumerate(
-            zip(report.levels, expected_rel, (1, 11, 8, 6))
+        for bcl, (want, count) in enumerate(
+            zip(expected_rel, (1, 11, 8, 6))
         ):
-            assert abs(level.relative_percent - want) <= 0.5, (
-                f"level {level.bcl} relative energy {level.relative_percent:.2f}%"
+            assert abs(report.relative_percent[bcl] - want) <= 0.5, (
+                f"level {bcl} relative energy {report.relative_percent[bcl]:.2f}%"
                 f" vs reference {want}%"
             )
             exact = 2.0**-bcl * count / table_sum * 100.0
-            assert abs(level.relative_percent - exact) <= 1e-9, (
-                f"level {bcl} relative energy {level.relative_percent!r}%"
+            assert abs(report.relative_percent[bcl] - exact) <= 1e-9, (
+                f"level {bcl} relative energy {report.relative_percent[bcl]!r}%"
                 f" vs table formula {exact!r}%"
             )
-        total = math.fsum(l.relative_percent for l in report.levels)
+        total = math.fsum(report.relative_percent)
         assert abs(total - 9.25 / table_sum * 100.0) <= 1e-9
 
 
@@ -87,8 +87,8 @@ def test_criterion_02_projection_table():
         codes = [tuple(bt.bits[b][k] for b in range(4)) for k in range(4)]
         assert codes == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)]
         report = al.energy_report(sw, bt)
-        for level, want in zip(report.levels, (51.0, 51.0, 0.0, 0.0)):
-            assert abs(level.relative_percent - want) <= 1.0
+        for relative, want in zip(report.relative_percent, (51.0, 51.0, 0.0, 0.0)):
+            assert abs(relative - want) <= 1.0
 
 
 def test_criterion_03_two_attribute_bitcodes_and_level_forms():

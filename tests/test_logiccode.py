@@ -28,6 +28,7 @@ from oracles import (
     bit_tensor_ok,
     bitcode_loop,
     cell_weights_ok,
+    energy_levels_loop,
     expression_bits_ok,
     odd_arrays,
     project_loop,
@@ -243,9 +244,9 @@ class TestEnergyReport:
         sw = scaled(REF16_WEIGHTS)
         report = energy_report(sw, bitcode(sw, 3))
         assert report.weight_sum == pytest.approx(9.456, abs=1e-9)
-        assert [l.set_bits for l in report.levels] == [1, 11, 8, 6]
+        assert report.set_bits == (1, 11, 8, 6)
         assert report.bitcode_sum == 9.25
-        rel = [l.relative_percent for l in report.levels]
+        rel = report.relative_percent
         assert rel[0] == pytest.approx(10.58, abs=0.005)
         assert rel[1] == pytest.approx(58.16, abs=0.005)
         assert rel[2] == pytest.approx(21.15, abs=0.005)
@@ -256,12 +257,26 @@ class TestEnergyReport:
         report = energy_report(sw, bitcode(sw, 3))
         assert report.degenerate
         assert report.weight_sum == 0.0
-        assert all(l.relative_percent == 0.0 for l in report.levels)
+        assert report.relative_percent == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_full_weight(self):
         sw = scaled((1.0,) + (0.0,) * 3)
         report = energy_report(sw, bitcode(sw, 3))
-        assert report.levels[0].relative_percent == pytest.approx(100.0)
+        assert report.relative_percent[0] == pytest.approx(100.0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+               st.floats(0, 1) | st.just(0.0), min_size=2**n, max_size=2**n)),
+           st.integers(0, 52))
+    def test_equals_per_level_loop(self, weights, bcl_max):
+        # the same ints and floats, zero weight sums included, so every repr holds
+        sw = scaled(weights)
+        bt = bitcode(sw, bcl_max)
+        report = energy_report(sw, bt)
+        got = (report.set_bits, report.absolute, report.relative_percent)
+        assert got == energy_levels_loop(sw, bt)
+        assert [list(map(type, column)) for column in got] == [
+            [int] * (bcl_max + 1), [float] * (bcl_max + 1), [float] * (bcl_max + 1)]
 
 
 class TestLevelAccuracy:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annlogic.encoding import minterm_transform
-from annlogic.logiccode import LogicExpressionBits, eval_expression
-from annlogic.qldt import Leaf, Split, build_qldt, build_qldts, eval_qldt, render
+from annlogic.logiccode import BitTensor, LogicExpressionBits, eval_expression, level_expression
+from annlogic.qldt import Split, build_qldt, build_qldts, eval_qldt, render
 from oracles import (column_names, minterm_bits, qldt_recursive, qldt_rows, render_lines,
                      truth_tables)
 
@@ -17,7 +17,7 @@ def expr(bits):
 
 
 def all_paths_valid(node, seen=frozenset()):
-    if isinstance(node, Leaf):
+    if isinstance(node, bool):
         return True
     assert node.attribute not in seen
     assert node.low != node.high
@@ -35,10 +35,10 @@ class TestBuildQldt:
             assert eval_qldt(tree, degrees) == float(k > 0)
 
     def test_all_zero(self):
-        assert build_qldt(expr((0, 0, 0, 0))) == Leaf(False)
+        assert build_qldt(expr((0, 0, 0, 0))) is False
 
     def test_all_one(self):
-        assert build_qldt(expr((1, 1, 1, 1))) == Leaf(True)
+        assert build_qldt(expr((1, 1, 1, 1))) is True
 
     def test_nor_expression(self):
         tree = build_qldt(expr((1, 0, 0, 0)))
@@ -55,7 +55,7 @@ class TestBuildQldt:
     def test_redundant_split_collapses(self):
         # expression depends only on a2: tree must not mention a1
         tree = build_qldt(expr((0, 1, 0, 1)))
-        assert tree == Split(1, Leaf(False), Leaf(True))
+        assert tree == Split(1, False, True)
 
     def test_tie_breaks_to_lowest_attribute(self):
         # xor: zero gain for both attributes, lowest index splits first
@@ -87,31 +87,35 @@ class TestBuildQldts:
     @given(truth_tables(8, 5))
     def test_matches_recursive_induction(self, drawn):
         _, tables = drawn
-        exprs = [LogicExpressionBits(t) for t in tables]
-        trees = build_qldts(exprs)
-        assert len(trees) == len(exprs)
-        for e, tree in zip(exprs, trees):
-            assert render(tree) == render(qldt_recursive(e))
+        trees = build_qldts(BitTensor(tables))
+        assert len(trees) == len(tables)
+        for t, tree in zip(tables, trees):
+            assert render(tree) == render(qldt_recursive(LogicExpressionBits(t)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(truth_tables(8, 5))
+    def test_equals_one_tree_per_level(self, drawn):
+        _, tables = drawn
+        bt = BitTensor(tables)
+        levels = range(bt.bcl_max + 1)
+        assert build_qldts(bt) == tuple(build_qldt(level_expression(bt, b)) for b in levels)
 
     def test_repeated_expression_is_one_tree(self):
         e = expr([0, 1, 1, 0, 1, 0, 0, 1])
-        first, other, again = build_qldts([e, LogicExpressionBits(~e.active), e])
+        first, other, again = build_qldts(BitTensor([e.active, ~e.active, e.active]))
         assert first is again
         # both parities leave the same functions of a3 after two splits
         assert first.low.low is other.low.high
 
     def test_empty_list(self):
-        with pytest.raises(ValueError, match="at least one expression"):
-            build_qldts([])
-
-    def test_mixed_n(self):
-        with pytest.raises(ValueError, match="same n"):
-            build_qldts([expr((0, 1, 1, 0)), expr((0, 1))])
+        # a bit tensor has at least one level, so there is always a tree
+        with pytest.raises(ValueError, match="no axis empty"):
+            build_qldts(BitTensor(np.empty((0, 4))))
 
 
 class TestEvalQldt:
     def test_example_tree_formula(self):
-        tree = Split(1, Split(0, Leaf(False), Leaf(True)), Leaf(True))
+        tree = Split(1, Split(0, False, True), True)
         for m1, m2 in [(0.3, 0.9), (0.0, 0.0), (1.0, 0.5), (0.42, 0.17)]:
             got = eval_qldt(tree, (m1, m2))
             assert got == pytest.approx(m2 + (1 - m2) * m1, abs=1e-12)
@@ -126,15 +130,15 @@ class TestEvalQldt:
                 assert eval_qldt(tree, degrees) == float(bits[k])
 
     def test_constant_true(self):
-        assert eval_qldt(Leaf(True), (0.3,)) == 1.0
+        assert eval_qldt(True, (0.3,)) == 1.0
 
     def test_index_out_of_range(self):
-        tree = Split(2, Leaf(False), Leaf(True))
+        tree = Split(2, False, True)
         with pytest.raises(ValueError):
             eval_qldt(tree, (0.5, 0.5))
 
     def test_degree_out_of_range(self):
-        tree = Split(0, Leaf(False), Leaf(True))
+        tree = Split(0, False, True)
         for bad in (1.5, -0.5, float("nan")):
             with pytest.raises(ValueError, match=r"\[0,1\]"):
                 eval_qldt(tree, (bad,))
@@ -167,10 +171,9 @@ class TestEvalQldt:
         st.just(d), st.lists(st.floats(0, 1), min_size=d[0], max_size=d[0]))))
     def test_equals_expression_evaluation(self, drawn):
         (_, tables), degrees = drawn
-        exprs = [LogicExpressionBits(t) for t in tables]
         m = minterm_transform(degrees)
-        for e, tree in zip(exprs, build_qldts(exprs)):
-            assert abs(eval_qldt(tree, degrees) - m @ e.active) <= 1e-12
+        for t, tree in zip(tables, build_qldts(BitTensor(tables))):
+            assert abs(eval_qldt(tree, degrees) - m @ t) <= 1e-12
 
     def test_complementarity(self):
         rng = np.random.default_rng(3)
@@ -187,14 +190,14 @@ class TestEvalQldt:
 
 class TestRender:
     def test_dot_edges(self):
-        tree = Split(1, Split(0, Leaf(False), Leaf(True)), Leaf(True))
+        tree = Split(1, Split(0, False, True), True)
         dot = render(tree, names=["a1", "a2"])
         assert dot.count("style=dashed") == 2
         assert dot.count("style=solid") == 2
         assert '"a2"' in dot and '"a1"' in dot
 
     def test_single_leaf(self):
-        dot = render(Leaf(True))
+        dot = render(True)
         assert "->" not in dot
         assert "active" in dot
 
@@ -207,5 +210,5 @@ class TestRender:
     def test_equals_isinstance_renderer(self, drawn, data):
         n, tables = drawn
         names = data.draw(st.none() | column_names(n))
-        for tree in build_qldts([expr(t) for t in tables]):
+        for tree in build_qldts(BitTensor(tables)):
             assert render(tree, names) == render_lines(tree, names)
