@@ -465,10 +465,9 @@ def cmd_trend(args):
     if args.out:
         _write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} grid points to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(map(str, row)))
+    else:  # the file's quoting, with LF line ends
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([header, *rows])
     return 0
 
 

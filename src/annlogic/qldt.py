@@ -10,6 +10,7 @@ A tree is a `Split` or a leaf, the bool True (active) or False.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -135,7 +136,10 @@ def _eval(t: QldtNode, d: np.ndarray) -> float:
 
 def render(t: QldtNode, names: list[str] | None = None) -> str:
     """Deterministic DOT rendering: dashed low edges, solid high edges,
-    low before high."""
+    low before high.  A label escapes backslashes and double quotes and
+    writes each line end (CRLF, CR or LF) as \\n."""
+    labels = [re.sub(r"\r\n?|\n", r"\\n", name.replace("\\", "\\\\").replace('"', '\\"'))
+              for name in names] if names else None
     lines = ["digraph qldt {"]
     append = lines.append
     count = 0
@@ -148,7 +152,7 @@ def render(t: QldtNode, names: list[str] | None = None) -> str:
             label = "active" if node else "inactive"
             append(f'  n{nid} [label="{label}", shape=box];')
         else:
-            name = names[node.attribute] if names else f"a{node.attribute + 1}"
+            name = labels[node.attribute] if labels else f"a{node.attribute + 1}"
             append(f'  n{nid} [label="{name}"];')
             low_id = emit(node.low)
             high_id = emit(node.high)

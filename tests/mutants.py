@@ -234,6 +234,18 @@ MUTANTS = [
     ("repeated-column-names-allowed", "cli.py",
      "if name in seen:", "if False:",
      ["test_cli.py"]),
+    # DOT labels, trend's stdout and the printed digits
+    ("dot-labels-unescaped", "qldt.py",
+     "name = labels[node.attribute] if labels", "name = names[node.attribute] if labels",
+     ["test_qldt.py", "test_corpus.py"]),
+    ("trend-stdout-bare-commas", "cli.py",
+     'writer = csv.writer(sys.stdout, lineterminator="\\n")\n'
+     "        writer.writerows([header, *rows])",
+     'print("\\n".join(map(",".join, [header, *rows])))',
+     ["test_cli.py", "test_corpus.py"]),
+    ("fmt-default-digits-4", "cli.py",
+     "def _fmt(x, nd=3):", "def _fmt(x, nd=4):",
+     ["test_corpus.py"]),
 ]
 
 

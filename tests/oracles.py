@@ -745,8 +745,19 @@ def column_names(n):
     return st.lists(st.text(NAME_CHARS, max_size=6), min_size=n, max_size=n)
 
 
+def dot_label_loop(name):
+    """`name` as the inside of a DOT quoted string, one character at a time:
+    a backslash and a double quote escaped, each CRLF, CR or LF as \\n."""
+    out = []
+    for i, c in enumerate(name):
+        if c == "\n" and name[i - 1:i] == "\r":
+            continue  # the LF of a CRLF, written with its CR
+        out.append({"\\": "\\\\", '"': '\\"', "\r": "\\n", "\n": "\\n"}.get(c, c))
+    return "".join(out)
+
+
 # The DOT renderer as it was before the node test became a class check and
-# a split's two edge lines one string.
+# a split's two edge lines one string.  It writes names as they are.
 def render_lines(t, names=None):
     """Deterministic DOT rendering: dashed low edges, solid high edges,
     low before high."""

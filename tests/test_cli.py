@@ -273,6 +273,18 @@ class TestTrend:
             ])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_quotes_names_as_the_file(self, tmp_path, capsys, ref16_file):
+        data = tmp_path / "odd.csv"
+        data.write_text('"x,y","q""t",c,d,label\n0.1,0.2,0.3,0.4,0\n')
+        argv = ["trend", "--weights-override", str(ref16_file), "--data", str(data),
+                "--vary", "1,2", "--resolution", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith('"x,y","q""t",level_set,value\n')
+        assert main(argv + ["--out", str(tmp_path / "trend.csv")]) == 0
+        with open(tmp_path / "trend.csv", newline="") as fh:
+            assert out == fh.read().replace("\r\n", "\n")
+
 
 class TestClassify:
     def test_roundtrip_accuracy(self, capsys, trained_model, banknote_csv):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, LogicExpressionBits, eval_expression, level_expression
 from annlogic.qldt import Split, build_qldt, build_qldts, eval_qldt, render
-from oracles import (column_names, minterm_bits, qldt_recursive, qldt_rows, render_lines,
-                     truth_tables)
+from oracles import (column_names, dot_label_loop, minterm_bits, qldt_recursive, qldt_rows,
+                     render_lines, truth_tables)
 
 
 def expr(bits):
@@ -208,7 +209,37 @@ class TestRender:
     @settings(max_examples=100, deadline=None)
     @given(truth_tables(7, 4), st.data())
     def test_equals_isinstance_renderer(self, drawn, data):
+        # the old renderer wrote names as they are: give it the escaped ones
         n, tables = drawn
         names = data.draw(st.none() | column_names(n))
+        labels = names and [dot_label_loop(name) for name in names]
         for tree in build_qldts(BitTensor(tables)):
-            assert render(tree, names) == render_lines(tree, names)
+            assert render(tree, names) == render_lines(tree, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(truth_tables(6, 1), st.data())
+    def test_labels_are_dot_strings_that_unescape_to_the_names(self, drawn, data):
+        n, tables = drawn
+        chars = st.sampled_from(["a", "n", " ", '"', "\\", "\r", "\n", ",", "é"]) | st.characters()
+        names = data.draw(st.lists(st.text(chars, max_size=8), min_size=n, max_size=n))
+        tree = build_qldt(expr(tables[0]))
+        want = []  # each node's label in the renderer's order: node, low, high
+
+        def walk(node):
+            if node.__class__ is bool:
+                want.append("active" if node else "inactive")
+            else:
+                want.append(re.sub(r"\r\n?", "\n", names[node.attribute]))
+                walk(node.low)
+                walk(node.high)
+
+        walk(tree)
+        got = []
+        for line in render(tree, names).split("\n"):
+            # a DOT quoted string: no bare double quote, each backslash opens a pair
+            node = re.fullmatch(r'  n\d+ \[label="((?:[^"\\\r\n]|\\.)*)"(, shape=box)?\];', line)
+            if node:
+                got.append(re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], node[1]))
+            else:
+                assert re.fullmatch(r"digraph qldt \{|\}|  n\d+ -> n\d+ \[style=\w+\];|", line)
+        assert got == want
