@@ -54,7 +54,7 @@ def build_qldts(bt: BitTensor) -> tuple[QldtNode, ...]:
     index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
     truth, attrs, roots = _intern(bt.bits.astype(bool),
                                   np.tile(np.arange(n, dtype=np.uint8), (len(bt.bits), 1)))
-    depths = []  # per depth: (all-true flags, the leaves, (node, attribute, lo, hi) splits)
+    depths = []  # per depth: (all-true flags, then nodes; (node, attribute, lo, hi) splits)
     while True:
         width = truth.shape[1]
         pos = np.count_nonzero(truth, axis=1)
