@@ -94,13 +94,14 @@ def inputs():
     return files
 
 
-def calls():
-    """(name, {file name: input name}, argv) of every call, in a fixed order."""
-    bank = {"bank.csv": "bank.csv"}
-    ref16 = {"ref16.txt": "ref16.txt"}
-    m4 = {"m4.json": "m4.json", **bank}
-    m8 = {"m8.json": "m8.json", "tall8.csv": "tall8.csv"}
-    m12 = {"m12.json": "m12.json"}
+def calls(texts):
+    """(name, {file name: text}, argv) of every call, in a fixed order, on the
+    input texts of `inputs()`."""
+    def pick(*names):
+        return {name: texts[name] for name in names}
+
+    bank, ref16, m12 = pick("bank.csv"), pick("ref16.txt"), pick("m12.json")
+    m4, m8 = pick("m4.json", "bank.csv"), pick("m8.json", "tall8.csv")
     train = ["train", "--model", "model.json"]
     out = ["--out-dir", "out"]
     rows = [
@@ -109,11 +110,11 @@ def calls():
         ("train-bank-logistic", bank, train + ["--data", "bank.csv", "--fuzzifier", "logistic",
                                                "--relu-nodes", "4", "--epochs", "300",
                                                "--seed", "1"]),
-        ("train-tall8-minmax", {"tall8.csv": "tall8.csv"},
+        ("train-tall8-minmax", pick("tall8.csv"),
          train + ["--data", "tall8.csv", "--relu-nodes", "4", "--epochs", "40", "--seed", "2"]),
         ("train-bank-diverges", bank, train + ["--data", "bank.csv", "--lr", "1e300",
                                                "--epochs", "2"]),
-        ("train-constant-attribute", {"const.csv": "const.csv"},
+        ("train-constant-attribute", pick("const.csv"),
          train + ["--data", "const.csv", "--epochs", "10"]),
         ("partition-bank-n4", m4, ["partition", "--model", "m4.json", "--data", "bank.csv",
                                    "--out", "cells.csv"]),
@@ -142,7 +143,7 @@ def calls():
         ("explain-ref16", ref16, ["explain", "--weights-override", "ref16.txt", *out]),
         ("explain-ref16-threshold-bcl5", ref16, ["explain", "--weights-override", "ref16.txt",
                                                  "--threshold", "0.7", "--bcl-max", "5", *out]),
-        ("explain-zero-weights", {"zeros16.txt": "zeros16.txt"},
+        ("explain-zero-weights", pick("zeros16.txt"),
          ["explain", "--weights-override", "zeros16.txt", *out]),
         ("shapley-ref16", ref16, ["shapley", "--weights-override", "ref16.txt"]),
         ("shapley-n8-cell3", m8, ["shapley", "--model", "m8.json", "--cell", "3",
@@ -174,11 +175,11 @@ def calls():
                                   "--vary", "1,2", "--out", "trend.csv"]),
     ]
     for i, names in enumerate(ODD_NAMES):
-        odd = {**ref16, f"odd{i}.csv": f"odd{i}.csv"}
+        odd = pick("ref16.txt", f"odd{i}.csv")
         data = ["--weights-override", "ref16.txt", "--data", f"odd{i}.csv"]
         rows += [
             (f"explain-odd{i}", odd, ["explain", *data, *out]),
-            (f"explain-odd{i}-model", {"m4.json": "m4.json", f"odd{i}.csv": f"odd{i}.csv"},
+            (f"explain-odd{i}-model", pick("m4.json", f"odd{i}.csv"),
              ["explain", "--model", "m4.json", "--cell", "5", "--data", f"odd{i}.csv", *out]),
             (f"shapley-odd{i}", odd, ["shapley", *data, "--out", "shapley.csv"]),
             (f"project-odd{i}", odd, ["project", *data, "--keep", "1,4"]),
@@ -196,8 +197,7 @@ def calls():
     ]
     # as test_cli.py runs them: next to ref16.txt and a 20-row banknote CSV
     for name, (files, argv) in BAD_INPUTS.items():
-        rows.append((f"bad-{name}", {"ref16.txt": "ref16.txt", "bank.csv": "bank20.csv",
-                                     **{f: (f, text) for f, text in files.items()}}, argv))
+        rows.append((f"bad-{name}", {**ref16, "bank.csv": texts["bank20.csv"], **files}, argv))
     return rows
 
 
@@ -205,12 +205,11 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_call(cwd, texts, files, argv):
-    """{status, stdout, stderr, files} of one call in the empty directory `cwd`.
-    A value of `files` is an input name or a (name, text) pair."""
+def run_call(cwd, files, argv):
+    """{status, stdout, stderr, files} of one call in the empty directory
+    `cwd`, after writing its input `files` there."""
     written = {}
-    for name, source in files.items():
-        text = source[1] if isinstance(source, tuple) else texts[source]
+    for name, text in files.items():
         (cwd / name).write_text(text)
         written[name] = (cwd / name).read_bytes()
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -236,15 +235,14 @@ def run_call(cwd, texts, files, argv):
 
 def run(work):
     """{call name: record} of every call, each in a new directory under `work`."""
-    texts = inputs()
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal width
     try:
         records = {}
-        for i, (name, files, argv) in enumerate(calls()):
+        for i, (name, files, argv) in enumerate(calls(inputs())):
             cwd = Path(work) / str(i)
             cwd.mkdir()
-            records[name] = run_call(cwd, texts, files, argv)
+            records[name] = run_call(cwd, files, argv)
         return records
     finally:
         if columns is None:
