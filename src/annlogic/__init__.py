@@ -35,12 +35,10 @@ from .partition import (
 from .logiccode import (
     BitTensor,
     EnergyReport,
-    LogicExpressionBits,
     ScaledCellWeights,
     approx_forward,
     bitcode,
     energy_report,
-    eval_expression,
     level_accuracy,
     level_expression,
     project,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import minterm_transform
-from .logiccode import BitTensor, LogicExpressionBits
+from .logiccode import BitTensor
 
 MAX_RESOLUTION = 1001  # a 2-D grid holds at most ~1e6 points
 
@@ -29,13 +29,13 @@ _APPLY = {"or": np.logical_or, "xor": np.logical_xor, "and": np.logical_and}
 MAX_NESTING = 256  # parentheses and negations waiting at once
 
 
-def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
+def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
     """Truth-table the formula over all 2^n assignments of the attributes
     `names` (attribute 1 on the most significant index bit).  'not' binds
     tightest, then 'and', then 'or' and 'xor' alike, left to right.
     Keywords are case-insensitive; '!', '~', '&', '|' are aliases.  One
     operator-precedence pass keeps a stack of truth tables and a stack of
-    waiting '(', 'not' and binary operators."""
+    waiting '(', 'not' and binary operators; the table is a one-level tensor."""
     tokens = []
     for match in _TOKEN.finditer(text):
         if match[2]:
@@ -83,7 +83,7 @@ def parse_hypothesis(text: str, names: list[str]) -> LogicExpressionBits:
     fold(1)
     if waiting:
         raise HypothesisSyntaxError("expected ')'", len(tokens) + 1)
-    return LogicExpressionBits(truths[0])
+    return BitTensor(truths[0][None])
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,16 @@ class ComparisonMetrics:
     equivalent: bool
 
 
-def compare(e: LogicExpressionBits, h: LogicExpressionBits) -> ComparisonMetrics:
-    """Confusion-matrix counts over the active/inactive minterm masks.
-    v10 counts minterms active in e but not in h; forward implication
-    (e implies h) holds iff v10 = 0."""
+def compare(e: BitTensor, h: BitTensor) -> ComparisonMetrics:
+    """Confusion-matrix counts over the active/inactive minterm masks of
+    two logic expressions, one-level tensors.  v10 counts minterms active
+    in e but not in h; forward implication (e implies h) holds iff v10 = 0."""
+    if len(e.bits) != 1 or len(h.bits) != 1:
+        raise ValueError("a logic expression has one level")
     if e.n != h.n:
         raise ValueError("attribute count mismatch")
     size = 2**e.n
-    ea, ha = e.active, h.active
+    ea, ha = e.bits[0].astype(bool), h.bits[0].astype(bool)
     v11, v10, v01, v00 = (
         int(np.count_nonzero(m)) for m in (ea & ha, ea & ~ha, ~ea & ha, ~(ea | ha))
     )

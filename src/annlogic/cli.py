@@ -10,6 +10,7 @@ import sys
 import warnings
 from itertools import compress, count, islice, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -337,8 +338,6 @@ def cmd_explain(args):
     print(f"scaled_threshold={_fmt(scaled.threshold)}")
     print(f"weight_sum={_fmt(report.weight_sum)}")
     print(f"bitcode_sum={_fmt(report.bitcode_sum)}")
-    if report.degenerate:
-        print("energy=degenerate (weight sum is zero)")
     energies = zip(report.set_bits, report.absolute, report.relative_percent)
     for bcl, (set_bits, absolute, relative) in enumerate(energies):
         print(
@@ -465,9 +464,9 @@ def cmd_trend(args):
     if args.out:
         _write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} grid points to {args.out}")
-    else:  # the file's quoting, with LF line ends
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows([header, *rows])
+    else:  # the file's quoting (a lone CR too), each row's CRLF terminator cut to LF
+        out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\n"))
+        csv.writer(out).writerows([header, *rows])
     return 0
 
 

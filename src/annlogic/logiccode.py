@@ -32,7 +32,8 @@ class ScaledCellWeights:
 class BitTensor:
     """bits[bcl, k]: the 2^-bcl digit of the rounded scaled weight of
     minterm k, for bcl = 0 .. bcl_max; a read-only uint8 array of shape
-    (bcl_max+1, 2^n)."""
+    (bcl_max+1, 2^n).  A one-level tensor is a logic expression: its row
+    marks the active minterms."""
 
     bits: np.ndarray
 
@@ -57,24 +58,6 @@ class BitTensor:
         if ((levels < 0) | (levels > self.bcl_max)).any():
             raise ValueError("level outside 0..bcl_max")
         return (2.0 ** -levels) @ self.bits[levels]
-
-
-@dataclass(frozen=True, eq=False)
-class LogicExpressionBits:
-    """A logic expression as the read-only bool array of shape (2^n,)
-    that marks its active minterms."""
-
-    active: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.active)
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError("bits must be 0 or 1")
-        _freeze(self, "active", a.astype(bool))
-
-    @property
-    def n(self) -> int:
-        return _arity(self.active)
 
 
 @dataclass(frozen=True)
@@ -118,35 +101,27 @@ def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:
     return BitTensor((q >> shifts[:, None]) & 1)
 
 
-def level_expression(bt: BitTensor, bcl: int) -> LogicExpressionBits:
+def level_expression(bt: BitTensor, bcl: int) -> BitTensor:
     """The logic expression of one bit-code level: its slice of the tensor."""
     if not 0 <= bcl <= bt.bcl_max:
         raise ValueError(f"level {bcl} out of range 0..{bt.bcl_max}")
-    return LogicExpressionBits(bt.bits[bcl])
-
-
-def _minterm_sum(mt, coefficients: np.ndarray):
-    """mt @ coefficients for one minterm vector or each row of a matrix."""
-    mt = np.asarray(mt, dtype=float)
-    if mt.shape[-1] != len(coefficients):
-        raise ValueError("attribute count mismatch")
-    return (mt @ coefficients)[()]
-
-
-def eval_expression(e: LogicExpressionBits, mt) -> float | np.ndarray:
-    """Arithmetic evaluation: the sum of the minterm values at active
-    positions (disjunction of mutually exclusive events), for one minterm
-    vector or each row of an (N, 2^n) matrix."""
-    return _minterm_sum(mt, e.active.astype(float))
+    return BitTensor(bt.bits[bcl:bcl + 1])
 
 
 def approx_forward(
     bt: BitTensor, mt, levels: list[int] | None = None
 ) -> float | np.ndarray:
     """Sum over the chosen levels of 2^-bcl times the level expression's
-    evaluation, all levels by default: one product of `mt` with the
-    coefficients `bt.reconstruction(levels)`."""
-    return _minterm_sum(mt, bt.reconstruction(levels))
+    evaluation, all levels by default: one product of `mt`, one minterm
+    vector or each row of an (N, 2^n) matrix, with the coefficients
+    `bt.reconstruction(levels)`.  On a one-level tensor, a logic
+    expression, it is the arithmetic evaluation: the sum of the minterm
+    values at active positions (disjunction of mutually exclusive events)."""
+    coefficients = bt.reconstruction(levels)
+    mt = np.asarray(mt, dtype=float)
+    if mt.shape[-1] != len(coefficients):
+        raise ValueError("attribute count mismatch")
+    return (mt @ coefficients)[()]
 
 
 def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .encoding import _degrees
-from .logiccode import BitTensor, LogicExpressionBits
+from .logiccode import BitTensor
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,11 @@ def _entropy(pos: int, total: int) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
-def build_qldt(e: LogicExpressionBits) -> QldtNode:
-    """The tree of one expression; see `build_qldts`."""
-    return build_qldts(BitTensor(e.active[None]))[0]
+def build_qldt(e: BitTensor) -> QldtNode:
+    """The tree of one logic expression, a one-level tensor; see `build_qldts`."""
+    if len(e.bits) != 1:
+        raise ValueError("a logic expression has one level")
+    return build_qldts(e)[0]
 
 
 def build_qldts(bt: BitTensor) -> tuple[QldtNode, ...]:

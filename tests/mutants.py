@@ -239,13 +239,28 @@ MUTANTS = [
      "name = labels[node.attribute] if labels", "name = names[node.attribute] if labels",
      ["test_qldt.py", "test_corpus.py"]),
     ("trend-stdout-bare-commas", "cli.py",
+     'out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\\n"))\n'
+     "        csv.writer(out).writerows([header, *rows])",
+     'print("\\n".join(map(",".join, [header, *rows])))',
+     ["test_cli.py", "test_corpus.py"]),
+    ("trend-stdout-lf-terminator", "cli.py",
+     'out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\\n"))\n'
+     "        csv.writer(out).writerows([header, *rows])",
      'writer = csv.writer(sys.stdout, lineterminator="\\n")\n'
      "        writer.writerows([header, *rows])",
-     'print("\\n".join(map(",".join, [header, *rows])))',
      ["test_cli.py", "test_corpus.py"]),
     ("fmt-default-digits-4", "cli.py",
      "def _fmt(x, nd=3):", "def _fmt(x, nd=4):",
      ["test_corpus.py"]),
+    # a logic expression is a one-level bit tensor
+    ("compare-one-level-check-dropped", "analysis.py",
+     "    if len(e.bits) != 1 or len(h.bits) != 1:\n"
+     '        raise ValueError("a logic expression has one level")\n', "",
+     ["test_analysis.py"]),
+    ("build-qldt-one-level-check-dropped", "qldt.py",
+     "    if len(e.bits) != 1:\n"
+     '        raise ValueError("a logic expression has one level")\n', "",
+     ["test_qldt.py"]),
 ]
 
 

@@ -12,8 +12,9 @@ banknote data, so hypothesis is imported here and not there.
 
 Implementations the package replaced live on here too, where tests
 require the same output from both: the csv-reader dataset loader, the
-list-per-row weights.csv writer, the DOT renderer and the command-line
-parser built from parent parsers.
+list-per-row weights.csv writer, the DOT renderer, the command-line
+parser built from parent parsers and the evaluation of a logic expression
+before it became a one-level BitTensor.
 """
 
 import argparse
@@ -106,8 +107,26 @@ def bit_tensor_ok(rows):
 
 
 def expression_bits_ok(active):
-    """LogicExpressionBits' rule: 2^n entries, each 0 or 1."""
+    """The rule of the former LogicExpressionBits(active): 2^n entries, each
+    0 or 1.  `expression(active)` must accept the same inputs."""
     return shape_ok(active) and all(b in (0, 1) for b in _values(active))
+
+
+def expression(active):
+    """The logic expression whose 2^n active bits are `active`: a one-level
+    BitTensor, as LogicExpressionBits(active) was before it."""
+    return logiccode.BitTensor([active])
+
+
+def eval_expression(e, mt):
+    """Arithmetic evaluation as the former `logiccode.eval_expression` did
+    it: the sum of the minterm values at the active positions of the
+    one-level tensor `e`, for one minterm vector or each row of a matrix."""
+    coefficients = e.bits[0].astype(float)
+    mt = np.asarray(mt, dtype=float)
+    if mt.shape[-1] != len(coefficients):
+        raise ValueError("attribute count mismatch")
+    return (mt @ coefficients)[()]
 
 
 # NaN, +-inf, values outside [0,1] and non-0/1 bits, mixed with valid ones
@@ -313,7 +332,7 @@ def qldt_recursive(e):
     axis of highest gain (first one on a tie within 1e-12) with one
     _entropy call per part, and `_grow_recursive` memoizes on (truth bytes,
     attributes left) so equal subfunctions are one node."""
-    truth = e.active.reshape((2,) * e.n)
+    truth = e.bits[0].astype(bool).reshape((2,) * e.n)
     index_bits = np.indices((2,) * e.n).reshape(e.n, 2**e.n).T
     return _grow_recursive(truth, tuple(range(e.n)), {}, index_bits)
 

@@ -11,15 +11,15 @@ from annlogic.analysis import (
     trend_grid,
 )
 from annlogic.encoding import minterm_transform
-from annlogic.logiccode import BitTensor, LogicExpressionBits, approx_forward
-from oracles import formulas, truth_table_loop
+from annlogic.logiccode import BitTensor, approx_forward
+from oracles import expression, formulas, truth_table_loop
 
 AB = ["a", "b"]
 ABC = ["a", "b", "c"]
 
 
 def active(text, names):
-    return parse_hypothesis(text, names).active
+    return parse_hypothesis(text, names).bits[0]
 
 
 def nested(depth, heads=("(",)):
@@ -167,7 +167,7 @@ class TestAstToMinterms:
         x = parse_hypothesis("a xor b", AB)
         a = active("a", AB)
         b = active("b", AB)
-        assert np.array_equal(x.active, a ^ b)
+        assert np.array_equal(x.bits, [a ^ b])
 
     def test_boolean_laws_random(self):
         names = ["a", "b", "c"]
@@ -188,7 +188,7 @@ class TestAstToMinterms:
         tree, text = data.draw(formulas(names))
         got = parse_hypothesis(text, names)
         assert got.n == len(names)
-        assert np.array_equal(got.active, truth_table_loop(tree, names))
+        assert np.array_equal(got.bits, [truth_table_loop(tree, names)])
 
 
 class TestCompare:
@@ -201,7 +201,7 @@ class TestCompare:
 
     def test_complement(self):
         e = parse_hypothesis("a", AB)
-        m = compare(e, LogicExpressionBits(~e.active))
+        m = compare(e, BitTensor(1 - e.bits))
         assert m.accuracy == 0.0
         assert m.v11 == 0 and m.v00 == 0
 
@@ -217,8 +217,8 @@ class TestCompare:
     def test_counts_sum(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            e = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)))
-            h = LogicExpressionBits(tuple(int(b) for b in rng.integers(0, 2, 8)))
+            e = expression(tuple(int(b) for b in rng.integers(0, 2, 8)))
+            h = expression(tuple(int(b) for b in rng.integers(0, 2, 8)))
             m = compare(e, h)
             assert m.v11 + m.v10 + m.v01 + m.v00 == 8
 
@@ -231,7 +231,7 @@ class TestCompare:
         assert m1.accuracy == m2.accuracy
 
     def test_degenerate_precision(self):
-        empty = LogicExpressionBits((0, 0, 0, 0))
+        empty = expression((0, 0, 0, 0))
         m = compare(empty, empty)
         assert m.precision == 0.0 and m.precision_degenerate
         assert m.recall == 0.0 and m.recall_degenerate
@@ -239,6 +239,17 @@ class TestCompare:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             compare(parse_hypothesis("a", AB), parse_hypothesis("a", ["a", "b", "c"]))
+
+    def test_two_levels_are_not_an_expression(self):
+        e = parse_hypothesis("a", AB)
+        two = BitTensor([e.bits[0], e.bits[0]])
+        for args in ((two, e), (e, two)):
+            with pytest.raises(ValueError, match="^a logic expression has one level$"):
+                compare(*args)
+
+    def test_parse_returns_one_level(self):
+        e = parse_hypothesis("a or not b", AB)
+        assert (e.bits.dtype, e.bits.shape, e.bcl_max) == (np.uint8, (1, 4), 0)
 
 
 class TestTrendGrid:

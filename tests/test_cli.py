@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -284,6 +285,21 @@ class TestTrend:
         assert main(argv + ["--out", str(tmp_path / "trend.csv")]) == 0
         with open(tmp_path / "trend.csv", newline="") as fh:
             assert out == fh.read().replace("\r\n", "\n")
+
+    def test_stdout_quotes_a_lone_cr_as_the_file(self, tmp_path, capsys, ref16_file):
+        data = tmp_path / "cr.csv"
+        data.write_bytes(b'"cr\ronly","cr\r\nlf",c,d,label\n0.1,0.2,0.3,0.4,0\n')
+        argv = ["trend", "--weights-override", str(ref16_file), "--data", str(data),
+                "--vary", "1,2", "--resolution", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        head = '"cr\ronly","cr\r\nlf",level_set,value\n'
+        # the quoted CRLF inside a name stays; only row terminators are LF
+        assert out.startswith(head) and "\r" not in out[len(head):]
+        assert out.count("\n") == 1 + 1 + 9  # the name's CRLF, the header, 9 rows
+        assert main(argv + ["--out", str(tmp_path / "trend.csv")]) == 0
+        with open(tmp_path / "trend.csv", newline="") as fh:
+            assert list(csv.reader(io.StringIO(out, newline=""))) == list(csv.reader(fh))
 
 
 class TestClassify:

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import (
     BitTensor,
-    LogicExpressionBits,
     ScaledCellWeights,
     approx_forward,
     bitcode,
     energy_report,
-    eval_expression,
     level_accuracy,
     level_expression,
     project,
@@ -29,6 +28,8 @@ from oracles import (
     bitcode_loop,
     cell_weights_ok,
     energy_levels_loop,
+    eval_expression,
+    expression,
     expression_bits_ok,
     odd_arrays,
     project_loop,
@@ -144,14 +145,14 @@ class TestLevelExpression:
     EXAMPLE = BitTensor(((1, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)))
 
     def test_top_level(self):
-        assert np.flatnonzero(level_expression(self.EXAMPLE, 0).active).tolist() == [0]
+        assert np.flatnonzero(level_expression(self.EXAMPLE, 0).bits[0]).tolist() == [0]
 
     def test_xor_level(self):
-        assert np.flatnonzero(level_expression(self.EXAMPLE, 3).active).tolist() == [1, 2]
+        assert np.flatnonzero(level_expression(self.EXAMPLE, 3).bits[0]).tolist() == [1, 2]
 
     def test_empty_slice(self):
         bt = BitTensor(((0, 0, 0, 0),))
-        assert not level_expression(bt, 0).active.any()
+        assert not level_expression(bt, 0).bits.any()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -163,18 +164,18 @@ class TestEvalExpression:
         rng = np.random.default_rng(3)
         mt = random_minterm(rng, 3)
         e = level_expression(BitTensor(((1,) * 8,)), 0)
-        assert eval_expression(e, mt) == pytest.approx(1.0, abs=1e-12)
+        assert approx_forward(e, mt) == pytest.approx(1.0, abs=1e-12)
 
     def test_conjunction(self):
         m1, m2 = 0.7, 0.2
         mt = minterm_transform([m1, m2])
         e = level_expression(BitTensor(((0, 0, 1, 0),)), 0)  # a and not b
-        assert eval_expression(e, mt) == pytest.approx(m1 * (1 - m2), abs=1e-12)
+        assert approx_forward(e, mt) == pytest.approx(m1 * (1 - m2), abs=1e-12)
 
     def test_equivalent_to_atom(self):
         mt = minterm_transform([0.2, 0.5])
         e = level_expression(BitTensor(((0, 1, 0, 1),)), 0)  # {ab-, ab} == b
-        assert eval_expression(e, mt) == pytest.approx(0.5, abs=1e-12)
+        assert approx_forward(e, mt) == pytest.approx(0.5, abs=1e-12)
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -182,21 +183,34 @@ class TestEvalExpression:
             bits = tuple(int(b) for b in rng.integers(0, 2, 8))
             e = level_expression(BitTensor((bits,)), 0)
             mt = random_minterm(rng, 3)
-            total = eval_expression(e, mt) + eval_expression(LogicExpressionBits(~e.active), mt)
+            total = approx_forward(e, mt) + approx_forward(BitTensor(1 - e.bits), mt)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(11)
         e = level_expression(BitTensor((tuple(int(b) for b in rng.integers(0, 2, 8)),)), 0)
         mt = minterm_transform(rng.uniform(0, 1, (30, 3)))
-        got = eval_expression(e, mt)
+        got = approx_forward(e, mt)
         assert got.shape == (30,)
-        assert got == pytest.approx([eval_expression(e, row) for row in mt], abs=1e-12)
+        assert got == pytest.approx([approx_forward(e, row) for row in mt], abs=1e-12)
 
     def test_length_mismatch(self):
         e = level_expression(BitTensor(((0, 1, 0, 1),)), 0)
         with pytest.raises(ValueError):
-            eval_expression(e, minterm_transform([0.2, 0.5, 0.5]))
+            approx_forward(e, minterm_transform([0.2, 0.5, 0.5]))
+
+    @settings(deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.uint8, (1, 2**n), elements=st.integers(0, 1)),
+        st.sampled_from([(), (0,), (1,), (7,)]).flatmap(
+            lambda rows: hnp.arrays(float, rows + (2**n,), elements=st.floats(0, 1))))))
+    def test_equals_former_evaluation_bit_for_bit(self, drawn):
+        # one minterm row or an (N, 2^n) batch
+        bits, mt = drawn
+        e = BitTensor(bits)
+        got, want = approx_forward(e, mt), eval_expression(e, mt)
+        assert np.shape(got) == np.shape(want) == mt.shape[:-1]
+        assert np.array_equal(got, want)
 
 
 class TestApproxForward:
@@ -235,7 +249,7 @@ class TestApproxForward:
         bt = bitcode(scaled(tuple(rng.uniform(0, 1, 8))), 3)
         mt = minterm_transform(rng.uniform(0, 1, (30, 3)))
         for levels in ([0], [1, 3], [0, 1, 2, 3]):
-            want = sum(2.0**-b * eval_expression(level_expression(bt, b), mt) for b in levels)
+            want = sum(2.0**-b * approx_forward(level_expression(bt, b), mt) for b in levels)
             assert approx_forward(bt, mt, levels) == pytest.approx(want, abs=1e-12)
 
 
@@ -391,7 +405,8 @@ class TestArrayValueTypes:
 
     @given(odd_arrays(BITS, 1, (0, 2)))
     def test_expression_bits_rule(self, active):
-        assert self.accepts(LogicExpressionBits, active) == expression_bits_ok(active)
+        # a logic expression is the one-level BitTensor of its active bits
+        assert self.accepts(expression, active) == expression_bits_ok(active)
 
     def test_arrays_are_read_only_copies(self):
         source = np.array([0.0, 0.25, 1.0, 0.5])
@@ -403,7 +418,7 @@ class TestArrayValueTypes:
         assert cw.weights[0] == sw.weights[0] == 0.0
         assert (cw.weights.dtype, sw.weights.dtype) == (np.float64, np.float64)
         assert (bt.bits.dtype, bt.bits.shape) == (np.uint8, (3, 4))
-        assert (e.active.dtype, e.active.shape) == (np.bool_, (4,))
-        for array in (cw.weights, sw.weights, bt.bits, e.active):
+        assert (e.bits.dtype, e.bits.shape) == (np.uint8, (1, 4))
+        for array in (cw.weights, sw.weights, bt.bits, e.bits):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1

@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annlogic.encoding import minterm_transform
-from annlogic.logiccode import BitTensor, LogicExpressionBits, eval_expression, level_expression
+from annlogic.logiccode import BitTensor, approx_forward, level_expression
 from annlogic.qldt import Split, build_qldt, build_qldts, eval_qldt, render
-from oracles import (column_names, dot_label_loop, minterm_bits, qldt_recursive, qldt_rows,
-                     render_lines, truth_tables)
-
-
-def expr(bits):
-    return LogicExpressionBits(tuple(bits))
+from oracles import (column_names, dot_label_loop, expression, minterm_bits, qldt_recursive,
+                     qldt_rows, render_lines, truth_tables)
 
 
 def all_paths_valid(node, seen=frozenset()):
@@ -29,20 +25,20 @@ def all_paths_valid(node, seen=frozenset()):
 
 class TestBuildQldt:
     def test_or_expression(self):
-        tree = build_qldt(expr((0, 1, 1, 1)))
+        tree = build_qldt(expression((0, 1, 1, 1)))
         # semantics must equal a1 or a2 regardless of split order
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
             assert eval_qldt(tree, degrees) == float(k > 0)
 
     def test_all_zero(self):
-        assert build_qldt(expr((0, 0, 0, 0))) is False
+        assert build_qldt(expression((0, 0, 0, 0))) is False
 
     def test_all_one(self):
-        assert build_qldt(expr((1, 1, 1, 1))) is True
+        assert build_qldt(expression((1, 1, 1, 1))) is True
 
     def test_nor_expression(self):
-        tree = build_qldt(expr((1, 0, 0, 0)))
+        tree = build_qldt(expression((1, 0, 0, 0)))
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
             assert eval_qldt(tree, degrees) == float(k == 0)
@@ -51,16 +47,16 @@ class TestBuildQldt:
         rng = np.random.default_rng(0)
         for _ in range(50):
             bits = tuple(int(b) for b in rng.integers(0, 2, 16))
-            assert all_paths_valid(build_qldt(expr(bits)))
+            assert all_paths_valid(build_qldt(expression(bits)))
 
     def test_redundant_split_collapses(self):
         # expression depends only on a2: tree must not mention a1
-        tree = build_qldt(expr((0, 1, 0, 1)))
+        tree = build_qldt(expression((0, 1, 0, 1)))
         assert tree == Split(1, False, True)
 
     def test_tie_breaks_to_lowest_attribute(self):
         # xor: zero gain for both attributes, lowest index splits first
-        tree = build_qldt(expr((0, 1, 1, 0)))
+        tree = build_qldt(expression((0, 1, 1, 0)))
         assert isinstance(tree, Split) and tree.attribute == 0
 
     @settings(deadline=None)
@@ -70,17 +66,21 @@ class TestBuildQldt:
         )
     )
     def test_matches_row_list_oracle(self, bits):
-        e = expr(bits)
-        assert build_qldt(e) == qldt_rows(e.active, e.n)
+        e = expression(bits)
+        assert build_qldt(e) == qldt_rows(e.bits[0].tolist(), e.n)
 
     def test_equal_subfunctions_are_one_node(self):
         # parity a ^ b ^ c: every gain is 0, so the splits go a, b, c in
         # order; (a, b) = (0, 0) and (1, 1) leave the same function of c
-        tree = build_qldt(expr([0, 1, 1, 0, 1, 0, 0, 1]))
+        tree = build_qldt(expression([0, 1, 1, 0, 1, 0, 0, 1]))
         assert tree.low.low is tree.high.high
         assert tree.low.high is tree.high.low
         assert tree.low.low != tree.low.high
         assert render(tree).count("label=\"a3\"") == 4
+
+    def test_two_levels_are_not_an_expression(self):
+        with pytest.raises(ValueError, match="^a logic expression has one level$"):
+            build_qldt(BitTensor([(0, 1, 1, 1), (1, 0, 0, 0)]))
 
 
 class TestBuildQldts:
@@ -91,7 +91,7 @@ class TestBuildQldts:
         trees = build_qldts(BitTensor(tables))
         assert len(trees) == len(tables)
         for t, tree in zip(tables, trees):
-            assert render(tree) == render(qldt_recursive(LogicExpressionBits(t)))
+            assert render(tree) == render(qldt_recursive(expression(t)))
 
     @settings(deadline=None, max_examples=60)
     @given(truth_tables(8, 5))
@@ -102,8 +102,8 @@ class TestBuildQldts:
         assert build_qldts(bt) == tuple(build_qldt(level_expression(bt, b)) for b in levels)
 
     def test_repeated_expression_is_one_tree(self):
-        e = expr([0, 1, 1, 0, 1, 0, 0, 1])
-        first, other, again = build_qldts(BitTensor([e.active, ~e.active, e.active]))
+        e = expression([0, 1, 1, 0, 1, 0, 0, 1])
+        first, other, again = build_qldts(BitTensor([e.bits[0], 1 - e.bits[0], e.bits[0]]))
         assert first is again
         # both parities leave the same functions of a3 after two splits
         assert first.low.low is other.low.high
@@ -125,7 +125,7 @@ class TestEvalQldt:
         rng = np.random.default_rng(1)
         for _ in range(20):
             bits = tuple(int(b) for b in rng.integers(0, 2, 8))
-            tree = build_qldt(expr(bits))
+            tree = build_qldt(expression(bits))
             for k in range(8):
                 degrees = tuple(float(b) for b in minterm_bits(k, 3))
                 assert eval_qldt(tree, degrees) == float(bits[k])
@@ -147,12 +147,12 @@ class TestEvalQldt:
     def test_equivalence_exhaustive_n2(self):
         grid = [0.0, 0.25, 0.6, 1.0]
         for bits in itertools.product((0, 1), repeat=4):
-            e = expr(bits)
+            e = expression(bits)
             tree = build_qldt(e)
             for a in grid:
                 for b in grid:
                     f = (a, b)
-                    want = eval_expression(e, minterm_transform(f))
+                    want = approx_forward(e, minterm_transform(f))
                     assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
 
     def test_equivalence_random_n3_n4(self):
@@ -160,11 +160,11 @@ class TestEvalQldt:
         for n in (3, 4):
             for _ in range(30):
                 bits = tuple(int(b) for b in rng.integers(0, 2, 2**n))
-                e = expr(bits)
+                e = expression(bits)
                 tree = build_qldt(e)
                 for _ in range(5):
                     f = rng.uniform(0, 1, n)
-                    want = eval_expression(e, minterm_transform(f))
+                    want = approx_forward(e, minterm_transform(f))
                     assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
 
     @settings(deadline=None, max_examples=60)
@@ -180,9 +180,9 @@ class TestEvalQldt:
         rng = np.random.default_rng(3)
         for _ in range(20):
             bits = tuple(int(b) for b in rng.integers(0, 2, 8))
-            e = expr(bits)
+            e = expression(bits)
             t1 = build_qldt(e)
-            t2 = build_qldt(LogicExpressionBits(~e.active))
+            t2 = build_qldt(BitTensor(1 - e.bits))
             f = rng.uniform(0, 1, 3)
             assert eval_qldt(t1, f) + eval_qldt(t2, f) == pytest.approx(
                 1.0, abs=1e-9
@@ -203,7 +203,7 @@ class TestRender:
         assert "active" in dot
 
     def test_deterministic(self):
-        tree = build_qldt(expr((0, 1, 1, 0, 1, 0, 0, 1)))
+        tree = build_qldt(expression((0, 1, 1, 0, 1, 0, 0, 1)))
         assert render(tree) == render(tree)
 
     @settings(max_examples=100, deadline=None)
@@ -222,7 +222,7 @@ class TestRender:
         n, tables = drawn
         chars = st.sampled_from(["a", "n", " ", '"', "\\", "\r", "\n", ",", "é"]) | st.characters()
         names = data.draw(st.lists(st.text(chars, max_size=8), min_size=n, max_size=n))
-        tree = build_qldt(expr(tables[0]))
+        tree = build_qldt(expression(tables[0]))
         want = []  # each node's label in the renderer's order: node, low, high
 
         def walk(node):
