@@ -8,10 +8,11 @@ each one that differs.
     python3 tests/corpus.py --update   # rewrite tests/corpus.json
 
 Every input is generated from a seed: the synthetic banknote CSV of
-conftest.py, a 3,000-row CSV of 8 uniform attributes, seeded random models
-over 4, 8 and 12 attributes, the reference weights, the BAD_INPUTS files of
-test_cli.py, and headers whose names hold a quote, a backslash, line ends
-and a comma.  Each call runs in-process through `annlogic.cli.main`, in a
+conftest.py, a 3,000-row CSV of 8 uniform attributes, a 400-row CSV of 3,
+seeded random models over 4, 8 and 12 attributes and one over 3 attributes
+with 70 ReLU nodes, whose cell numbers pass 2^64, the reference weights,
+the BAD_INPUTS files of test_cli.py, and headers whose names hold a quote,
+a backslash, line ends and a comma.  Each call runs in-process through `annlogic.cli.main`, in a
 directory of its own that holds only its inputs, with relative paths, at
 80 columns, and with every warning an error, as under pytest.  A file the
 call leaves there that is not one of its inputs, or an input whose bytes
@@ -56,6 +57,10 @@ def _csv_text(names, rows):
     return buf.getvalue()
 
 
+# The most populated cell that `partition-rows3-l70` reports: above 2^64.
+CELL_L70 = "434301208780819349502"
+
+
 def _model_text(n, relu, fuzzifier):
     """A random model whose seed is n, as in test_cli's EXPLAIN_SHA256."""
     with tempfile.TemporaryDirectory() as d:
@@ -75,6 +80,11 @@ def inputs():
     y8 = rng.integers(0, 2, size=3000)
     tall8 = _csv_text([f"x{j + 1}" for j in range(8)] + ["label"],
                       [[*map(repr, row), label] for row, label in zip(X8.tolist(), y8.tolist())])
+    rng = np.random.default_rng([21, 70])
+    X3 = rng.uniform(0.0, 1.0, size=(400, 3))
+    y3 = rng.integers(0, 2, size=400)
+    rows3 = _csv_text(["x1", "x2", "x3", "label"],
+                      [[*map(repr, row), label] for row, label in zip(X3.tolist(), y3.tolist())])
     files = {
         "bank.csv": bank,
         "bank20.csv": bank20,
@@ -87,6 +97,8 @@ def inputs():
         "m8.json": _model_text(8, 4, FuzzifierSpec(
             "logistic", (tuple(X8.mean(axis=0)), tuple(1.0 / X8.std(axis=0))))),
         "m12.json": _model_text(12, 3, None),
+        "rows3.csv": rows3,
+        "m3x70.json": _model_text(3, 70, FuzzifierSpec("minmax", ((0.0,) * 3, (1.0,) * 3))),
     }
     for i, names in enumerate(ODD_NAMES):
         files[f"odd{i}.csv"] = _csv_text(names + ["label"], [[0.1, 0.2, 0.3, 0.4, 0],
@@ -102,6 +114,7 @@ def calls(texts):
 
     bank, ref16, m12 = pick("bank.csv"), pick("ref16.txt"), pick("m12.json")
     m4, m8 = pick("m4.json", "bank.csv"), pick("m8.json", "tall8.csv")
+    m70 = pick("m3x70.json", "rows3.csv")
     train = ["train", "--model", "model.json"]
     out = ["--out-dir", "out"]
     rows = [
@@ -120,6 +133,8 @@ def calls(texts):
                                    "--out", "cells.csv"]),
         ("partition-tall8-n8", m8, ["partition", "--model", "m8.json", "--data", "tall8.csv",
                                     "--out", "cells.csv"]),
+        ("partition-rows3-l70", m70, ["partition", "--model", "m3x70.json",
+                                      "--data", "rows3.csv", "--out", "cells.csv"]),
         ("classify-bank-n4", m4, ["classify", "--model", "m4.json", "--data", "bank.csv"]),
         ("classify-tall8-n8", m8, ["classify", "--model", "m8.json", "--data", "tall8.csv"]),
     ]
@@ -140,6 +155,8 @@ def calls(texts):
         ("explain-n12-cell7-bcl5", m12, ["explain", "--model", "m12.json", "--cell", "7",
                                          "--bcl-max", "5", *out]),
         ("explain-n12-cell0", m12, ["explain", "--model", "m12.json", "--cell", "0", *out]),
+        ("explain-l70-big-cell", m70, ["explain", "--model", "m3x70.json", "--cell", CELL_L70,
+                                       "--data", "rows3.csv", *out]),
         ("explain-ref16", ref16, ["explain", "--weights-override", "ref16.txt", *out]),
         ("explain-ref16-threshold-bcl5", ref16, ["explain", "--weights-override", "ref16.txt",
                                                  "--threshold", "0.7", "--bcl-max", "5", *out]),
@@ -149,6 +166,8 @@ def calls(texts):
         ("shapley-n8-cell3", m8, ["shapley", "--model", "m8.json", "--cell", "3",
                                   "--data", "tall8.csv", "--out", "shapley.csv"]),
         ("shapley-n12-cell7", m12, ["shapley", "--model", "m12.json", "--cell", "7"]),
+        ("shapley-l70-big-cell", m70, ["shapley", "--model", "m3x70.json",
+                                       "--cell", CELL_L70]),
         ("project-ref16", ref16, ["project", "--weights-override", "ref16.txt", "--keep", "1,2"]),
         ("project-n8-cell9", m8, ["project", "--model", "m8.json", "--cell", "9",
                                   "--data", "tall8.csv", "--keep", "x1,x3,5"]),
