@@ -25,9 +25,7 @@ from .network import (
     train,
 )
 from .partition import (
-    CellId,
     CellWeights,
-    cell_number,
     extract_cell_weights,
     partition_dataset,
     shapley,

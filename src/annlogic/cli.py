@@ -205,8 +205,7 @@ def _cell_weights_from_args(args):
         ann, spec = _load_model(args.model)
         if args.cell is None:
             raise ValueError("--cell is required when extracting from a model")
-        cell = partition.CellId(args.cell, ann.relu_count)
-        cw = partition.extract_cell_weights(ann, cell)
+        cw = partition.extract_cell_weights(ann, args.cell)
         threshold = ann.threshold
     if names is None:
         names = [f"a{j + 1}" for j in range(cw.n)]
@@ -279,8 +278,8 @@ def cmd_partition(args):
     ann, mt, y = _model_rows(args)
     header = ["cell_id", "relu_bits", "count_label1", "count_label0"]
     rows = [
-        [r.cell.p, "".join(map(str, r.cell.bits)), r.count_label1, r.count_label0]
-        for r in partition.partition_dataset(ann, mt, y)
+        [p, format(p, f"0{ann.relu_count}b"), ones, zeros]
+        for p, ones, zeros in partition.partition_dataset(ann, mt, y)
     ]
     if args.out:
         _write_csv(args.out, header, rows)
@@ -334,7 +333,7 @@ def cmd_explain(args):
         energy_rows,
     )
 
-    print(f"cell={cw.cell if cw.cell else 'override'}")
+    print(f"cell={'override' if args.cell is None else f'ANN_{args.cell}'}")
     print(f"scaled_threshold={_fmt(scaled.threshold)}")
     print(f"weight_sum={_fmt(report.weight_sum)}")
     print(f"bitcode_sum={_fmt(report.bitcode_sum)}")

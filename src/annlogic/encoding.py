@@ -80,6 +80,8 @@ def fit_fuzzifier(X: np.ndarray, kind: str = "minmax") -> FuzzifierSpec:
     the mean with steepness 1/std (std 0 falls back to steepness 1).
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim == 2 and len(X) and not X.shape[1]:
+        raise ValueError("cannot fit a fuzzifier on zero attributes")
     if X.size == 0:
         raise ValueError("cannot fit a fuzzifier on an empty dataset")
     if X.ndim != 2:

@@ -1,6 +1,6 @@
-"""Partition cells of the network: cell numbering from ReLU status,
-dataset partition reports, exact per-cell linear minterm-weight maps
-and Shapley attribution."""
+"""Partition cells of the network: a cell is a number p < 2^l whose bit m,
+MSB-first, is the status of ReLU node m.  Dataset partition reports, exact
+per-cell linear minterm-weight maps and Shapley attribution."""
 
 from __future__ import annotations
 
@@ -11,35 +11,12 @@ import numpy as np
 from .network import SimpleAnn, relu_status
 
 
-@dataclass(frozen=True)
-class CellId:
-    """Cell number p in [0, 2^l); bit m of p (MSB-first) is the status of
-    ReLU node m."""
-
-    p: int
-    l: int
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("need at least one ReLU node")
-        if not 0 <= self.p < 2**self.l:
-            raise ValueError(f"cell number {self.p} out of range for l={self.l}")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.p >> (self.l - 1 - m)) & 1 for m in range(self.l))
-
-    def __str__(self):
-        return f"ANN_{self.p}"
-
-
 @dataclass(frozen=True, eq=False)
 class CellWeights:
     """The 2^n real minterm weights of one cell's exact linear map, a
     read-only float64 array of shape (2^n,)."""
 
     weights: np.ndarray
-    cell: CellId | None = None
 
     def __post_init__(self):
         w = _freeze(self, "weights", np.array(self.weights, dtype=float))
@@ -66,62 +43,42 @@ def _arity(a: np.ndarray) -> int:
     return a.shape[-1].bit_length() - 1
 
 
-@dataclass(frozen=True)
-class CellReportRow:
-    cell: CellId
-    count_label1: int
-    count_label0: int
-
-    @property
-    def total(self) -> int:
-        return self.count_label1 + self.count_label0
-
-
-def cell_number(status) -> CellId:
-    """Pack one ReLU status, its bits MSB-first, into the cell number."""
-    bits = list(status)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ValueError("a ReLU status is a non-empty sequence of 0/1 bits")
-    return CellId(int("".join(str(int(b)) for b in bits), 2), len(bits))
-
-
 def partition_dataset(
     ann: SimpleAnn, samples: np.ndarray, labels: np.ndarray
-) -> tuple[CellReportRow, ...]:
+) -> list[tuple[int, int, int]]:
     """Assign every row of the (N, 2^n) minterm matrix `samples` to its
-    cell; returns one row per non-empty cell, sorted by descending total
-    count (ties by cell number).  Rows are grouped by one key per row, its
-    status bits packed into bytes, so the cell number is only formed once
-    per non-empty cell, from the status of the cell's first row."""
-    status = relu_status(ann, samples)
-    key = np.packbits(status, axis=1)
+    cell; returns (cell number, label-1 count, label-0 count) per non-empty
+    cell, sorted by descending total count (ties by cell number).  Rows are
+    grouped by one key per row, its status bits packed into bytes, so the
+    cell number is only formed once per non-empty cell, from its first key."""
+    l = ann.relu_count
+    key = np.packbits(relu_status(ann, samples), axis=1)
     _, first, slot, total = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                                       return_index=True, return_inverse=True,
                                       return_counts=True)
     ones = np.bincount(slot, weights=labels, minlength=len(first))
     rows = [
-        CellReportRow(cell_number(status[i]), int(c1), int(t - c1))
+        (int.from_bytes(key[i].tobytes(), "big") >> (-l % 8), int(c1), int(t - c1))
         for i, c1, t in zip(first, ones, total)
     ]
-    rows.sort(key=lambda r: (-r.total, r.cell.p))
-    return tuple(rows)
+    rows.sort(key=lambda r: (-r[1] - r[2], r[0]))
+    return rows
 
 
-def extract_cell_weights(ann: SimpleAnn, cell: CellId) -> CellWeights:
-    """Exact linear map of the reduced network: ReLU node m becomes
-    multiplication by status bit m.  The single output row is composed
-    from the output side, so every product is one row times a layer."""
-    if cell.l != ann.relu_count:
-        raise ValueError(
-            f"cell width {cell.l} does not match ReLU count {ann.relu_count}"
-        )
+def extract_cell_weights(ann: SimpleAnn, p: int) -> CellWeights:
+    """Exact linear map of the reduced network in cell p: ReLU node m becomes
+    multiplication by bit m of p, MSB-first.  The single output row is
+    composed from the output side, so every product is one row times a layer."""
+    l = ann.relu_count
+    if not 0 <= p < 2**l:
+        raise ValueError(f"cell number {p} out of range for l={l}")
     h = np.ones((1, 1))
     for w in reversed(ann.post_layers):
         h = h @ w
-    h = h * np.asarray(cell.bits, dtype=float)
+    h = h * np.array([p >> (l - 1 - m) & 1 for m in range(l)], dtype=float)
     for w in reversed(ann.pre_layers):
         h = h @ w
-    return CellWeights(h[0], cell)
+    return CellWeights(h[0])
 
 
 def shapley(cw: CellWeights) -> np.ndarray:

@@ -46,7 +46,8 @@ MUTANTS = [
      "for start in range(0, len(rows) - len(rows) % step, step):",
      ["test_encoding.py"]),
     ("partition-key-first-8-bits", "partition.py",
-     "key = np.packbits(status, axis=1)", "key = np.packbits(status[:, :8], axis=1)",
+     "key = np.packbits(relu_status(ann, samples), axis=1)",
+     "key = np.packbits(relu_status(ann, samples)[:, :8], axis=1)",
      ["test_partition.py"]),
     ("threshold-last-maximum", "network.py",
      "i = splits[np.argmax(correct[splits])]",
@@ -70,8 +71,19 @@ MUTANTS = [
      "absolute / weight_sum * 100.0", "absolute / float(bt.reconstruction().sum()) * 100.0",
      ["test_logiccode.py", "test_acceptance.py"]),
     ("cell-status-bits-reversed", "partition.py",
-     "np.asarray(cell.bits, dtype=float)", "np.asarray(cell.bits[::-1], dtype=float)",
+     "[p >> (l - 1 - m) & 1 for m in range(l)]", "[p >> m & 1 for m in range(l)]",
      ["test_partition.py"]),
+    # a cell is the int whose bit m, MSB-first, is the status of ReLU node m
+    ("cell-number-pad-dropped", "partition.py",
+     'int.from_bytes(key[i].tobytes(), "big") >> (-l % 8)',
+     'int.from_bytes(key[i].tobytes(), "big")',
+     ["test_partition.py"]),
+    ("cell-range-inclusive", "partition.py",
+     "if not 0 <= p < 2**l:", "if not 0 <= p <= 2**l:",
+     ["test_partition.py", "test_cli.py"]),
+    ("fuzzifier-zero-attributes-is-empty", "encoding.py",
+     "if X.ndim == 2 and len(X) and not X.shape[1]:", "if False:",
+     ["test_encoding.py", "test_cli.py"]),
     ("train-no-loss-check-after-last-update", "network.py",
      "for epoch in range(cfg.epochs + 1):", "for epoch in range(cfg.epochs):",
      ["test_network.py"]),

@@ -13,8 +13,8 @@ banknote data, so hypothesis is imported here and not there.
 Implementations the package replaced live on here too, where tests
 require the same output from both: the csv-reader dataset loader, the
 list-per-row weights.csv writer, the DOT renderer, the command-line
-parser built from parent parsers and the evaluation of a logic expression
-before it became a one-level BitTensor.
+parser built from parent parsers, the evaluation of a logic expression
+before it became a one-level BitTensor and the string-join cell number.
 """
 
 import argparse
@@ -424,6 +424,15 @@ def minterms_kron(degrees):
     return np.array(rows).reshape(len(degrees), 2 ** degrees.shape[1])
 
 
+def cell_number(status):
+    """Pack one ReLU status, its bits MSB-first, into the cell number
+    through a string join."""
+    bits = list(status)
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise ValueError("a ReLU status is a non-empty sequence of 0/1 bits")
+    return int("".join(str(int(b)) for b in bits), 2)
+
+
 def partition_rows(ann, mt, labels):
     """(cell number, label-1 count, label-0 count) per non-empty cell, one
     row at a time: pre-activations w @ h, status z >= 0, bits packed
@@ -590,34 +599,32 @@ def simple_anns(max_n, max_layers):
     return draw()
 
 
-def extract_cell_weights_eye(ann, cell):
+def extract_cell_weights_eye(ann, p):
     """Push the identity matrix, all 2^n basis vectors at once, through
-    the pre layers, the status bits and the post layers."""
+    the pre layers, the status bits of cell p and the post layers."""
     h = np.eye(ann.input_size)
     for w in ann.pre_layers:
         h = w @ h
-    h = np.asarray(cell.bits, dtype=float)[:, None] * h
+    bits = [int(b) for b in format(p, f"0{ann.relu_count}b")]
+    h = np.asarray(bits, dtype=float)[:, None] * h
     for w in ann.post_layers:
         h = w @ h
     return h[0]
 
 
-def compose_cell_weights(singles, cell):
-    """A cell's weights as the sum of the single-active-node cells whose
-    node is active in `cell`; cell 0 is the zero map."""
-    by_cell = {}
-    for cw in singles:
-        if cw.cell is None or bin(cw.cell.p).count("1") != 1:
-            raise ValueError("singles must carry single-active-node cell ids")
-        by_cell[cw.cell.p] = cw
-    total = np.zeros(len(singles[0].weights))
-    for m in range(cell.l):
-        if cell.bits[m]:
-            p = 1 << (cell.l - 1 - m)
-            if p not in by_cell:
-                raise ValueError(f"missing single-node cell {p}")
-            total = total + by_cell[p].weights
-    return CellWeights(total, cell)
+def compose_cell_weights(singles, p):
+    """Cell p's weights as the sum of the single-active-node cells whose
+    node is active in p; `singles` maps each such cell number, a power of
+    two, to its CellWeights.  Cell 0 is the zero map."""
+    if any(bin(q).count("1") != 1 for q in singles):
+        raise ValueError("singles must be keyed by single-active-node cell numbers")
+    total = np.zeros(len(next(iter(singles.values())).weights))
+    for k in range(p.bit_length()):
+        if p >> k & 1:
+            if 1 << k not in singles:
+                raise ValueError(f"missing single-node cell {1 << k}")
+            total = total + singles[1 << k].weights
+    return CellWeights(total)
 
 
 # The dataset reader as it was before the body was split on line ends and

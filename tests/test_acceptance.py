@@ -18,7 +18,7 @@ from conftest import (
     random_minterm,
     random_simple_ann,
 )
-from oracles import compose_cell_weights, expression, shapley_permutation_oracle
+from oracles import cell_number, compose_cell_weights, expression, shapley_permutation_oracle
 
 # Reference bit codes for the 16-weight golden test, MSB first.
 REF16_BITS = (
@@ -152,29 +152,29 @@ def test_criterion_05_cell_map_equivalence():
                 rng, n, l,
                 extra_pre=bool(rng.integers(2)), extra_post=bool(rng.integers(2)),
             )
-            singles = [
-                al.extract_cell_weights(ann, al.CellId(1 << m, l))
+            singles = {
+                1 << m: al.extract_cell_weights(ann, 1 << m)
                 for m in range(l)
-            ]
+            }
             for _ in range(50):
                 mt = random_minterm(rng, n)
-                cell = al.cell_number(al.relu_status(ann, mt))
+                cell = cell_number(al.relu_status(ann, mt))
                 cw = al.extract_cell_weights(ann, cell)
                 assert abs(
                     float(np.dot(cw.weights, mt))
                     - al.forward(ann, mt)
                 ) < 1e-9
             for p in range(2**l):
-                composed = compose_cell_weights(singles, al.CellId(p, l))
-                direct = al.extract_cell_weights(ann, al.CellId(p, l))
+                composed = compose_cell_weights(singles, p)
+                direct = al.extract_cell_weights(ann, p)
                 assert np.allclose(
                     composed.weights, direct.weights, atol=1e-9
                 )
         # two-node identity: cell 11 weights = cell 10 + cell 01
         ann = random_simple_ann(rng, 2, 2)
-        w11 = al.extract_cell_weights(ann, al.CellId(3, 2)).weights
-        w10 = al.extract_cell_weights(ann, al.CellId(2, 2)).weights
-        w01 = al.extract_cell_weights(ann, al.CellId(1, 2)).weights
+        w11 = al.extract_cell_weights(ann, 3).weights
+        w10 = al.extract_cell_weights(ann, 2).weights
+        w01 = al.extract_cell_weights(ann, 1).weights
         assert np.allclose(w11, w10 + w01, atol=1e-9)
 
 
@@ -260,15 +260,15 @@ def test_criterion_10_end_to_end(banknote_csv):
         assert acc >= 0.95
         rows = al.partition_dataset(ann, mts, y)
         print(f"  non-empty cells: {len(rows)}")
-        for row in rows:
-            print(f"    {row.cell}: label1={row.count_label1} label0={row.count_label0}")
+        for p, ones, zeros in rows:
+            print(f"    ANN_{p}: label1={ones} label0={zeros}")
         assert 2 <= len(rows) <= 8
         # most class-1-pure non-empty cell
-        best = max(rows, key=lambda r: (r.count_label1 / r.total, r.total))
-        cw = al.extract_cell_weights(ann, best.cell)
+        best = max(rows, key=lambda r: (r[1] / (r[1] + r[2]), r[1] + r[2]))[0]
+        cw = al.extract_cell_weights(ann, best)
         sw = al.scale_weights(cw, ann.threshold)
         bt = al.bitcode(sw, 3)
-        members = (al.relu_status(ann, mts) == best.cell.bits).all(axis=1)
+        members = np.array([cell_number(s) == best for s in al.relu_status(ann, mts)])
         tau = sw.threshold
         exact = (mts[members] @ sw.weights > tau) == y[members].astype(bool)
         exact_acc = np.count_nonzero(exact) / np.count_nonzero(members)
@@ -276,5 +276,5 @@ def test_criterion_10_end_to_end(banknote_csv):
         for bcl in range(4):
             cumulative.append(bcl)
             lvl_acc = al.level_accuracy(bt, sw.threshold, mts[members], y[members], cumulative)
-            print(f"  cell {best.cell} accuracy levels 0..{bcl}: {lvl_acc:.4f}")
+            print(f"  cell ANN_{best} accuracy levels 0..{bcl}: {lvl_acc:.4f}")
         assert abs(lvl_acc - exact_acc) <= 0.03

@@ -650,6 +650,8 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
                  ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"],
                  "learning rate must be finite", id="train-lr-inf"),
+    pytest.param({"d.csv": "label\n0\n1\n"}, ["train", "--data", "d.csv", "--model", "m.json"],
+                 "cannot fit a fuzzifier on zero attributes", id="train-label-column-only"),
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
                  ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "1e300",
                       "--epochs", "1"],

@@ -40,6 +40,13 @@ class TestFitFuzzifier:
         with pytest.raises(ValueError):
             fit_fuzzifier([])
 
+    def test_zero_attributes(self):
+        # rows with no attribute are not an empty dataset
+        with pytest.raises(ValueError, match="^cannot fit a fuzzifier on zero attributes$"):
+            fit_fuzzifier(np.empty((2, 0)))
+        with pytest.raises(ValueError, match="empty dataset"):
+            fit_fuzzifier(np.empty((0, 0)))
+
     def test_inconsistent_arity(self):
         # rows of one object each are an (N, n) array; a flat vector is not
         message = r"^expected an \(N, n\) array of rows, got shape \(2,\)$"

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.network import SimpleAnn, forward, relu_status
 from annlogic.partition import (
-    CellId,
     CellWeights,
-    cell_number,
     extract_cell_weights,
     partition_dataset,
     shapley,
 )
 from conftest import random_minterm, random_simple_ann
 from oracles import (
+    cell_number,
     compose_cell_weights,
     extract_cell_weights_eye,
     partition_rows,
@@ -44,31 +43,68 @@ def nets_and_rows(draw):
     return (ann,) + random_rows(rng, n, count)
 
 
+@st.composite
+def wide_nets_and_cells(draw):
+    """A random network with up to 70 ReLU nodes, 1 to 30 minterm rows, and
+    a cell number: either the oracle cell of one of the rows or any p < 2^l."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, l, count = draw(st.integers(1, 4)), draw(st.integers(1, 70)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(seed)
+    ann = random_simple_ann(rng, n, l, extra_pre=draw(st.booleans()),
+                            extra_post=draw(st.booleans()))
+    mt, _ = random_rows(rng, n, count)
+    cells = [cell_number(s) for s in relu_status(ann, mt)]
+    p = draw(st.sampled_from(cells) | st.integers(0, 2**l - 1))
+    return ann, mt, cells, p
+
+
+def status_net(bits):
+    """A network over n = 2 whose ReLU status on every minterm row is `bits`:
+    node m's pre-activation is +1 or -1, since the minterm values sum to 1."""
+    pre = np.array([[1.0 if b else -1.0] * 4 for b in bits])
+    return SimpleAnn((pre,), (np.ones((1, len(bits))),), 0.5)
+
+
+def cell_of(bits):
+    """The one cell that partition_dataset reports for a row under status_net."""
+    mt = minterm_transform(np.array([[0.3, 0.6]]))
+    (p, _, _), = partition_dataset(status_net(bits), mt, np.array([1]))
+    return p
+
+
 class TestCellNumber:
     def test_table_row(self):
-        assert cell_number((0, 1, 0)).p == 2
+        assert cell_of((0, 1, 0)) == 2
 
     def test_all_active(self):
-        assert cell_number(np.array([1, 1, 1])).p == 7
+        assert cell_of((1, 1, 1)) == 7
 
     def test_all_inactive(self):
-        assert cell_number((0, 0, 0)).p == 0
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            cell_number(())
-
-    def test_not_a_bit(self):
-        with pytest.raises(ValueError):
-            cell_number((0, 2, 1))
+        assert cell_of((0, 0, 0)) == 0
 
     def test_bijection(self):
         seen = set()
         for bits in itertools.product((0, 1), repeat=4):
-            cell = cell_number(bits)
-            assert cell.bits == bits
-            seen.add(cell.p)
+            p = cell_of(bits)
+            assert format(p, "04b") == "".join(map(str, bits))
+            seen.add(p)
         assert seen == set(range(16))
+
+    @settings(deadline=None)
+    @given(wide_nets_and_cells())
+    def test_int_cell_matches_oracles(self, case):
+        ann, mt, cells, p = case
+        got = extract_cell_weights(ann, p).weights
+        want = extract_cell_weights_eye(ann, p)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        rows = mt[[c == p for c in cells]]
+        assert np.allclose(rows @ got, forward(ann, rows), atol=1e-9)
+
+    def test_out_of_range(self):
+        ann = random_simple_ann(np.random.default_rng(4), 2, 3)
+        for p in (-1, 8, 2**70):
+            with pytest.raises(ValueError, match=f"^cell number {p} out of range for l=3$"):
+                extract_cell_weights(ann, p)
 
 
 class TestPartitionDataset:
@@ -77,46 +113,45 @@ class TestPartitionDataset:
         rng = np.random.default_rng(0)
         rows = partition_dataset(ann, *random_rows(rng, 2, 20))
         assert len(rows) == 1
-        assert rows[0].cell.p == 2**4 - 1
-        assert rows[0].total == 20
+        p, ones, zeros = rows[0]
+        assert p == 2**4 - 1
+        assert ones + zeros == 20
 
     def test_empty_dataset(self):
         ann = SimpleAnn((np.eye(4),), (np.ones((1, 4)),), 0.5)
-        assert partition_dataset(ann, np.empty((0, 4)), np.empty(0, int)) == ()
+        assert partition_dataset(ann, np.empty((0, 4)), np.empty(0, int)) == []
 
     def test_class_counts_conserved(self):
         rng = np.random.default_rng(1)
         ann = random_simple_ann(rng, 2, 3)
         mt, labels = random_rows(rng, 2, 60)
         rows = partition_dataset(ann, mt, labels)
-        assert sum(r.count_label1 for r in rows) == labels.sum()
-        assert sum(r.total for r in rows) == 60
-        totals = [r.total for r in rows]
+        assert sum(ones for _, ones, _ in rows) == labels.sum()
+        assert sum(ones + zeros for _, ones, zeros in rows) == 60
+        totals = [ones + zeros for _, ones, zeros in rows]
         assert totals == sorted(totals, reverse=True)
 
     @settings(deadline=None)
     @given(nets_and_rows())
     def test_matches_row_loop(self, case):
         ann, mt, labels = case
-        rows = partition_dataset(ann, mt, labels)
-        got = [(r.cell.p, r.count_label1, r.count_label0) for r in rows]
-        assert got == partition_rows(ann, mt, labels)
+        assert partition_dataset(ann, mt, labels) == partition_rows(ann, mt, labels)
 
     def test_more_than_64_status_bits(self):
         rng = np.random.default_rng(8)
         ann = random_simple_ann(rng, 3, 70)
         mt, labels = random_rows(rng, 3, 400)
         rows = partition_dataset(ann, mt, labels)
-        got = [(r.cell.p, r.count_label1, r.count_label0) for r in rows]
-        assert got == partition_rows(ann, mt, labels)
-        assert len(rows) > 1 and max(p for p, _, _ in got) >= 2**64
+        assert rows == partition_rows(ann, mt, labels)
+        assert len(rows) > 1 and max(p for p, _, _ in rows) >= 2**64
+        assert {type(x) for row in rows for x in row} == {int}
 
 
 class TestExtractCellWeights:
     def test_cell_zero_is_zero_map(self):
         rng = np.random.default_rng(2)
         ann = random_simple_ann(rng, 2, 2)
-        cw = extract_cell_weights(ann, CellId(0, 2))
+        cw = extract_cell_weights(ann, 0)
         assert np.array_equal(cw.weights, (0.0, 0.0, 0.0, 0.0))
 
     def test_single_node_cell_is_weight_product(self):
@@ -124,7 +159,7 @@ class TestExtractCellWeights:
         w_out = np.array([[2.0, 3.0]])
         ann = SimpleAnn((w_in,), (w_out,), 0.0)
         # node 2 active only: cell 01
-        cw = extract_cell_weights(ann, CellId(1, 2))
+        cw = extract_cell_weights(ann, 1)
         assert cw.weights == pytest.approx(tuple(3.0 * w_in[1]), abs=1e-12)
 
     def test_matches_forward_in_cell(self):
@@ -139,12 +174,6 @@ class TestExtractCellWeights:
                 forward(ann, mt),
                 abs_tol=1e-9,
             )
-
-    def test_width_mismatch(self):
-        rng = np.random.default_rng(4)
-        ann = random_simple_ann(rng, 2, 2)
-        with pytest.raises(ValueError):
-            extract_cell_weights(ann, CellId(1, 3))
 
     @settings(deadline=None)
     @given(nets_and_rows())
@@ -161,33 +190,30 @@ class TestExtractCellWeights:
     @given(simple_anns(max_n=4, max_layers=3))
     def test_matches_identity_matrix_oracle(self, ann):
         for p in range(2**ann.relu_count):
-            cell = CellId(p, ann.relu_count)
-            want = extract_cell_weights_eye(ann, cell)
-            got = extract_cell_weights(ann, cell).weights
+            want = extract_cell_weights_eye(ann, p)
+            got = extract_cell_weights(ann, p).weights
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestComposeCellWeights:
     def singles(self, ann, l):
-        return [
-            extract_cell_weights(ann, CellId(1 << m, l)) for m in range(l)
-        ]
+        return {1 << m: extract_cell_weights(ann, 1 << m) for m in range(l)}
 
     def test_two_node_sum(self):
         rng = np.random.default_rng(5)
         ann = random_simple_ann(rng, 2, 2)
         singles = self.singles(ann, 2)
-        composed = compose_cell_weights(singles, CellId(3, 2))
-        direct = extract_cell_weights(ann, CellId(3, 2))
+        composed = compose_cell_weights(singles, 3)
+        direct = extract_cell_weights(ann, 3)
         assert composed.weights == pytest.approx(direct.weights, abs=1e-9)
 
     def test_single_node_identity(self):
         rng = np.random.default_rng(6)
         ann = random_simple_ann(rng, 2, 3)
         singles = self.singles(ann, 3)
-        composed = compose_cell_weights(singles, CellId(4, 3))
+        composed = compose_cell_weights(singles, 4)
         assert composed.weights == pytest.approx(
-            extract_cell_weights(ann, CellId(4, 3)).weights, abs=1e-12
+            extract_cell_weights(ann, 4).weights, abs=1e-12
         )
 
     def test_all_cells_match_extraction(self):
@@ -195,16 +221,16 @@ class TestComposeCellWeights:
         ann = random_simple_ann(rng, 2, 3, extra_post=True)
         singles = self.singles(ann, 3)
         for p in range(8):
-            composed = compose_cell_weights(singles, CellId(p, 3))
-            direct = extract_cell_weights(ann, CellId(p, 3))
+            composed = compose_cell_weights(singles, p)
+            direct = extract_cell_weights(ann, p)
             assert composed.weights == pytest.approx(direct.weights, abs=1e-9)
 
     def test_missing_single(self):
         rng = np.random.default_rng(8)
         ann = random_simple_ann(rng, 2, 3)
-        singles = self.singles(ann, 3)[:1]
+        singles = {1: self.singles(ann, 3)[1]}
         with pytest.raises(ValueError, match="missing"):
-            compose_cell_weights(singles, CellId(7, 3))
+            compose_cell_weights(singles, 7)
 
 
 class TestShapley:
