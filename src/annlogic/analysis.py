@@ -12,7 +12,7 @@ import numpy as np
 from .encoding import minterm_transform
 from .logiccode import BitTensor
 
-MAX_RESOLUTION = 1001  # a 2-D grid holds at most ~1e6 points
+MAX_RESOLUTION = 1001  # a 2-D grid holds ~1e6 points; writing them, not computing, bounds it
 
 
 class HypothesisSyntaxError(ValueError):
@@ -147,7 +147,14 @@ def trend_grid(
     """Evaluate the level-restricted approximation over a uniform [0,1] grid
     of one or two varied attributes; the rest sit at fixed degrees (default
     0.5), and a varied attribute takes the grid value even if it has one.
-    Degrees outside [0,1] and attribute indices outside 0..n-1 are a ValueError."""
+    Degrees outside [0,1] and attribute indices outside 0..n-1 are a ValueError.
+
+    The minterm expansion of a degree vector is the multilinear extension
+    of the (2,)*n coefficient tensor (Owen 1972), so the grid is one
+    contraction: each fixed axis j with (1-m_j, m_j), then the varied axes
+    with P, the (res, 2) matrix of (1-a, a), as P @ W or P @ W @ P.T.  The
+    cost is 2^n + res^2, not res^2 * 2^n; the values agree with a minterm
+    expansion per grid point within 1e-12."""
     n = bt.n
     if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
         raise ValueError("vary must name one or two distinct attributes")
@@ -164,13 +171,10 @@ def trend_grid(
     if levels is None:
         levels = list(range(bt.bcl_max + 1))
     axis = np.linspace(0.0, 1.0, resolution)
-    shape = (resolution,) * len(vary)
-    degrees = np.tile(base, shape + (1,))
-    for j, grid in zip(vary, np.meshgrid(*[axis] * len(vary), indexing="ij")):
-        degrees[..., j] = grid
-    coefficients = bt.reconstruction(levels)
-    # one minterm expansion per grid point
-    values = np.array([
-        minterm_transform(d) @ coefficients for d in degrees.reshape(-1, n)
-    ]).reshape(shape)
-    return TrendGrid(tuple(axis), tuple(base), tuple(levels), values)
+    # the varied axes first, in vary's order, then the fixed ones ascending
+    w = np.moveaxis(bt.reconstruction(levels).reshape((2,) * n), vary, range(len(vary)))
+    for f in minterm_transform(np.delete(base, vary)[:, None])[::-1]:
+        w = w @ f  # contract the last fixed axis
+    p = minterm_transform(axis[:, None])
+    values = p @ w if len(vary) == 1 else p @ w @ p.T
+    return TrendGrid(tuple(axis.tolist()), tuple(base), tuple(levels), values)

@@ -283,9 +283,13 @@ def cmd_partition(args):
     ]
     if args.out:
         _write_csv(args.out, header, rows)
-    print(f"{'cell':>6} {'relu':>6} {'label1':>8} {'label0':>8}")
-    for p, bits, ones, zeros in rows:
-        print(f"{'ANN_' + str(p):>6} {bits:>6} {ones:>8} {zeros:>8}")
+    # right-aligned; a column is as wide as its header (padded to 6 or 8) or
+    # its widest entry, whichever is wider
+    table = [["cell", "relu", "label1", "label0"]]
+    table += [[f"ANN_{p}", bits, str(ones), str(zeros)] for p, bits, ones, zeros in rows]
+    widths = [max(w, *map(len, column)) for w, column in zip((6, 6, 8, 8), zip(*table))]
+    for line in table:
+        print(" ".join(v.rjust(w) for v, w in zip(line, widths)))
     return 0
 
 

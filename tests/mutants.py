@@ -273,6 +273,20 @@ MUTANTS = [
      "    if len(e.bits) != 1:\n"
      '        raise ValueError("a logic expression has one level")\n', "",
      ["test_qldt.py"]),
+    # a trend grid is one contraction of the coefficient tensor
+    ("trend-descending-pair-not-transposed", "analysis.py",
+     "reshape((2,) * n), vary, range(len(vary)))",
+     "reshape((2,) * n), sorted(vary), range(len(vary)))",
+     ["test_analysis.py"]),
+    ("trend-fixed-pair-swapped", "analysis.py",
+     "minterm_transform(np.delete(base, vary)[:, None])[::-1]",
+     "minterm_transform(np.delete(base, vary)[:, None])[::-1, ::-1]",
+     ["test_analysis.py"]),
+    # partition's table: a column is as wide as its widest entry
+    ("partition-width-fixed", "cli.py",
+     "widths = [max(w, *map(len, column)) for w, column in zip((6, 6, 8, 8), zip(*table))]",
+     "widths = [6, 6, 8, 8]",
+     ["test_cli.py"]),
 ]
 
 

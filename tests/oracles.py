@@ -14,7 +14,8 @@ Implementations the package replaced live on here too, where tests
 require the same output from both: the csv-reader dataset loader, the
 list-per-row weights.csv writer, the DOT renderer, the command-line
 parser built from parent parsers, the evaluation of a logic expression
-before it became a one-level BitTensor and the string-join cell number.
+before it became a one-level BitTensor, the string-join cell number and
+the trend grid with one minterm expansion per grid point.
 """
 
 import argparse
@@ -30,7 +31,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from annlogic import cli, logiccode
-from annlogic.encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES
+from annlogic.analysis import MAX_RESOLUTION, TrendGrid
+from annlogic.encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES, minterm_transform
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
@@ -422,6 +424,39 @@ def minterms_kron(degrees):
             mt = np.kron(mt, np.array([1.0 - m, m]))
         rows.append(mt)
     return np.array(rows).reshape(len(degrees), 2 ** degrees.shape[1])
+
+
+def trend_grid_per_point(bt, vary, fixed=None, levels=None, resolution=21):
+    """The package's `trend_grid` before it became one contraction: the
+    same checks in the same order, then one minterm expansion per grid
+    point.  A varied attribute takes the grid value even if it has a fixed
+    degree, so only the other attributes' degrees are checked."""
+    n = bt.n
+    if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
+        raise ValueError("vary must name one or two distinct attributes")
+    if any(not 0 <= j < n for j in vary):
+        raise ValueError("varied attribute index out of range")
+    fixed = fixed or {}
+    if any(not 0 <= j < n for j in fixed):
+        raise ValueError("fixed attribute index out of range")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}")
+    base = [float(fixed.get(j, 0.5)) for j in range(n)]
+    if levels is None:
+        levels = list(range(bt.bcl_max + 1))
+    axis = np.linspace(0.0, 1.0, resolution)
+    shape = (resolution,) * len(vary)
+    degrees = np.tile(base, shape + (1,))
+    for j, grid in zip(vary, np.meshgrid(*[axis] * len(vary), indexing="ij")):
+        degrees[..., j] = grid
+    coefficients = bt.reconstruction(levels)
+    # one minterm expansion per grid point
+    values = np.array([
+        minterm_transform(d) @ coefficients for d in degrees.reshape(-1, n)
+    ]).reshape(shape)
+    return TrendGrid(tuple(axis), tuple(base), tuple(levels), values)
 
 
 def cell_number(status):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from annlogic.analysis import (
     MAX_NESTING,
+    MAX_RESOLUTION,
     HypothesisSyntaxError,
     compare,
     parse_hypothesis,
@@ -12,7 +13,7 @@ from annlogic.analysis import (
 )
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward
-from oracles import expression, formulas, truth_table_loop
+from oracles import expression, formulas, trend_grid_per_point, truth_table_loop
 
 AB = ["a", "b"]
 ABC = ["a", "b", "c"]
@@ -316,18 +317,46 @@ class TestTrendGrid:
         a = np.asarray(grid.axis)
         assert np.allclose(grid.values, np.outer(a, 1 - a), atol=1e-12)
 
-    def test_equals_per_point_approx_forward(self):
-        # reference: one approx_forward call, which converts the whole bit
-        # tensor, on each grid point's minterm expansion
-        rng = np.random.default_rng(5)
-        bt = self.tensor([tuple(rng.integers(0, 2, 2**5)) for _ in range(4)])
-        for vary, levels in (([1], None), ([3, 0], [1, 3]), ([2, 4], [])):
-            grid = trend_grid(bt, vary=vary, fixed={1: 0.2, 4: 0.7},
-                              levels=levels, resolution=6)
-            points = np.array(np.meshgrid(*[grid.axis] * len(vary), indexing="ij"))
-            want = np.empty(points.shape[1:])
-            for index in np.ndindex(want.shape):
-                d = np.array(grid.fixed)
-                d[vary] = points[(slice(None),) + index]
-                want[index] = approx_forward(bt, minterm_transform(d), grid.levels)
-            assert np.array_equal(grid.values, want)
+    @settings(deadline=None)
+    @given(st.data())
+    def test_equals_per_point_approx_forward(self, data):
+        # one or two varied axes in either order, any fixed degrees (0 and 1
+        # included), any level subset (empty included), n = 1 .. 12
+        n = data.draw(st.integers(1, 12), label="n")
+        depth = data.draw(st.integers(1, 4), label="levels in the tensor")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="bits seed")
+        bt = BitTensor(np.random.default_rng(seed).integers(0, 2, (depth, 2**n)))
+        vary = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=min(2, n), unique=True), label="vary")
+        degree = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+        fixed = data.draw(st.dictionaries(st.integers(0, n - 1), degree), label="fixed")
+        levels = data.draw(st.none() | st.lists(st.integers(0, depth - 1), unique=True),
+                           label="levels")
+        resolution = data.draw(st.integers(2, 8), label="resolution")
+        grid = trend_grid(bt, vary, fixed, levels, resolution)
+        want = trend_grid_per_point(bt, vary, fixed, levels, resolution)
+        assert (grid.axis, grid.fixed, grid.levels) == (want.axis, want.fixed, want.levels)
+        assert {type(v) for v in grid.axis + grid.fixed} == {float}
+        assert grid.values.shape == want.values.shape
+        assert np.abs(grid.values - want.values).max() <= 1e-12
+
+    def test_varied_attribute_ignores_its_fixed_degree(self):
+        bt = self.tensor([(0, 1, 1, 0, 0, 1, 1, 1)])
+        for bad in (1.5, -0.2, float("nan")):
+            grid = trend_grid(bt, vary=[0], fixed={0: bad, 2: 0.3}, resolution=5)
+            want = trend_grid_per_point(bt, [0], {0: bad, 2: 0.3}, None, 5)
+            assert np.abs(grid.values - want.values).max() <= 1e-12
+
+    def test_max_resolution_grid_at_n12(self):
+        # a full 1001 x 1001 grid; 64 sampled points against one
+        # approx_forward call each
+        rng = np.random.default_rng(22)
+        bt = BitTensor(rng.integers(0, 2, (4, 2**12)))
+        vary, levels = [9, 2], [0, 2, 3]
+        grid = trend_grid(bt, vary, {4: 0.0, 5: 1.0, 6: 0.8}, levels, MAX_RESOLUTION)
+        assert grid.values.shape == (MAX_RESOLUTION, MAX_RESOLUTION)
+        for i, k in rng.integers(0, MAX_RESOLUTION, (64, 2)):
+            d = np.array(grid.fixed)
+            d[vary] = grid.axis[i], grid.axis[k]
+            want = approx_forward(bt, minterm_transform(d), levels)
+            assert abs(grid.values[i, k] - want) <= 1e-12

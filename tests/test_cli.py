@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,23 @@ class TestPartition:
         data.write_text("v,s,c,e,label\n")
         rc = main(["partition", "--model", str(trained_model), "--data", str(data)])
         assert rc == 0
+
+    def test_wide_rows_line_up_under_the_header(self, tmp_path, capsys):
+        # l = 12: 12 status bits and cell numbers of up to 4 digits
+        data = tmp_path / "bank.csv"
+        synthetic_banknote(data, rows=200)
+        X = np.loadtxt(data, delimiter=",", skiprows=1)[:, :4]
+        model = tmp_path / "model.json"
+        save_model(model, random_simple_ann(np.random.default_rng(0), 4, 12), fit_fuzzifier(X))
+        assert main(["partition", "--model", str(model), "--data", str(data)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["cell", "relu", "label1", "label0"]
+        assert any(len(line.split()[0]) >= len("ANN_100") for line in lines[1:])
+
+        def right_edges(line):
+            return [m.end() for m in re.finditer(r"\S+", line)]
+
+        assert {tuple(right_edges(line)) for line in lines} == {tuple(right_edges(lines[0]))}
 
 
 class TestExplain:
