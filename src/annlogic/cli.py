@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import warnings
 from itertools import compress, count, islice, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -302,20 +302,24 @@ def _write_csv(path, header, rows):
 
 def _write_weights(path, names, cw, scaled, bt):
     """weights.csv: per minterm k, its attribute bits, weight, scaled weight,
-    bits of levels 0..bcl_max and their reconstruction.  Only the header
-    can need quoting, so only it goes through the csv writer; each body line
-    is joined from whole columns and ends in CRLF, as the writer's do."""
+    bits of levels 0..bcl_max and reconstruction.  Only the header can need
+    quoting and goes through the csv writer; each body line is joined from
+    whole columns and ends in CRLF.  A bit pattern's text is made once: read
+    as a binary number times 2^-bcl_max, it is the reconstruction, exactly."""
     header = (
         ["k"] + names + ["weight", "scaled"]
         + [f"bit_2^-{b}" for b in range(bt.bcl_max + 1)] + ["reconstruction"]
     )
+    pattern = (1 << np.arange(bt.bcl_max, -1, -1)) @ bt.bits
+    _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
+    tails = [f"{bits}{r!r}\r\n" for bits, r in zip(
+        _digits(bt.bits.T[first], ","), (pattern[first] * 2.0**-bt.bcl_max).tolist())]
     columns = (_digits(_minterm_codes(cw.n), ","), cw.weights.tolist(),
-               scaled.weights.tolist(), _digits(bt.bits.T, ","),
-               bt.reconstruction().tolist())
+               scaled.weights.tolist(), map(tails.__getitem__, inverse.tolist()))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join([f"{k},{a_bits}{w!r},{s!r},{bits}{r!r}\r\n"
-                          for k, a_bits, w, s, bits, r in zip(count(), *columns)]))
+        fh.write("".join([f"{k},{a_bits}{w!r},{s!r},{tail}"
+                          for k, a_bits, w, s, tail in zip(count(), *columns)]))
 
 
 def cmd_explain(args):
@@ -347,9 +351,10 @@ def cmd_explain(args):
             f"level 2^-{bcl}: set_bits={set_bits} "
             f"energy={_fmt(absolute)} ({_fmt(relative, 1)}%)"
         )
-    for bcl, tree in enumerate(qldt.build_qldts(bt)):
+    trees = qldt.build_qldts(bt)
+    for bcl in range(len(trees.roots)):
         dot_path = out_dir / f"level_{bcl}.dot"
-        dot_path.write_text(qldt.render(tree, names))
+        dot_path.write_text(qldt.render(trees, names, bcl))
         print(f"tree level 2^-{bcl}: {dot_path}")
 
     if data is not None and spec is not None:
@@ -457,20 +462,23 @@ def cmd_trend(args):
                 raise ValueError(f"attribute {names[idx]!r} is {why}")
             fixed[idx] = degree
     grid = analysis.trend_grid(bt, vary, fixed, levels, args.resolution)
-    level_tag = "+".join(str(b) for b in levels)
-    header = [names[j] for j in vary] + ["level_set", "value"]
-    points = product(map(float, grid.axis), repeat=len(vary))
-    rows = [
-        [*map(repr, point), level_tag, repr(v)]
-        for point, v in zip(points, grid.values.ravel().tolist())
-    ]
+    _write_trend(args.out, [names[j] for j in vary], "+".join(map(str, levels)), grid)
     if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {len(rows)} grid points to {args.out}")
-    else:  # the file's quoting (a lone CR too), each row's CRLF terminator cut to LF
-        out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\n"))
-        csv.writer(out).writerows([header, *rows])
+        print(f"wrote {grid.values.size} grid points to {args.out}")
     return 0
+
+
+def _write_trend(path, varied, level_tag, grid):
+    """One row per grid point (varied degrees, level set, value), to `path`
+    with CRLF line ends, else to stdout with LF ones.  Only the header goes
+    through the csv writer; each axis degree is made text once."""
+    points = map("".join, product([f"{x!r}," for x in grid.axis], repeat=len(varied)))
+    head = io.StringIO()  # quoted as the file is, a lone CR too
+    csv.writer(head).writerow([*varied, "level_set", "value"])
+    end = "\r\n" if path else "\n"
+    text = head.getvalue()[:-2] + end + "".join(
+        [f"{p}{level_tag},{v!r}{end}" for p, v in zip(points, grid.values.ravel().tolist())])
+    Path(path).write_text(text, newline="") if path else sys.stdout.write(text)
 
 
 def cmd_classify(args):

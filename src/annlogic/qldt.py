@@ -4,7 +4,7 @@ A tree is just another representation of an expression's active-minterm
 set: it is induced like a decision tree from the (2,)*n boolean truth
 tensor, but evaluated by summing, over all paths to active leaves, the
 products of the degrees (solid edge) or their complements (dashed edge).
-A tree is a `Split` or a leaf, the bool True (active) or False.
+The trees of all levels share one `NodeTable`; a tree is a root in it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -20,71 +19,73 @@ from .encoding import _degrees
 from .logiccode import BitTensor
 
 
-@dataclass(frozen=True)
-class Split:
-    attribute: int  # 0-based
-    low: "QldtNode"  # negated branch
-    high: "QldtNode"  # non-negated branch
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Row v splits on `attribute[v]` (0-based) into `low[v]` (negated
+    branch) and `high[v]`; `size[v]` counts its subtree's nodes, expanded.
+    Row 0 is the inactive leaf, row 1 the active one (attribute -1), and a
+    split comes after its children.  `roots` holds one row per level."""
+
+    attribute: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    size: np.ndarray
+    roots: tuple[int, ...]
 
 
-QldtNode = Union[Split, bool]
-
-
-def _entropy(pos: int, total: int) -> float:
-    if total == 0 or pos in (0, total):
-        return 0.0
-    p = pos / total
-    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-
-
-def build_qldt(e: BitTensor) -> QldtNode:
+def build_qldt(e: BitTensor) -> NodeTable:
     """The tree of one logic expression, a one-level tensor; see `build_qldts`."""
     if len(e.bits) != 1:
         raise ValueError("a logic expression has one level")
-    return build_qldts(e)[0]
+    return build_qldts(e)
 
 
-def build_qldts(bt: BitTensor) -> tuple[QldtNode, ...]:
+def build_qldts(bt: BitTensor) -> NodeTable:
     """Induce a lossless tree from each row of the bit tensor, the truth
     table of one level.  Splits maximize information gain, ties go to the
     lowest attribute index; pure subtrees and splits with identical children
-    collapse.  Equal subfunctions over the same attributes are one node,
-    within a tree and across the trees.  The trees grow breadth first: the
-    unique nodes at depth d are the rows of one (K, 2^(n-d)) truth matrix,
-    split all at once; the nodes are then built from the deepest up."""
+    collapse.  Equal subfunctions over the same attributes are one row, as in
+    a reduced ordered BDD's unique table.  The unique nodes at depth d, rows
+    of one (K, 2^(n-d)) truth matrix, split at once; the table fills bottom up."""
     n = bt.n
     index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
     truth, attrs, roots = _intern(bt.bits.astype(bool),
                                   np.tile(np.arange(n, dtype=np.uint8), (len(bt.bits), 1)))
-    depths = []  # per depth: (all-true flags, then nodes; (node, attribute, lo, hi) splits)
+    # row j: the indices whose attribute-j bit is 0, ascending; m attributes left use rows n-m..
+    j, shift = np.arange(2**n // 2), np.arange(n - 1, -1, -1)[:, None]
+    zero = j >> shift << shift + 1 | j & (1 << shift) - 1
+    depths = []  # per depth: all-true flags, inner rows, their attributes, low then high children
     while True:
         width = truth.shape[1]
         pos = np.count_nonzero(truth, axis=1)
         inner = np.flatnonzero((pos > 0) & (pos < width))
-        depths.append(((pos == width).tolist(), []))
         if not inner.size:
+            depths.append((pos == width, inner, inner, inner))
             break
         axis = _best_axes(truth[inner], pos[inner], index_bits)
-        k = len(inner)
-        children = np.empty((2 * k, width // 2), dtype=bool)
-        rest = np.empty((2 * k, attrs.shape[1] - 1), dtype=np.uint8)
-        for a in np.flatnonzero(np.bincount(axis)).tolist():
-            rows = np.flatnonzero(axis == a)
-            t = truth[inner[rows]].reshape(len(rows), 2**a, 2, -1)
-            children[rows] = np.take(t, 0, axis=2).reshape(len(rows), -1)
-            children[k + rows] = np.take(t, 1, axis=2).reshape(len(rows), -1)
-            rest[rows] = rest[k + rows] = np.delete(attrs[inner[rows]], a, axis=1)
-        attribute = attrs[inner, axis]
+        k, m, half = len(inner), attrs.shape[1], width // 2
+        halves = zero[n - m:, :half], zero[n - m:, :half] + (1 << shift[n - m:])
+        cols = (inner * width)[:, None] + np.hstack(halves)[axis]
+        children = truth.ravel()[cols.reshape(k, 2, half).swapaxes(0, 1)].reshape(2 * k, half)
+        rest = np.tile(attrs[inner][np.arange(m) != axis[:, None]].reshape(k, m - 1), (2, 1))
+        depth = (pos == width, inner, attrs[inner, axis])
         truth, attrs, child = _intern(children, rest)
-        depths[-1][1].extend(zip(inner.tolist(), attribute.tolist(),
-                                 child[:k].tolist(), child[k:].tolist()))
-    nodes: list[QldtNode] = []
-    for level, splits in reversed(depths):
-        for i, a, lo, hi in splits:
-            low, high = nodes[lo], nodes[hi]
-            level[i] = low if low is high else Split(a, low, high)
-        nodes = level
-    return tuple(nodes[r] for r in roots.tolist())
+        depths.append((*depth, child))
+    attribute, low, high, size = table = np.zeros((4, 2 + sum(len(d[1]) for d in depths)), np.int64)
+    attribute[:2], size[:2] = -1, 1
+    end, below = 2, np.zeros(0, dtype=np.int64)  # below: the table row of each depth row
+    for full, inner, split_on, child in reversed(depths):
+        lo, hi = below[child[:len(inner)]], below[child[len(inner):]]
+        keep = lo != hi  # a split whose children are one node is that node
+        below = full.astype(np.int64)  # a pure depth row is its leaf
+        below[inner] = lo
+        below[inner[keep]] = rows = np.arange(end, end + np.count_nonzero(keep))
+        attribute[rows], low[rows], high[rows] = split_on[keep], lo[keep], hi[keep]
+        size[rows] = 1 + size[lo[keep]] + size[hi[keep]]
+        end += len(rows)
+    table = table[:, :end]
+    table.flags.writeable = False
+    return NodeTable(*table, tuple(below[roots].tolist()))
 
 
 def _intern(truth: np.ndarray, attrs: np.ndarray):
@@ -113,54 +114,64 @@ def _best_axes(truth: np.ndarray, pos: np.ndarray, index_bits: np.ndarray) -> np
 
 
 def _entropy_table(counts: np.ndarray, total: int) -> np.ndarray:
-    """_entropy(c, total) at index c, for every count c in `counts`.  Not
-    np.unique: without return_index it imports numpy.ma (~19 ms a process)."""
+    """At index c, the entropy of c positives in `total`, for each c in `counts`.
+    Not np.unique: without return_index it imports numpy.ma (~19 ms a process)."""
     table = np.zeros(total + 1)
     for c in np.flatnonzero(np.bincount(counts.ravel(), minlength=total + 1)).tolist():
-        table[c] = _entropy(c, total)
+        if 0 < c < total:
+            p = c / total
+            table[c] = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
     return table
 
 
-def eval_qldt(t: QldtNode, degrees) -> float:
-    """Sum over root-to-active-leaf paths of the product of edge degrees
-    (high edge: m_j, low edge: 1 - m_j) for one object's n degrees."""
-    return _eval(t, _degrees(degrees))
+def eval_qldt(t: NodeTable, degrees, level: int = 0) -> float:
+    """Sum over the paths from the root of tree `level` to the active leaf
+    of the product of edge degrees (high edge: m_j, low edge: 1 - m_j) for
+    one object's n degrees.  The walk evaluates each node it reaches once."""
+    d, value = _degrees(degrees).tolist(), {0: 0.0, 1: 1.0}
+    attribute, low, high = t.attribute.tolist(), t.low.tolist(), t.high.tolist()
+
+    def walk(v):
+        if v not in value:
+            a = attribute[v]
+            if a >= len(d):
+                raise ValueError(f"attribute index {a} out of range")
+            value[v] = (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
+        return value[v]
+
+    return walk(t.roots[level])
 
 
-def _eval(t: QldtNode, d: np.ndarray) -> float:
-    if t.__class__ is bool:
-        return 1.0 if t else 0.0
-    if t.attribute >= len(d):
-        raise ValueError(f"attribute index {t.attribute} out of range")
-    m = d[t.attribute]
-    return (1.0 - m) * _eval(t.low, d) + m * _eval(t.high, d)
+# A DOT piece is a number and the text up to the next: the two leaves, a split's four
+# edge pieces, then (in `render`) a split's node line per attribute; lines start "  n".
+_TAILS = (' [label="inactive", shape=box];\n  n', ' [label="active", shape=box];\n  n',
+          " -> n", " [style=dashed];\n  n", " -> n", " [style=solid];\n  n")
 
 
-def render(t: QldtNode, names: list[str] | None = None) -> str:
-    """Deterministic DOT rendering: dashed low edges, solid high edges,
-    low before high.  A label escapes backslashes and double quotes and
-    writes each line end (CRLF, CR or LF) as \\n."""
+def render(t: NodeTable, names: list[str] | None = None, level: int = 0) -> str:
+    """Deterministic DOT rendering of tree `level`: nodes numbered in preorder,
+    dashed low edges, solid high edges, low before high, a split's edges after
+    its subtrees.  A label escapes backslashes and double quotes and writes each
+    line end (CRLF, CR or LF) as \\n.  Pieces are placed one depth at a time:
+    a subtree of s nodes spans 3s - 2 of them, its edges the last four."""
     labels = [re.sub(r"\r\n?|\n", r"\\n", name.replace("\\", "\\\\").replace('"', '\\"'))
-              for name in names] if names else None
-    lines = ["digraph qldt {"]
-    append = lines.append
-    count = 0
-
-    def emit(node) -> int:
-        nonlocal count
-        nid = count
-        count += 1
-        if node.__class__ is bool:
-            label = "active" if node else "inactive"
-            append(f'  n{nid} [label="{label}", shape=box];')
-        else:
-            name = labels[node.attribute] if labels else f"a{node.attribute + 1}"
-            append(f'  n{nid} [label="{name}"];')
-            low_id = emit(node.low)
-            high_id = emit(node.high)
-            append(f"  n{nid} -> n{low_id} [style=dashed];\n  n{nid} -> n{high_id} [style=solid];")
-        return nid
-
-    emit(t)
-    append("}\n")
-    return "\n".join(lines)
+              for name in names] if names else [f"a{a + 1}" for a in range(t.attribute.max() + 1)]
+    tails = np.array([*_TAILS, *(f' [label="{x}"];\n  n' for x in labels)], dtype=object)
+    size, span, root = t.size, 3 * t.size - 2, t.roots[level]
+    kind, number = np.empty((2, span[root]), dtype=np.int64)
+    row = np.arange(len(size))
+    row_kind = np.where(row > 1, t.attribute + len(_TAILS), row)
+    # a node is (table row, preorder number, first piece); a split's children add these
+    to_low = np.array([t.low - row, np.ones_like(row), np.ones_like(row)])
+    to_high = np.array([t.high - row, 1 + size[t.low], 1 + span[t.low]])
+    nodes, splits = np.array([[root], [0], [0]]), []  # nodes: one depth's, as columns
+    while nodes.size:
+        kind[nodes[2]], number[nodes[2]] = row_kind[nodes[0]], nodes[1]
+        splits.append(nodes := nodes[:, nodes[0] > 1])
+        nodes = np.concatenate([nodes + to_low[:, nodes[0]], nodes + to_high[:, nodes[0]]], axis=1)
+    v, p, at = np.concatenate(splits, axis=1)
+    edges = (at + span[v] - 4)[:, None] + np.arange(4)
+    kind[edges], number[edges] = np.arange(2, 6), np.array([p, p + 1, p, p + to_high[1, v]]).T
+    ids = np.array(list(map(str, range(size[root]))), dtype=object)
+    text = np.array([ids[number], tails[kind]]).T.ravel().tolist()
+    return "digraph qldt {\n  n" + "".join(text)[:-3] + "}\n"

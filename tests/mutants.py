@@ -38,8 +38,7 @@ MUTANTS = [
      "upd = gain[:, a] > best + 1e-12", "upd = gain[:, a] >= best - 1e-12",
      ["test_qldt.py"]),
     ("qldt-no-collapse", "qldt.py",
-     "level[i] = low if low is high else Split(a, low, high)",
-     "level[i] = Split(a, low, high)",
+     "keep = lo != hi", "keep = lo >= 0",
      ["test_qldt.py"]),
     ("minterm-drops-partial-last-block", "encoding.py",
      "for start in range(0, len(rows), step):",
@@ -120,8 +119,8 @@ MUTANTS = [
      "return a.shape[-1].bit_length() - 1", "return a.shape[-1].bit_length()",
      ["test_logiccode.py", "test_partition.py"]),
     ("render-edge-styles-swapped", "qldt.py",
-     '[style=dashed];\\n  n{nid} -> n{high_id} [style=solid];"',
-     '[style=solid];\\n  n{nid} -> n{high_id} [style=dashed];"',
+     '" [style=dashed];\\n  n", " -> n", " [style=solid];\\n  n"',
+     '" [style=solid];\\n  n", " -> n", " [style=dashed];\\n  n"',
      ["test_qldt.py", "test_cli.py"]),
     # overflow checks on finite weights
     ("scale-no-span-check", "logiccode.py",
@@ -248,18 +247,15 @@ MUTANTS = [
      ["test_cli.py"]),
     # DOT labels, trend's stdout and the printed digits
     ("dot-labels-unescaped", "qldt.py",
-     "name = labels[node.attribute] if labels", "name = names[node.attribute] if labels",
+     "for x in labels)], dtype=object)", "for x in names or labels)], dtype=object)",
      ["test_qldt.py", "test_corpus.py"]),
     ("trend-stdout-bare-commas", "cli.py",
-     'out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\\n"))\n'
-     "        csv.writer(out).writerows([header, *rows])",
-     'print("\\n".join(map(",".join, [header, *rows])))',
+     'csv.writer(head).writerow([*varied, "level_set", "value"])',
+     'head.write(",".join([*varied, "level_set", "value"]) + "\\r\\n")',
      ["test_cli.py", "test_corpus.py"]),
     ("trend-stdout-lf-terminator", "cli.py",
-     'out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\\n"))\n'
-     "        csv.writer(out).writerows([header, *rows])",
-     'writer = csv.writer(sys.stdout, lineterminator="\\n")\n'
-     "        writer.writerows([header, *rows])",
+     "csv.writer(head).writerow(",
+     'csv.writer(head, lineterminator="\\r\\n" if path else "\\n\\n").writerow(',
      ["test_cli.py", "test_corpus.py"]),
     ("fmt-default-digits-4", "cli.py",
      "def _fmt(x, nd=3):", "def _fmt(x, nd=4):",
@@ -286,6 +282,21 @@ MUTANTS = [
     ("partition-width-fixed", "cli.py",
      "widths = [max(w, *map(len, column)) for w, column in zip((6, 6, 8, 8), zip(*table))]",
      "widths = [6, 6, 8, 8]",
+     ["test_cli.py"]),
+    # QLDTs as one node table, its DOT text and weights.csv from bit patterns
+    ("render-low-high-swapped", "qldt.py",
+     "np.array([p, p + 1, p, p + to_high[1, v]]).T", "np.array([p, p + to_high[1, v], p, p + 1]).T",
+     ["test_qldt.py"]),
+    ("qldt-size-counts-low-twice", "qldt.py",
+     "size[rows] = 1 + size[lo[keep]] + size[hi[keep]]",
+     "size[rows] = 1 + 2 * size[lo[keep]]",
+     ["test_qldt.py"]),
+    ("weights-pattern-bits-reversed", "cli.py",
+     "(1 << np.arange(bt.bcl_max, -1, -1)) @ bt.bits", "(1 << np.arange(bt.bcl_max + 1)) @ bt.bits",
+     ["test_cli.py"]),
+    ("trend-axis-pairs-transposed", "cli.py",
+     "for p, v in zip(points, grid.values.ravel().tolist())",
+     "for p, v in zip(points, grid.values.T.ravel().tolist())",
      ["test_cli.py"]),
 ]
 

@@ -14,17 +14,22 @@ Implementations the package replaced live on here too, where tests
 require the same output from both: the csv-reader dataset loader, the
 list-per-row weights.csv writer, the DOT renderer, the command-line
 parser built from parent parsers, the evaluation of a logic expression
-before it became a one-level BitTensor, the string-join cell number and
-the trend grid with one minterm expansion per grid point.
+before it became a one-level BitTensor, the string-join cell number,
+the trend grid with one minterm expansion per grid point and its
+list-per-row writer, and the QLDT as one `Split` object per node with
+its recursive evaluator.
 """
 
 import argparse
 import csv
+import sys
 import itertools
 import math
 import random
 from itertools import compress
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -40,7 +45,8 @@ from annlogic.network import (
     forward,
 )
 from annlogic.partition import CellWeights
-from annlogic.qldt import Split
+from annlogic.encoding import _degrees
+from annlogic.qldt import _best_axes, _intern
 
 
 def weight_vectors(max_n):
@@ -289,6 +295,89 @@ def formulas(names):
         return tree, render(tree, 0)
 
     return draw()
+
+
+# A QLDT as it was before the trees became rows of one node table: a
+# tree is a Split or a leaf, the bool True (active) or False.
+@dataclass(frozen=True)
+class Split:
+    attribute: int  # 0-based
+    low: object  # negated branch
+    high: object  # non-negated branch
+
+
+def qldts_split(bt):
+    """`build_qldts` as one Split per unique inner node, built from the
+    deepest depth up: the same breadth-first induction, a tuple of trees."""
+    n = bt.n
+    index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
+    truth, attrs, roots = _intern(bt.bits.astype(bool),
+                                  np.tile(np.arange(n, dtype=np.uint8), (len(bt.bits), 1)))
+    depths = []  # per depth: (all-true flags, then nodes; (node, attribute, lo, hi) splits)
+    while True:
+        width = truth.shape[1]
+        pos = np.count_nonzero(truth, axis=1)
+        inner = np.flatnonzero((pos > 0) & (pos < width))
+        depths.append(((pos == width).tolist(), []))
+        if not inner.size:
+            break
+        axis = _best_axes(truth[inner], pos[inner], index_bits)
+        k = len(inner)
+        children = np.empty((2 * k, width // 2), dtype=bool)
+        rest = np.empty((2 * k, attrs.shape[1] - 1), dtype=np.uint8)
+        for a in np.flatnonzero(np.bincount(axis)).tolist():
+            rows = np.flatnonzero(axis == a)
+            t = truth[inner[rows]].reshape(len(rows), 2**a, 2, -1)
+            children[rows] = np.take(t, 0, axis=2).reshape(len(rows), -1)
+            children[k + rows] = np.take(t, 1, axis=2).reshape(len(rows), -1)
+            rest[rows] = rest[k + rows] = np.delete(attrs[inner[rows]], a, axis=1)
+        attribute = attrs[inner, axis]
+        truth, attrs, child = _intern(children, rest)
+        depths[-1][1].extend(zip(inner.tolist(), attribute.tolist(),
+                                 child[:k].tolist(), child[k:].tolist()))
+    nodes = []
+    for level, splits in reversed(depths):
+        for i, a, lo, hi in splits:
+            low, high = nodes[lo], nodes[hi]
+            level[i] = low if low is high else Split(a, low, high)
+        nodes = level
+    return tuple(nodes[r] for r in roots.tolist())
+
+
+def eval_split(t, degrees):
+    """Sum over root-to-active-leaf paths of the product of edge degrees,
+    one recursive call per path node."""
+    d = _degrees(degrees)
+
+    def walk(t):
+        if t.__class__ is bool:
+            return 1.0 if t else 0.0
+        if t.attribute >= len(d):
+            raise ValueError(f"attribute index {t.attribute} out of range")
+        m = d[t.attribute]
+        return (1.0 - m) * walk(t.low) + m * walk(t.high)
+
+    return walk(t)
+
+
+def table_trees(t):
+    """The trees of a node table as Split objects, one per root: one object
+    per table row, so rows shared in the table are shared objects."""
+    nodes = [False, True]
+    for a, lo, hi in zip(t.attribute[2:].tolist(), t.low[2:].tolist(), t.high[2:].tolist()):
+        nodes.append(Split(a, nodes[lo], nodes[hi]))
+    return tuple(nodes[r] for r in t.roots)
+
+
+def splits(trees):
+    """The distinct Split objects of these trees, by identity."""
+    seen, stack = {}, list(trees)
+    while stack:
+        t = stack.pop()
+        if t.__class__ is not bool and id(t) not in seen:
+            seen[id(t)] = t
+            stack += [t.low, t.high]
+    return list(seen.values())
 
 
 def _entropy(pos, total):
@@ -794,6 +883,27 @@ def weights_csv_lists(path, names, cw, scaled, bt):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# trend's writer as it was before the body was joined from whole columns:
+# one list per grid point through the csv writer, each axis degree's repr
+# taken again in every row.
+def trend_csv_lists(path, varied, level_tag, grid):
+    """Write the grid's rows to `path` (CRLF), or to stdout (LF)."""
+    header = [*varied, "level_set", "value"]
+    points = itertools.product(map(float, grid.axis), repeat=len(varied))
+    rows = [
+        [*map(repr, point), level_tag, repr(v)]
+        for point, v in zip(points, grid.values.ravel().tolist())
+    ]
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:  # the file's quoting (a lone CR too), each row's CRLF terminator cut to LF
+        out = SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\n"))
+        csv.writer(out).writerows([header, *rows])
 
 
 # Characters a column name may hold that the csv writer must quote or that

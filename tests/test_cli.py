@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,13 +17,14 @@ from hypothesis.extra import numpy as hnp
 
 import annlogic
 from annlogic import cli
+from annlogic.analysis import trend_grid
 from annlogic.cli import build_parser, main
 from annlogic.encoding import fit_fuzzifier
-from annlogic.logiccode import MAX_BCL, bitcode, scale_weights
+from annlogic.logiccode import MAX_BCL, BitTensor, bitcode, scale_weights
 from annlogic.network import save_model
 from annlogic.partition import CellWeights
 from conftest import REF16_WEIGHTS, TWO_ATTR_WEIGHTS, random_simple_ann, synthetic_banknote
-from oracles import build_parser_parents, column_names, weights_csv_lists
+from oracles import build_parser_parents, column_names, trend_csv_lists, weights_csv_lists
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +213,49 @@ def test_weights_csv_equals_csv_writer_rows(tmp_path_factory, cell, threshold, b
     cli._write_weights(out / "columns.csv", names, cw, scaled, bt)
     weights_csv_lists(out / "lists.csv", names, cw, scaled, bt)
     assert (out / "columns.csv").read_bytes() == (out / "lists.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bcl_max", [0, 3, 20, MAX_BCL])
+@settings(max_examples=25, deadline=None)
+@given(cell=st.integers(0, 8).flatmap(lambda n: st.tuples(
+           hnp.arrays(float, 2**n, elements=MAGNITUDES), column_names(n))),
+       threshold=MAGNITUDES)
+def test_weights_csv_at_bcl_max(tmp_path_factory, bcl_max, cell, threshold):
+    # each distinct bit pattern's text is made once; at bcl_max 52 the
+    # pattern is a 53-bit number and its reconstruction still exact
+    weights, names = cell
+    cw = CellWeights(weights)
+    scaled = scale_weights(cw, threshold)
+    bt = bitcode(scaled, bcl_max)
+    out = tmp_path_factory.mktemp("weights")
+    cli._write_weights(out / "columns.csv", names, cw, scaled, bt)
+    weights_csv_lists(out / "lists.csv", names, cw, scaled, bt)
+    assert (out / "columns.csv").read_bytes() == (out / "lists.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(st.integers(0, 1), min_size=2**n, max_size=2**n),
+                    min_size=1, max_size=3),
+           st.permutations(range(n)).flatmap(
+               lambda order: st.integers(1, min(2, n)).map(lambda k: order[:k])),
+           column_names(2), st.integers(2, 12))))
+def test_trend_writer_equals_lists(tmp_path_factory, drawn):
+    bits, vary, names, resolution = drawn
+    bt = BitTensor(bits)
+    levels = list(range(bt.bcl_max + 1))
+    grid = trend_grid(bt, vary, {}, levels, resolution)
+    varied, tag = names[:len(vary)], "+".join(map(str, levels))
+    out = tmp_path_factory.mktemp("trend")
+    cli._write_trend(out / "columns.csv", varied, tag, grid)
+    trend_csv_lists(out / "lists.csv", varied, tag, grid)
+    assert (out / "columns.csv").read_bytes() == (out / "lists.csv").read_bytes()
+    stdout = []
+    for write in (cli._write_trend, trend_csv_lists):
+        with contextlib.redirect_stdout(io.StringIO()) as fh:
+            write(None, varied, tag, grid)
+        stdout.append(fh.getvalue())
+    assert stdout[0] == stdout[1]
 
 
 class TestShapley:

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward, level_expression
-from annlogic.qldt import Split, build_qldt, build_qldts, eval_qldt, render
-from oracles import (column_names, dot_label_loop, expression, minterm_bits, qldt_recursive,
-                     qldt_rows, render_lines, truth_tables)
+from annlogic.qldt import build_qldt, build_qldts, eval_qldt, render
+from oracles import (Split, column_names, dot_label_loop, eval_split, expression, minterm_bits,
+                     qldt_recursive, qldt_rows, qldts_split, render_lines, splits, table_trees,
+                     truth_tables)
+
+
+def as_split(t, level=0):
+    return table_trees(t)[level]
 
 
 def all_paths_valid(node, seen=frozenset()):
@@ -32,10 +37,10 @@ class TestBuildQldt:
             assert eval_qldt(tree, degrees) == float(k > 0)
 
     def test_all_zero(self):
-        assert build_qldt(expression((0, 0, 0, 0))) is False
+        assert build_qldt(expression((0, 0, 0, 0))).roots == (0,)
 
     def test_all_one(self):
-        assert build_qldt(expression((1, 1, 1, 1))) is True
+        assert build_qldt(expression((1, 1, 1, 1))).roots == (1,)
 
     def test_nor_expression(self):
         tree = build_qldt(expression((1, 0, 0, 0)))
@@ -47,17 +52,16 @@ class TestBuildQldt:
         rng = np.random.default_rng(0)
         for _ in range(50):
             bits = tuple(int(b) for b in rng.integers(0, 2, 16))
-            assert all_paths_valid(build_qldt(expression(bits)))
+            assert all_paths_valid(as_split(build_qldt(expression(bits))))
 
     def test_redundant_split_collapses(self):
         # expression depends only on a2: tree must not mention a1
-        tree = build_qldt(expression((0, 1, 0, 1)))
-        assert tree == Split(1, False, True)
+        assert as_split(build_qldt(expression((0, 1, 0, 1)))) == Split(1, False, True)
 
     def test_tie_breaks_to_lowest_attribute(self):
         # xor: zero gain for both attributes, lowest index splits first
-        tree = build_qldt(expression((0, 1, 1, 0)))
-        assert isinstance(tree, Split) and tree.attribute == 0
+        t = build_qldt(expression((0, 1, 1, 0)))
+        assert t.attribute[t.roots[0]] == 0
 
     @settings(deadline=None)
     @given(
@@ -67,16 +71,18 @@ class TestBuildQldt:
     )
     def test_matches_row_list_oracle(self, bits):
         e = expression(bits)
-        assert build_qldt(e) == qldt_rows(e.bits[0].tolist(), e.n)
+        assert as_split(build_qldt(e)) == qldt_rows(e.bits[0].tolist(), e.n)
 
     def test_equal_subfunctions_are_one_node(self):
         # parity a ^ b ^ c: every gain is 0, so the splits go a, b, c in
         # order; (a, b) = (0, 0) and (1, 1) leave the same function of c
-        tree = build_qldt(expression([0, 1, 1, 0, 1, 0, 0, 1]))
-        assert tree.low.low is tree.high.high
-        assert tree.low.high is tree.high.low
-        assert tree.low.low != tree.low.high
-        assert render(tree).count("label=\"a3\"") == 4
+        t = build_qldt(expression([0, 1, 1, 0, 1, 0, 0, 1]))
+        root = as_split(t)
+        assert root.low.low is root.high.high
+        assert root.low.high is root.high.low
+        assert root.low.low != root.low.high
+        assert len(t.attribute) == 2 + 1 + 2 + 2
+        assert render(t).count("label=\"a3\"") == 4
 
     def test_two_levels_are_not_an_expression(self):
         with pytest.raises(ValueError, match="^a logic expression has one level$"):
@@ -89,9 +95,9 @@ class TestBuildQldts:
     def test_matches_recursive_induction(self, drawn):
         _, tables = drawn
         trees = build_qldts(BitTensor(tables))
-        assert len(trees) == len(tables)
-        for t, tree in zip(tables, trees):
-            assert render(tree) == render(qldt_recursive(expression(t)))
+        assert len(trees.roots) == len(tables)
+        for level, t in enumerate(tables):
+            assert render(trees, level=level) == render_lines(qldt_recursive(expression(t)))
 
     @settings(deadline=None, max_examples=60)
     @given(truth_tables(8, 5))
@@ -99,11 +105,15 @@ class TestBuildQldts:
         _, tables = drawn
         bt = BitTensor(tables)
         levels = range(bt.bcl_max + 1)
-        assert build_qldts(bt) == tuple(build_qldt(level_expression(bt, b)) for b in levels)
+        trees = build_qldts(bt)
+        assert [as_split(trees, b) for b in levels] == [as_split(build_qldt(level_expression(bt, b)))
+                                                    for b in levels]
 
     def test_repeated_expression_is_one_tree(self):
         e = expression([0, 1, 1, 0, 1, 0, 0, 1])
-        first, other, again = build_qldts(BitTensor([e.bits[0], 1 - e.bits[0], e.bits[0]]))
+        trees = build_qldts(BitTensor([e.bits[0], 1 - e.bits[0], e.bits[0]]))
+        assert trees.roots[0] == trees.roots[2]
+        first, other, again = table_trees(trees)
         assert first is again
         # both parities leave the same functions of a3 after two splits
         assert first.low.low is other.low.high
@@ -116,33 +126,34 @@ class TestBuildQldts:
 
 class TestEvalQldt:
     def test_example_tree_formula(self):
-        tree = Split(1, Split(0, False, True), True)
+        t = build_qldt(expression((0, 1, 1, 1)))
+        assert as_split(t) == Split(0, Split(1, False, True), True)
         for m1, m2 in [(0.3, 0.9), (0.0, 0.0), (1.0, 0.5), (0.42, 0.17)]:
-            got = eval_qldt(tree, (m1, m2))
+            got = eval_qldt(t, (m1, m2))
             assert got == pytest.approx(m2 + (1 - m2) * m1, abs=1e-12)
 
     def test_boolean_degrees_classical(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             bits = tuple(int(b) for b in rng.integers(0, 2, 8))
-            tree = build_qldt(expression(bits))
+            t = build_qldt(expression(bits))
             for k in range(8):
                 degrees = tuple(float(b) for b in minterm_bits(k, 3))
-                assert eval_qldt(tree, degrees) == float(bits[k])
+                assert eval_qldt(t, degrees) == float(bits[k])
 
     def test_constant_true(self):
-        assert eval_qldt(True, (0.3,)) == 1.0
+        assert eval_qldt(build_qldt(expression((1, 1))), (0.3,)) == 1.0
 
     def test_index_out_of_range(self):
-        tree = Split(2, False, True)
-        with pytest.raises(ValueError):
-            eval_qldt(tree, (0.5, 0.5))
+        t = build_qldt(expression((0, 1, 0, 1, 0, 1, 0, 1)))  # the split on a3
+        with pytest.raises(ValueError, match="^attribute index 2 out of range$"):
+            eval_qldt(t, (0.5, 0.5))
 
     def test_degree_out_of_range(self):
-        tree = Split(0, False, True)
+        t = build_qldt(expression((0, 1)))
         for bad in (1.5, -0.5, float("nan")):
             with pytest.raises(ValueError, match=r"\[0,1\]"):
-                eval_qldt(tree, (bad,))
+                eval_qldt(t, (bad,))
 
     def test_equivalence_exhaustive_n2(self):
         grid = [0.0, 0.25, 0.6, 1.0]
@@ -173,8 +184,9 @@ class TestEvalQldt:
     def test_equals_expression_evaluation(self, drawn):
         (_, tables), degrees = drawn
         m = minterm_transform(degrees)
-        for t, tree in zip(tables, build_qldts(BitTensor(tables))):
-            assert abs(eval_qldt(tree, degrees) - m @ t) <= 1e-12
+        trees = build_qldts(BitTensor(tables))
+        for level, t in enumerate(tables):
+            assert abs(eval_qldt(trees, degrees, level) - m @ t) <= 1e-12
 
     def test_complementarity(self):
         rng = np.random.default_rng(3)
@@ -191,20 +203,19 @@ class TestEvalQldt:
 
 class TestRender:
     def test_dot_edges(self):
-        tree = Split(1, Split(0, False, True), True)
-        dot = render(tree, names=["a1", "a2"])
+        dot = render(build_qldt(expression((0, 1, 1, 1))), names=["a1", "a2"])
         assert dot.count("style=dashed") == 2
         assert dot.count("style=solid") == 2
         assert '"a2"' in dot and '"a1"' in dot
 
     def test_single_leaf(self):
-        dot = render(True)
+        dot = render(build_qldt(expression((1, 1, 1, 1))))
         assert "->" not in dot
         assert "active" in dot
 
     def test_deterministic(self):
-        tree = build_qldt(expression((0, 1, 1, 0, 1, 0, 0, 1)))
-        assert render(tree) == render(tree)
+        t = build_qldt(expression((0, 1, 1, 0, 1, 0, 0, 1)))
+        assert render(t) == render(t)
 
     @settings(max_examples=100, deadline=None)
     @given(truth_tables(7, 4), st.data())
@@ -213,8 +224,9 @@ class TestRender:
         n, tables = drawn
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
-        for tree in build_qldts(BitTensor(tables)):
-            assert render(tree, names) == render_lines(tree, labels)
+        trees = build_qldts(BitTensor(tables))
+        for level in range(len(tables)):
+            assert render(trees, names, level) == render_lines(as_split(trees, level), labels)
 
     @settings(max_examples=100, deadline=None)
     @given(truth_tables(6, 1), st.data())
@@ -222,7 +234,7 @@ class TestRender:
         n, tables = drawn
         chars = st.sampled_from(["a", "n", " ", '"', "\\", "\r", "\n", ",", "é"]) | st.characters()
         names = data.draw(st.lists(st.text(chars, max_size=8), min_size=n, max_size=n))
-        tree = build_qldt(expression(tables[0]))
+        t = build_qldt(expression(tables[0]))
         want = []  # each node's label in the renderer's order: node, low, high
 
         def walk(node):
@@ -233,9 +245,9 @@ class TestRender:
                 walk(node.low)
                 walk(node.high)
 
-        walk(tree)
+        walk(as_split(t))
         got = []
-        for line in render(tree, names).split("\n"):
+        for line in render(t, names).split("\n"):
             # a DOT quoted string: no bare double quote, each backslash opens a pair
             node = re.fullmatch(r'  n\d+ \[label="((?:[^"\\\r\n]|\\.)*)"(, shape=box)?\];', line)
             if node:
@@ -243,3 +255,48 @@ class TestRender:
             else:
                 assert re.fullmatch(r"digraph qldt \{|\}|  n\d+ -> n\d+ \[style=\w+\];|", line)
         assert got == want
+
+
+@st.composite
+def bit_tensors(draw):
+    """1-4 levels over n = 0..8 attributes, any of them made constant."""
+    n, tables = draw(truth_tables(8, 4))
+    for i in range(len(tables)):
+        constant = draw(st.sampled_from([None, None, False, True]))
+        if constant is not None:
+            tables[i] = np.full(2**n, constant)
+    return n, BitTensor(tables)
+
+
+class TestNodeTable:
+    """The table against the trees of one Split object per node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bit_tensors(), st.data())
+    def test_equals_split_oracle(self, drawn, data):
+        n, bt = drawn
+        t, want = build_qldts(bt), qldts_split(bt)
+        assert table_trees(t) == want
+        # one row per distinct Split object: sharing is kept, and no more
+        assert len(t.attribute) - 2 == len(splits(want))
+        names = data.draw(st.none() | column_names(n))
+        labels = names and [dot_label_loop(name) for name in names]
+        degrees = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+        for level, tree in enumerate(want):
+            dot = render(t, names, level)
+            assert dot == render_lines(tree, labels)
+            nodes = re.findall(r"^  n\d+ \[label=", dot, flags=re.M)
+            assert t.size[t.roots[level]] == len(nodes)
+            assert abs(eval_qldt(t, degrees, level) - eval_split(tree, degrees)) <= 1e-12
+
+    def test_layout(self):
+        t = build_qldts(BitTensor([(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 1)]))
+        assert t.roots[:2] == (0, 1)
+        assert t.attribute[:2].tolist() == [-1, -1] and t.size[:2].tolist() == [1, 1]
+        # children first: every split's children are rows before it
+        rows = np.arange(2, len(t.attribute))
+        assert (t.low[2:] < rows).all() and (t.high[2:] < rows).all()
+        assert (t.low[2:] != t.high[2:]).all()
+        assert (t.size[2:] == 1 + t.size[t.low[2:]] + t.size[t.high[2:]]).all()
+        with pytest.raises(ValueError):
+            t.low[2] = 0
