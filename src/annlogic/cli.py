@@ -574,8 +574,9 @@ def main(argv=None):
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        empty = "out of memory" if isinstance(exc, MemoryError) else ""
+        print(f"error: {str(exc) or empty}", file=sys.stderr)
         return 2
 
 

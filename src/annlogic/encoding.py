@@ -133,26 +133,23 @@ def minterm_transform(degrees: np.ndarray) -> np.ndarray:
     """Expand degrees of shape (..., n) into the minterm values of shape
     (..., 2^n): products of degrees and complements, attribute 1 on the
     most significant index bit.  Rows are expanded in blocks of at most
-    _BLOCK_VALUES minterm values, so the work stays in cache: within a
-    block, level j+1 (attributes 1..j+1) is written from level j with two
-    strided products, level * (1 - m_j) and level * m_j, alternating
-    between a scratch block and the output so the last level lands in it."""
+    _BLOCK_VALUES minterm values: within a block, level j+1 (attributes
+    1..j+1) is made from level j with two strided products, level * (1 - m_j)
+    and level * m_j, into a fresh array, and the last level into the output.
+    Besides the output and the complements, at most two levels are alive."""
     n = np.shape(degrees)[-1]
     if n > MAX_ATTRIBUTES:
         raise ValueError(f"{n} attributes exceed the maximum of {MAX_ATTRIBUTES}")
     d = _degrees(degrees)
     rows = d.reshape(math.prod(d.shape[:-1]), n)
     complements = 1.0 - rows
-    out = np.empty((len(rows), 2**n))
+    out = np.empty((len(rows), 2**n)) if n else np.ones((len(rows), 1))
     step = max(1, _BLOCK_VALUES >> n)
-    scratch = np.empty((min(step, len(rows)), max(1, 2**n // 2)))
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        buffers = (out[block], scratch[: len(out[block])])
-        level = buffers[n % 2][:, :1]
-        level[...] = 1.0
+        level = np.ones((len(rows[block]), 1))
         for j in range(n):
-            nxt = buffers[(n - 1 - j) % 2][:, : 2 * level.shape[1]]
+            nxt = out[block] if j == n - 1 else np.empty((len(level), 2 * level.shape[1]))
             np.multiply(level, complements[block, j, None], out=nxt[:, 0::2])
             np.multiply(level, rows[block, j, None], out=nxt[:, 1::2])
             level = nxt

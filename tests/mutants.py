@@ -298,6 +298,16 @@ MUTANTS = [
      "for p, v in zip(points, grid.values.ravel().tolist())",
      "for p, v in zip(points, grid.values.T.ravel().tolist())",
      ["test_cli.py"]),
+    # levels in fresh arrays, the last into the output; an allocation failure
+    ("minterm-last-level-not-in-output", "encoding.py",
+     "nxt = out[block] if j == n - 1 else", "nxt = out[block] if j == n else",
+     ["test_encoding.py"]),
+    ("minterm-n0-empty", "encoding.py",
+     "else np.ones((len(rows), 1))", "else np.empty((len(rows), 1))",
+     ["test_encoding.py"]),
+    ("memory-error-not-caught", "cli.py",
+     "except (ValueError, OSError, MemoryError) as exc:", "except (ValueError, OSError) as exc:",
+     ["test_cli.py"]),
 ]
 
 

@@ -790,6 +790,25 @@ def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+NUMPY_ALLOCATION = "Unable to allocate 625. MiB for an array with shape (20000, 4096) and data type float64"
+
+
+@pytest.mark.parametrize("raised,message", [(NUMPY_ALLOCATION, NUMPY_ALLOCATION),
+                                            ("", "out of memory")],
+                         ids=["numpy-message", "empty-message"])
+def test_allocation_failure_is_an_error_not_a_traceback(monkeypatch, capsys, trained_model,
+                                                        banknote_csv, raised, message):
+    def fail(degrees):
+        raise MemoryError(raised)
+
+    monkeypatch.setattr(cli, "minterm_transform", fail)
+    rc = main(["classify", "--model", str(trained_model), "--data", str(banknote_csv)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 # Per subcommand, a small call; none may import numpy.ma, which costs every
 # process ~19 ms and ~1,500 live objects (a plain np.unique imports it).
 SMALL_CALLS = {
