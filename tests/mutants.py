@@ -35,7 +35,8 @@ MUTANTS = [
      "(_pre_activations(ann, mt) >= 0.0)", "(_pre_activations(ann, mt) > 0.0)",
      ["test_network.py", "test_partition.py"]),
     ("qldt-tie-to-last-axis", "qldt.py",
-     "upd = gain[:, a] > best + 1e-12", "upd = gain[:, a] >= best - 1e-12",
+     "np.argmax(np.abs(2 * high - pos[:, None]), axis=1)",
+     "m - 1 - np.argmax(np.abs(2 * high - pos[:, None])[:, ::-1], axis=1)",
      ["test_qldt.py"]),
     ("qldt-no-collapse", "qldt.py",
      "keep = lo != hi", "keep = lo >= 0",
@@ -308,6 +309,13 @@ MUTANTS = [
     ("memory-error-not-caught", "cli.py",
      "except (ValueError, OSError, MemoryError) as exc:", "except (ValueError, OSError) as exc:",
      ["test_cli.py"]),
+    # QLDT splits on the largest count gap, cut from the (2,)^m view of a truth row
+    ("qldt-gap-signed", "qldt.py",
+     "np.argmax(np.abs(2 * high - pos[:, None]), axis=1)", "np.argmax(2 * high - pos[:, None], axis=1)",
+     ["test_qldt.py"]),
+    ("qldt-split-halves-swapped", "qldt.py",
+     "np.moveaxis(cut, 2, 0)", "np.moveaxis(cut[:, :, ::-1], 2, 0)",
+     ["test_qldt.py"]),
 ]
 
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward, level_expression
 from annlogic.qldt import build_qldt, build_qldts, eval_qldt, render
-from oracles import (Split, column_names, dot_label_loop, eval_split, expression, minterm_bits,
-                     qldt_recursive, qldt_rows, qldts_split, render_lines, splits, table_trees,
-                     truth_tables)
+from oracles import (Split, _entropy, column_names, dot_label_loop, eval_split, expression,
+                     minterm_bits, qldt_recursive, qldt_rows, qldts_split, render_lines, splits,
+                     table_trees, truth_tables)
 
 
 def as_split(t, level=0):
@@ -108,6 +108,30 @@ class TestBuildQldts:
         trees = build_qldts(bt)
         assert [as_split(trees, b) for b in levels] == [as_split(build_qldt(level_expression(bt, b)))
                                                     for b in levels]
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_every_truth_table_matches_recursive_induction(self, n):
+        # all 2^(2^n) tables, each as its own tree and all as the levels of one tensor
+        tables = (np.arange(2 ** 2**n)[:, None] >> np.arange(2**n)) & 1
+        want = [render_lines(qldt_recursive(expression(t))) for t in tables]
+        assert [render(build_qldt(expression(t))) for t in tables] == want
+        trees = build_qldts(BitTensor(tables))
+        assert [render(trees, level=b) for b in range(len(tables))] == want
+
+    def test_gain_orders_splits_as_the_count_gap_does(self):
+        # the premise of _best_axes: the halves of an axis hold `half` entries
+        # each, so ID3's gain, as the oracle computes it and with its 1e-12 tie
+        # rule, ranks the axes as |2 high - pos| does, ties exactly where the
+        # unordered pairs {low, high} match
+        for half in 2 ** np.arange(12):
+            h = np.array([_entropy(c, half) for c in range(half + 1)])
+            for pos in range(2 * half + 1):
+                high = np.arange(max(pos - half, (pos + 1) // 2), min(pos, half) + 1)  # gap rises
+                low, base = pos - high, _entropy(pos, 2 * half)
+                gain = (base - 0.5 * h[low]) - 0.5 * h[high]
+                mirror = (base - 0.5 * h[high]) - 0.5 * h[low]  # the split with the halves swapped
+                assert (np.abs(gain - mirror) <= 1e-12).all()
+                assert (np.minimum(gain, mirror)[1:] > np.maximum(gain, mirror)[:-1] + 1e-12).all()
 
     def test_repeated_expression_is_one_tree(self):
         e = expression([0, 1, 1, 0, 1, 0, 0, 1])
