@@ -70,7 +70,6 @@ class EnergyReport:
     absolute: tuple[float, ...]
     relative_percent: tuple[float, ...]
     bitcode_sum: float
-    degenerate: bool = False
 
 
 def scale_weights(cw: CellWeights, threshold: float) -> ScaledCellWeights:
@@ -128,18 +127,16 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
     """Per-level energy of a bit tensor.  Level bcl carries the absolute
     energy 2^-bcl * set_bits and the relative energy absolute / sum(scaled
     weights) * 100, a share of the weight sum, not of the bit-code sum.
-    When the weight sum is 0 the report is `degenerate` and every relative
-    share is 0."""
+    When the weight sum is 0 every relative share is 0."""
     if sw.weights.size != bt.bits.shape[1]:
         raise ValueError("weight/bit tensor length mismatch")
     weight_sum = float(sw.weights.sum())
-    degenerate = weight_sum == 0.0
     set_bits = np.count_nonzero(bt.bits, axis=1)
     absolute = np.ldexp(set_bits, -np.arange(len(set_bits)))
-    relative = np.zeros_like(absolute) if degenerate else absolute / weight_sum * 100.0
+    relative = np.zeros_like(absolute) if weight_sum == 0.0 else absolute / weight_sum * 100.0
     bitcode_sum = float(bt.reconstruction().sum())
     return EnergyReport(weight_sum, tuple(set_bits.tolist()), tuple(absolute.tolist()),
-                        tuple(relative.tolist()), bitcode_sum, degenerate)
+                        tuple(relative.tolist()), bitcode_sum)
 
 
 def level_accuracy(

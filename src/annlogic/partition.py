@@ -4,6 +4,7 @@ per-cell linear minterm-weight maps and Shapley attribution."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +83,18 @@ def extract_cell_weights(ann: SimpleAnn, p: int) -> CellWeights:
 
 
 def shapley(cw: CellWeights) -> np.ndarray:
-    """Exact Shapley values of the attributes under the coalition value
-    v(S) = weight of the minterm whose non-negated attributes are S, as
-    Harsanyi dividends: Sh_i = sum over S containing i of m(S)/|S|, where
-    m is the Moebius transform of v, taken as (lo, hi - lo) on each axis
-    of the (2,)*n weight tensor.  Returns the (n,) values; values past the
-    float64 range are a ValueError."""
+    """Exact (n,) Shapley values (Shapley 1953) under the coalition value v(S)
+    = weight of the minterm whose non-negated attributes are S: Sh_i sums
+    g(q) w[..1..] - g(q) w[..0..] over the cofactor pairs along axis i, where q
+    counts the other axes at 1 and g(q) = q! (n-1-q)! / n! = 1 / (n C(n-1, q)).
+    Each half is scaled first; only a value or partial sum past float64 is a ValueError."""
     n = cw.n
-    m = cw.weights.reshape((2,) * n)
-    size = np.indices((2,) * n).sum(axis=0)
+    w = cw.weights.reshape((2,) * n)
+    g = np.array([1 / (n * math.comb(n - 1, q)) for q in range(n)] + [0.0])
+    g = g[np.indices((2,) * (n - 1)).sum(axis=0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis in range(n):
-            lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
-            m = np.stack((lo, hi - lo), axis=axis)
-        share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
-        values = np.array([np.take(share, 1, axis=i).sum() for i in range(n)])
+        values = np.array([(g * np.take(w, 1, i) - g * np.take(w, 0, i)).sum()
+                           for i in range(n)])
     if not np.isfinite(values).all():
         raise ValueError("Shapley values overflow float64")
     return values

@@ -53,9 +53,17 @@ MUTANTS = [
      "i = splits[np.argmax(correct[splits])]",
      "i = splits[len(splits) - 1 - np.argmax(correct[splits][::-1])]",
      ["test_network.py"]),
-    ("shapley-no-division-by-size", "partition.py",
-     "share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)",
-     "share = m",
+    ("shapley-banzhaf-weights", "partition.py",
+     "g = np.array([1 / (n * math.comb(n - 1, q)) for q in range(n)] + [0.0])",
+     "g = np.array([2.0 ** (1 - n)] * n + [0.0])",
+     ["test_partition.py"]),
+    ("shapley-halves-swapped", "partition.py",
+     "(g * np.take(w, 1, i) - g * np.take(w, 0, i))",
+     "(g * np.take(w, 0, i) - g * np.take(w, 1, i))",
+     ["test_partition.py"]),
+    ("shapley-difference-before-scaling", "partition.py",
+     "(g * np.take(w, 1, i) - g * np.take(w, 0, i))",
+     "(g * (np.take(w, 1, i) - np.take(w, 0, i)))",
      ["test_partition.py"]),
     ("project-sums-kept-axes", "logiccode.py",
      "dropped = tuple(j for j in range(n) if j not in keep)",

@@ -16,8 +16,8 @@ list-per-row weights.csv writer, the DOT renderer, the command-line
 parser built from parent parsers, the evaluation of a logic expression
 before it became a one-level BitTensor, the string-join cell number,
 the trend grid with one minterm expansion per grid point and its
-list-per-row writer, and the QLDT as one `Split` object per node with
-its recursive evaluator.
+list-per-row writer, the QLDT as one `Split` object per node with its
+recursive evaluator, and the Shapley values by the Moebius transform.
 """
 
 import argparse
@@ -199,6 +199,22 @@ def shapley_permutation_oracle(weights, n):
             so_far.add(j)
             totals[j] += v(so_far) - before
     return [t / len(perms) for t in totals]
+
+
+def shapley_moebius(weights):
+    """Shapley values as Harsanyi dividends: Sh_i = sum over S containing i
+    of m(S)/|S|, where m is the Moebius transform of the weights, taken as
+    (lo, hi - lo) on each axis of the (2,)*n tensor.  Its differences can
+    overflow where the Shapley values are finite."""
+    w = np.asarray(weights, dtype=float)
+    n = len(w).bit_length() - 1
+    m = w.reshape((2,) * n)
+    for axis in range(n):
+        lo, hi = np.take(m, 0, axis=axis), np.take(m, 1, axis=axis)
+        m = np.stack((lo, hi - lo), axis=axis)
+    size = np.indices((2,) * n).sum(axis=0)
+    share = np.divide(m, size, out=np.zeros_like(m), where=size > 0)
+    return np.array([np.take(share, 1, axis=i).sum() for i in range(n)])
 
 
 def project_loop(weights, n, keep):

@@ -609,7 +609,8 @@ BAD_INPUTS = {
         {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--fixed", "a2=x"]),
     # finite weights whose differences or sums overflow float64
     "shapley-weights-span-overflows": (
-        {"w.txt": "1e308\n-1e308\n0\n1\n"}, ["shapley", "--weights-override", "w.txt"]),
+        {"w.txt": "-1e308\n1e308\n-1e308\n1e308\n"},
+        ["shapley", "--weights-override", "w.txt"]),
     "explain-weights-span-overflows": (
         {"w.txt": "1e308\n-1e308\n0\n1\n"},
         ["explain", "--weights-override", "w.txt", "--out-dir", "out"]),
@@ -729,6 +730,9 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                                                 input_size=3))},
                  ["shapley", "--model", "model.json", "--cell", "1"],
                  "input size 3 is not a power of two", id="model-input-size-3"),
+    pytest.param({"w.txt": "-1e308\n1e308\n-1e308\n1e308\n"},
+                 ["shapley", "--weights-override", "w.txt"],
+                 "Shapley values overflow float64", id="shapley-weights-span-overflows"),
     pytest.param({"w.txt": "1e308\n1e308\n0\n1\n"},
                  ["project", "--weights-override", "w.txt", "--keep", "1"],
                  "projected weights overflow float64", id="project-weights-sum-overflows"),

@@ -269,7 +269,6 @@ class TestEnergyReport:
     def test_degenerate_zero_weights(self):
         sw = scaled((0.0, 0.0, 0.0, 0.0))
         report = energy_report(sw, bitcode(sw, 3))
-        assert report.degenerate
         assert report.weight_sum == 0.0
         assert report.relative_percent == (0.0, 0.0, 0.0, 0.0)
 

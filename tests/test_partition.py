@@ -20,6 +20,7 @@ from oracles import (
     compose_cell_weights,
     extract_cell_weights_eye,
     partition_rows,
+    shapley_moebius,
     shapley_permutation_oracle,
     simple_anns,
     weight_vectors,
@@ -267,3 +268,25 @@ class TestShapley:
         n = len(values)
         assert math.isclose(values.sum(), w[-1] - w[0], abs_tol=1e-9)
         assert values == pytest.approx(shapley_permutation_oracle(w, n), abs=1e-9)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.floats(-1e5, 1e5), min_size=2**n, max_size=2**n)))
+    def test_matches_moebius_oracle(self, w):
+        tol = 1e-12 * max(1.0, max(map(abs, w)))
+        assert shapley(CellWeights(w)) == pytest.approx(shapley_moebius(w), abs=tol)
+
+    def test_no_attributes(self):
+        values = shapley(CellWeights((0.5,)))
+        assert values.shape == (0,)
+
+    def test_finite_values_with_overflowing_differences(self):
+        # every cofactor difference is +-2e308, but each value is 0
+        values = shapley(CellWeights((-1e308, 1e308, 1e308, -1e308)))
+        assert values.tolist() == [0.0, 0.0]
+
+    def test_finite_values_with_overflowing_span(self):
+        w = (1e308, -1e308, 0.0, 1.0)
+        values = shapley(CellWeights(w))
+        assert np.isfinite(values).all()
+        assert math.isclose(values.sum(), w[3] - w[0], rel_tol=1e-12)
