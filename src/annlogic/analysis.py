@@ -5,11 +5,10 @@ comparison of expressions, and trend grids over one or two attributes."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import minterm_transform
+from .encoding import _Record, minterm_transform
 from .logiccode import BitTensor
 
 MAX_RESOLUTION = 1001  # a 2-D grid holds ~1e6 points; writing them, not computing, bounds it
@@ -86,8 +85,11 @@ def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
     return BitTensor(truths[0][None])
 
 
-@dataclass(frozen=True)
-class ComparisonMetrics:
+class ComparisonMetrics(_Record):
+    __slots__ = ("v11", "v10", "v01", "v00", "accuracy", "precision", "recall",
+                 "precision_degenerate", "recall_degenerate", "implies_forward",
+                 "implies_backward", "equivalent")
+    _eq = True
     v11: int
     v10: int
     v01: int
@@ -129,8 +131,8 @@ def compare(e: BitTensor, h: BitTensor) -> ComparisonMetrics:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TrendGrid:
+class TrendGrid(_Record):
+    __slots__ = ("axis", "fixed", "levels", "values")
     axis: tuple[float, ...]
     fixed: tuple[float, ...]
     levels: tuple[int, ...]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,54 @@ FUZZIFIER_KINDS = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")
 _BLOCK_VALUES = 2**16  # minterm values expanded per block: 512 KB of float64
 
 
-@dataclass(frozen=True)
-class FuzzifierSpec:
+class _Record:
+    """A read-only record whose fields are its class's `__slots__`, set from
+    positional or keyword arguments, then checked by `__post_init__`.  A
+    class with `_eq` compares and hashes records by type and fields; any
+    other compares them by identity."""
+
+    __slots__ = ()
+    _eq = False
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() - set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)} once each")
+        values = dict(zip(names, args), **kwargs)
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{type(self).__name__} missing field {name!r}")
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if self._eq and type(other) is type(self):
+            return self._fields() == other._fields()
+        return self is other or NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), self._fields())) if self._eq else object.__hash__(self)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+class FuzzifierSpec(_Record):
     """Per-attribute monotone maps onto [0,1]; `params` holds the kind's two
     parameter tuples, named in FUZZIFIER_KINDS, one entry per attribute.
 
@@ -31,6 +76,8 @@ class FuzzifierSpec:
     m(x) = 1 / (1 + exp(-steepness * (x - midpoint))).
     """
 
+    __slots__ = ("kind", "params")
+    _eq = True
     kind: str
     params: tuple[tuple[float, ...], tuple[float, ...]]
 

@@ -4,21 +4,20 @@ energy accounting, level-restricted accuracy, and attribute projection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .encoding import _Record
 from .partition import CellWeights, _arity, _freeze
 
 DEFAULT_BCL_MAX = 3
 MAX_BCL = 52
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledCellWeights:
+class ScaledCellWeights(_Record):
     """Minterm weights scaled onto [0,1], a read-only float64 array of
     shape (2^n,), and the classifier threshold on the same scale."""
 
+    __slots__ = ("weights", "threshold")
     weights: np.ndarray
     threshold: float
 
@@ -28,13 +27,13 @@ class ScaledCellWeights:
             raise ValueError("scaled weights must lie in [0,1]")
 
 
-@dataclass(frozen=True, eq=False)
-class BitTensor:
+class BitTensor(_Record):
     """bits[bcl, k]: the 2^-bcl digit of the rounded scaled weight of
     minterm k, for bcl = 0 .. bcl_max; a read-only uint8 array of shape
     (bcl_max+1, 2^n).  A one-level tensor is a logic expression: its row
     marks the active minterms."""
 
+    __slots__ = ("bits",)
     bits: np.ndarray
 
     def __post_init__(self):
@@ -60,11 +59,12 @@ class BitTensor:
         return (2.0 ** -levels) @ self.bits[levels]
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(_Record):
     """Per level bcl = 0 .. bcl_max, at index bcl: its set bits, absolute
     energy and relative energy in percent."""
 
+    __slots__ = ("weight_sum", "set_bits", "absolute", "relative_percent", "bitcode_sum")
+    _eq = True
     weight_sum: float
     set_bits: tuple[int, ...]
     absolute: tuple[float, ...]

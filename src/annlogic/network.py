@@ -7,23 +7,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .encoding import MAX_ATTRIBUTES, FuzzifierSpec
+from .encoding import MAX_ATTRIBUTES, FuzzifierSpec, _Record
 
 MAX_RELU_NODES = 1024  # at 2^12 inputs the pre layer holds 32 MB
 MAX_EPOCHS = 1_000_000
 INIT_SCALE = 0.5  # standard deviation of the initial weights
 
 
-@dataclass(frozen=True, eq=False)
-class SimpleAnn:
+class SimpleAnn(_Record):
     """Bias-free network: pre_layers feed 2^n minterm inputs into the ReLU
     layer, post_layers map the ReLU outputs to the single output node."""
 
+    __slots__ = ("pre_layers", "post_layers", "threshold")
     pre_layers: tuple[np.ndarray, ...]
     post_layers: tuple[np.ndarray, ...]
     threshold: float
@@ -59,21 +58,30 @@ class SimpleAnn:
         return self.pre_layers[-1].shape[0]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.5
-    epochs: int = 2000
-    seed: int = 0
+class TrainConfig(_Record):
+    __slots__ = ("learning_rate", "epochs", "seed")
+    _eq = True
+    learning_rate: float
+    epochs: int
+    seed: int
+
+    def __init__(self, learning_rate: float = 0.5, epochs: int = 2000, seed: int = 0):
+        super().__init__(learning_rate, epochs, seed)
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
         if not math.isfinite(self.learning_rate):
             raise ValueError("learning rate must be finite")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 def _apply_layers(layers, h) -> np.ndarray:

@@ -5,18 +5,18 @@ per-cell linear minterm-weight maps and Shapley attribution."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import _Record
 from .network import SimpleAnn, relu_status
 
 
-@dataclass(frozen=True, eq=False)
-class CellWeights:
+class CellWeights(_Record):
     """The 2^n real minterm weights of one cell's exact linear map, a
     read-only float64 array of shape (2^n,)."""
 
+    __slots__ = ("weights",)
     weights: np.ndarray
 
     def __post_init__(self):

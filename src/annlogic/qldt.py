@@ -10,21 +10,20 @@ The trees of all levels share one `NodeTable`; a tree is a root in it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _degrees
+from .encoding import _degrees, _Record
 from .logiccode import BitTensor
 
 
-@dataclass(frozen=True, eq=False)
-class NodeTable:
+class NodeTable(_Record):
     """Row v splits on `attribute[v]` (0-based) into `low[v]` (negated
     branch) and `high[v]`; `size[v]` counts its subtree's nodes, expanded.
     Row 0 is the inactive leaf, row 1 the active one (attribute -1), and a
     split comes after its children.  `roots` holds one row per level."""
 
+    __slots__ = ("attribute", "low", "high", "size", "roots")
     attribute: np.ndarray
     low: np.ndarray
     high: np.ndarray

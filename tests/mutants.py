@@ -324,6 +324,17 @@ MUTANTS = [
     ("qldt-split-halves-swapped", "qldt.py",
      "np.moveaxis(cut, 2, 0)", "np.moveaxis(cut[:, :, ::-1], 2, 0)",
      ["test_qldt.py"]),
+    # read-only records: equal only within their type; a seed is a non-negative integer
+    ("record-eq-ignores-type", "encoding.py",
+     "if self._eq and type(other) is type(self):", "if self._eq and isinstance(other, _Record):",
+     ["test_encoding.py"]),
+    ("record-field-assignable", "encoding.py",
+     'raise AttributeError(f"{type(self).__name__} is read-only")',
+     "object.__setattr__(self, name, *value)",
+     ["test_encoding.py"]),
+    ("trainconfig-negative-seed-accepted", "network.py",
+     " or seed < 0:", ":",
+     ["test_network.py", "test_cli.py"]),
 ]
 
 

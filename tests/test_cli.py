@@ -560,6 +560,8 @@ BAD_INPUTS = {
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--relu-nodes", "1025"]),
     "train-epochs-1000001": (
         {}, ["train", "--data", "bank.csv", "--model", "m.json", "--epochs", "1000001"]),
+    "train-seed-negative": (
+        {}, ["train", "--data", "bank.csv", "--model", "m.json", "--seed", "-1"]),
     # a trend option that would be dropped, or an empty level set
     "trend-fixed-varied-attribute": (
         {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--fixed", "1=0.9"]),
@@ -714,6 +716,9 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
                  ["train", "--data", "bank.csv", "--model", "m.json", "--lr", "inf"],
                  "learning rate must be finite", id="train-lr-inf"),
+    pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
+                 ["train", "--data", "bank.csv", "--model", "m.json", "--seed", "-1"],
+                 "seed must be a non-negative integer", id="train-seed-negative"),
     pytest.param({"d.csv": "label\n0\n1\n"}, ["train", "--data", "d.csv", "--model", "m.json"],
                  "cannot fit a fuzzifier on zero attributes", id="train-label-column-only"),
     pytest.param({"bank.csv": "a,label\n0.1,0\n0.9,1\n"},
@@ -814,7 +819,8 @@ def test_allocation_failure_is_an_error_not_a_traceback(monkeypatch, capsys, tra
 
 
 # Per subcommand, a small call; none may import numpy.ma, which costs every
-# process ~19 ms and ~1,500 live objects (a plain np.unique imports it).
+# process ~19 ms and ~1,500 live objects (a plain np.unique imports it), or
+# dataclasses, which costs ~1 ms plus ~0.5 ms of generated code per class.
 SMALL_CALLS = {
     "train": ["train", "--data", "bank.csv", "--model", "m.json", "--epochs", "5"],
     "partition": ["partition", "--model", "model.json", "--data", "bank.csv"],
@@ -836,13 +842,24 @@ def test_command_does_not_import_numpy_ma(tmp_path, argv):
     save_model(tmp_path / "model.json",
                random_simple_ann(np.random.default_rng(0), 4, 3), fit_fuzzifier(X))
     (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
-    code = ("import sys; from annlogic.cli import main; "
-            f"rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)")
+    code = (f"import sys; from annlogic.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy.ma' in sys.modules, 'dataclasses' in sys.modules)")
+    assert _fresh_interpreter(code, tmp_path) == "0 False False"
+
+
+def test_import_does_not_import_dataclasses(tmp_path):
+    code = "import sys, annlogic.cli; print('dataclasses' in sys.modules)"
+    assert _fresh_interpreter(code, tmp_path) == "False"
+
+
+def _fresh_interpreter(code, cwd):
+    """The last stdout line of `code` run by a fresh interpreter on this src/."""
     src = Path(annlogic.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 # argv on which the parser of the named subcommand alone must act as the

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annlogic import encoding
+from annlogic.analysis import ComparisonMetrics, TrendGrid
 from annlogic.encoding import (
     FUZZIFIER_KINDS,
     FuzzifierSpec,
@@ -14,6 +17,10 @@ from annlogic.encoding import (
     fuzzify,
     minterm_transform,
 )
+from annlogic.logiccode import BitTensor, EnergyReport, ScaledCellWeights
+from annlogic.network import SimpleAnn, TrainConfig
+from annlogic.partition import CellWeights
+from annlogic.qldt import NodeTable
 from oracles import degree_rows, minterm_bits, minterms_kron
 
 
@@ -263,3 +270,95 @@ class TestMintermBits:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             minterm_bits(8, 3)
+
+
+# One record of each type, built positionally; the first four compare by
+# type and fields, the other six by identity.
+RECORDS = {
+    "FuzzifierSpec": lambda: FuzzifierSpec("minmax", ((0.0, 1.0), (2.0, 3.0))),
+    "TrainConfig": lambda: TrainConfig(0.1, 5, 1),
+    "EnergyReport": lambda: EnergyReport(1.5, (1, 2), (0.5, 0.25), (33.3, 16.7), 0.75),
+    "ComparisonMetrics": lambda: ComparisonMetrics(
+        1, 0, 0, 3, 1.0, 1.0, 1.0, False, False, True, True, True),
+    "SimpleAnn": lambda: SimpleAnn((np.ones((2, 4)),), (np.ones((1, 2)),), 0.5),
+    "CellWeights": lambda: CellWeights([0.9, 0.4, 0.7, 0.8]),
+    "ScaledCellWeights": lambda: ScaledCellWeights([1.0, 0.0, 0.6, 0.8], 0.5),
+    "BitTensor": lambda: BitTensor([[0, 1, 1, 0]]),
+    "NodeTable": lambda: NodeTable(np.array([-1, -1]), np.array([-1, -1]),
+                                   np.array([-1, -1]), np.array([1, 1]), (1,)),
+    "TrendGrid": lambda: TrendGrid((0.0, 1.0), (0.5,), (0,), np.zeros(2)),
+}
+VALUE_RECORDS = ["FuzzifierSpec", "TrainConfig", "EnergyReport", "ComparisonMetrics"]
+
+
+def fields(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+class TestRecord:
+    def test_fields_are_slots_in_annotation_order(self, make):
+        cls = type(make())
+        assert cls.__slots__ == tuple(cls.__annotations__)
+        assert not hasattr(make(), "__dict__")
+
+    def test_fields_cannot_be_assigned_or_deleted(self, make):
+        record = make()
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert fields(record) == fields(record)  # still set
+
+    def test_keyword_construction(self, make):
+        record = make()
+        cls = type(record)
+        again = cls(**dict(zip(cls.__slots__, fields(record))))
+        assert repr(again) == repr(record)
+
+    def test_missing_or_unknown_argument_is_a_type_error(self, make):
+        record = make()
+        cls, values = type(record), fields(record)
+        if cls is not TrainConfig:  # whose every field has a default
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values, unknown=None)
+        with pytest.raises(TypeError):
+            cls(*values, **{cls.__slots__[0]: values[0]})
+
+    def test_repr_names_every_field(self, make):
+        record = make()
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(type(record).__slots__, fields(record)))
+        assert repr(record) == f"{type(record).__name__}({inner})"
+
+    def test_equality(self, make):
+        record, twin = make(), make()
+        cls = type(record)
+        # a record type of the same fields and equality that is not this one
+        other = type("Other", (encoding._Record,), {"__slots__": cls.__slots__, "_eq": cls._eq})
+        assert record == record
+        assert record != fields(record)
+        assert record != other(*fields(record)) and other(*fields(record)) != record
+        if cls.__name__ in VALUE_RECORDS:
+            assert record == twin and hash(record) == hash(twin)
+            assert not record != twin
+        else:
+            assert record != twin
+            assert hash(record) == object.__hash__(record)
+
+    def test_copy_and_pickle_rebuild_the_record(self, make):
+        record = make()
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(again) is type(record) and repr(again) == repr(record)
+
+
+def test_train_config_defaults():
+    assert fields(TrainConfig()) == (0.5, 2000, 0)
+    assert TrainConfig(epochs=7) == TrainConfig(0.5, 7, 0)

@@ -164,6 +164,24 @@ class TestTrain:
             with pytest.raises(ValueError, match=DIVERGED):
                 train(*self.toy_samples(), 2, cfg)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(epochs=2.5), "epochs must be an integer"),
+        (dict(epochs=True), "epochs must be an integer"),
+        (dict(epochs=0), "epochs must be at least 1"),
+        (dict(seed=1.5), "seed must be a non-negative integer"),
+        (dict(seed=True), "seed must be a non-negative integer"),
+        (dict(seed=-1), "seed must be a non-negative integer"),
+    ])
+    def test_config_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**fields)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(3), seed=np.uint32(0))
+        ann, _ = train(*self.toy_samples(), 2, cfg)
+        want, _ = train(*self.toy_samples(), 2, TrainConfig(epochs=3, seed=0))
+        assert np.array_equal(ann.pre_layers[0], want.pre_layers[0])
+
     def test_single_class_rejected(self):
         mt = minterm_transform([[0.5], [0.5]])
         with pytest.raises(ValueError):
