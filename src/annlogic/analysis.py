@@ -132,10 +132,8 @@ def compare(e: BitTensor, h: BitTensor) -> ComparisonMetrics:
 
 
 class TrendGrid(_Record):
-    __slots__ = ("axis", "fixed", "levels", "values")
+    __slots__ = ("axis", "values")
     axis: tuple[float, ...]
-    fixed: tuple[float, ...]
-    levels: tuple[int, ...]
     values: np.ndarray  # shape (res,) for one varied attribute, (res, res) for two
 
 
@@ -170,8 +168,6 @@ def trend_grid(
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}")
     base = [float(fixed.get(j, 0.5)) for j in range(n)]
-    if levels is None:
-        levels = list(range(bt.bcl_max + 1))
     axis = np.linspace(0.0, 1.0, resolution)
     # the varied axes first, in vary's order, then the fixed ones ascending
     w = np.moveaxis(bt.reconstruction(levels).reshape((2,) * n), vary, range(len(vary)))
@@ -179,4 +175,4 @@ def trend_grid(
         w = w @ f  # contract the last fixed axis
     p = minterm_transform(axis[:, None])
     values = p @ w if len(vary) == 1 else p @ w @ p.T
-    return TrendGrid(tuple(axis.tolist()), tuple(base), tuple(levels), values)
+    return TrendGrid(tuple(axis.tolist()), values)

@@ -419,8 +419,7 @@ def cmd_project(args):
 
 def cmd_hypothesis(args):
     if args.hypothesis2 is not None:
-        for option in ("--model", "--cell", "--weights-override", "--threshold",
-                       "--bcl-max", "--level"):
+        for option in ("--model", "--cell", "--weights-override", "--bcl-max", "--level"):
             if getattr(args, option[2:].replace("-", "_")) is not None:
                 raise ValueError(f"{option} cannot be combined with --hypothesis2")
         names, _ = _names_and_rows(args)
@@ -494,7 +493,8 @@ def cmd_classify(args):
 def _subcommands():
     """Each subcommand's function, help and options, the shared ones first:
     model and dataset rows, or a cell source, which a coded command follows
-    with the bit-coding options."""
+    with --bcl-max.  Only explain, whose outputs read the classifier
+    threshold, takes --threshold."""
     rows = [("--model", dict(required=True)), ("--data", dict(required=True)),
             ("--label", dict(default="label"))]
     cell = [
@@ -504,12 +504,11 @@ def _subcommands():
         ("--data", dict(help="CSV dataset (for attribute names/accuracy)")),
         ("--label", dict(default="label", help="label column name")),
     ]
-    coded = cell + [
-        ("--threshold", dict(type=float,
-                             help="classifier threshold when using --weights-override")),
-        ("--bcl-max", dict(type=int, help=f"finest bit level, 0..{logiccode.MAX_BCL} "
-                                          f"(default {logiccode.DEFAULT_BCL_MAX})")),
-    ]
+    threshold = ("--threshold", dict(type=float,
+                                     help="classifier threshold when using --weights-override"))
+    bcl_max = ("--bcl-max", dict(type=int, help=f"finest bit level, 0..{logiccode.MAX_BCL} "
+                                                f"(default {logiccode.DEFAULT_BCL_MAX})"))
+    coded = cell + [bcl_max]
     out = [("--out", dict(help="CSV output path"))]
     return {
         "train": (cmd_train, "train a minterm-input network", [
@@ -524,7 +523,7 @@ def _subcommands():
         ]),
         "partition": (cmd_partition, "partition a dataset into ReLU cells", rows + out),
         "explain": (cmd_explain, "scale, bit-code, and render one cell",
-                    coded + [("--out-dir", dict(default="explain_out"))]),
+                    cell + [threshold, bcl_max, ("--out-dir", dict(default="explain_out"))]),
         "shapley": (cmd_shapley, "attribute Shapley values of a cell", cell + out),
         "project": (cmd_project, "marginalize a cell onto attributes",
                     coded + [("--keep", dict(required=True, help="comma-separated attributes"))]),

@@ -69,9 +69,12 @@ class TrainConfig(_Record):
         super().__init__(learning_rate, epochs, seed)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating)):
+            raise ValueError("learning rate must be a real number")
+        if rate < 0:
             raise ValueError("learning rate must be non-negative")
-        if not math.isfinite(self.learning_rate):
+        if not math.isfinite(rate):
             raise ValueError("learning rate must be finite")
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
             raise ValueError("epochs must be an integer")

@@ -213,6 +213,9 @@ def calls(texts):
         ("help-trend", {}, ["trend", "--help"]),
         ("unknown-command", {}, ["explian"]),
         ("partition-missing-model", bank, ["partition", "--data", "bank.csv"]),
+        # an option that only explain takes: a usage error, status 2
+        ("bad-hypothesis2-with-threshold", {}, ["hypothesis", "--names", "a,b", "--hypothesis",
+                                                "a", "--hypothesis2", "b", "--threshold", "7"]),
     ]
     # as test_cli.py runs them: next to ref16.txt and a 20-row banknote CSV
     for name, (files, argv) in BAD_INPUTS.items():

@@ -335,6 +335,17 @@ MUTANTS = [
     ("trainconfig-negative-seed-accepted", "network.py",
      " or seed < 0:", ":",
      ["test_network.py", "test_cli.py"]),
+    # only explain takes --threshold; a learning rate is a real number, not a
+    # bool; a model's layers chain
+    ("coded-takes-threshold", "cli.py",
+     "coded = cell + [bcl_max]", "coded = cell + [threshold, bcl_max]",
+     ["test_cli.py"]),
+    ("learning-rate-bool-accepted", "network.py",
+     "if isinstance(rate, bool) or not isinstance(rate,", "if not isinstance(rate,",
+     ["test_network.py"]),
+    ("layers-chain-check-dropped", "network.py",
+     "if b.shape[1] != a.shape[0]:", "if False:",
+     ["test_cli.py"]),
 ]
 
 

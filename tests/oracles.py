@@ -561,7 +561,7 @@ def trend_grid_per_point(bt, vary, fixed=None, levels=None, resolution=21):
     values = np.array([
         minterm_transform(d) @ coefficients for d in degrees.reshape(-1, n)
     ]).reshape(shape)
-    return TrendGrid(tuple(axis), tuple(base), tuple(levels), values)
+    return TrendGrid(tuple(axis), values)
 
 
 def cell_number(status):
@@ -972,7 +972,7 @@ def render_lines(t, names=None):
 
 
 # The command-line parser as it was before one table drove it: every
-# subcommand built on each call, the shared options as three parent parsers.
+# subcommand built on each call, the shared options as parent parsers.
 def build_parser_parents():
     parser = argparse.ArgumentParser(
         prog="annlogic",
@@ -993,9 +993,11 @@ def build_parser_parents():
     cell.add_argument("--data", help="CSV dataset (for attribute names/accuracy)")
     cell.add_argument("--label", default="label", help="label column name")
 
-    coded = argparse.ArgumentParser(add_help=False, parents=[cell])
-    coded.add_argument("--threshold", type=float,
-                       help="classifier threshold when using --weights-override")
+    threshold = argparse.ArgumentParser(add_help=False)
+    threshold.add_argument("--threshold", type=float,
+                           help="classifier threshold when using --weights-override")
+
+    coded = argparse.ArgumentParser(add_help=False)
     coded.add_argument("--bcl-max", type=int,
                        help=f"finest bit level, 0..{logiccode.MAX_BCL} "
                             f"(default {logiccode.DEFAULT_BCL_MAX})")
@@ -1015,7 +1017,8 @@ def build_parser_parents():
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cli.cmd_partition)
 
-    p = sub.add_parser("explain", parents=[coded], help="scale, bit-code, and render one cell")
+    p = sub.add_parser("explain", parents=[cell, threshold, coded],
+                       help="scale, bit-code, and render one cell")
     p.add_argument("--out-dir", default="explain_out")
     p.set_defaults(func=cli.cmd_explain)
 
@@ -1023,11 +1026,11 @@ def build_parser_parents():
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cli.cmd_shapley)
 
-    p = sub.add_parser("project", parents=[coded], help="marginalize a cell onto attributes")
+    p = sub.add_parser("project", parents=[cell, coded], help="marginalize a cell onto attributes")
     p.add_argument("--keep", required=True, help="comma-separated attributes")
     p.set_defaults(func=cli.cmd_project)
 
-    p = sub.add_parser("hypothesis", parents=[coded],
+    p = sub.add_parser("hypothesis", parents=[cell, coded],
                        help="compare a formula with a level expression")
     p.add_argument("--level", type=int, help="bit level of the cell expression (default 0)")
     p.add_argument("--hypothesis", required=True)
@@ -1036,7 +1039,7 @@ def build_parser_parents():
     p.add_argument("--names", help="comma-separated attribute names")
     p.set_defaults(func=cli.cmd_hypothesis)
 
-    p = sub.add_parser("trend", parents=[coded], help="trend grid over one or two attributes")
+    p = sub.add_parser("trend", parents=[cell, coded], help="trend grid over one or two attributes")
     p.add_argument("--vary", required=True, help="one or two attributes")
     p.add_argument("--fixed", help="fixed degrees, e.g. 'c=0.3,e=0.7'")
     p.add_argument("--levels", help="comma-separated level subset")

@@ -7,6 +7,7 @@ from annlogic.analysis import (
     MAX_NESTING,
     MAX_RESOLUTION,
     HypothesisSyntaxError,
+    TrendGrid,
     compare,
     parse_hypothesis,
     trend_grid,
@@ -274,6 +275,10 @@ class TestTrendGrid:
         grid = trend_grid(bt, vary=[0], levels=[0], resolution=5)
         assert np.allclose(grid.values, 1.0)
 
+    def test_holds_only_the_axis_and_the_values(self):
+        # the fixed degrees and the level set are the caller's own inputs
+        assert TrendGrid.__slots__ == ("axis", "values")
+
     def test_compares_and_hashes_by_identity(self):
         bt = self.tensor([(0, 0, 1, 1)])
         grid, twin = (trend_grid(bt, vary=[0], resolution=3) for _ in range(2))
@@ -303,6 +308,12 @@ class TestTrendGrid:
         for bad in (1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match=r"\[0,1\]"):
                 trend_grid(bt, vary=[0], fixed={2: bad}, resolution=3)
+
+    def test_varied_index_out_of_range(self):
+        bt = self.tensor([(0, 1, 1, 0)])
+        for vary in ([2], [0, 2], [-1]):
+            with pytest.raises(ValueError, match="^varied attribute index out of range$"):
+                trend_grid(bt, vary, resolution=3)
 
     def test_fixed_index_out_of_range(self):
         bt = self.tensor([(0, 1, 1, 0)])
@@ -335,8 +346,8 @@ class TestTrendGrid:
         resolution = data.draw(st.integers(2, 8), label="resolution")
         grid = trend_grid(bt, vary, fixed, levels, resolution)
         want = trend_grid_per_point(bt, vary, fixed, levels, resolution)
-        assert (grid.axis, grid.fixed, grid.levels) == (want.axis, want.fixed, want.levels)
-        assert {type(v) for v in grid.axis + grid.fixed} == {float}
+        assert grid.axis == want.axis == tuple(np.linspace(0.0, 1.0, resolution).tolist())
+        assert {type(v) for v in grid.axis} == {float}
         assert grid.values.shape == want.values.shape
         assert np.abs(grid.values - want.values).max() <= 1e-12
 
@@ -352,11 +363,11 @@ class TestTrendGrid:
         # approx_forward call each
         rng = np.random.default_rng(22)
         bt = BitTensor(rng.integers(0, 2, (4, 2**12)))
-        vary, levels = [9, 2], [0, 2, 3]
-        grid = trend_grid(bt, vary, {4: 0.0, 5: 1.0, 6: 0.8}, levels, MAX_RESOLUTION)
+        vary, levels, fixed = [9, 2], [0, 2, 3], {4: 0.0, 5: 1.0, 6: 0.8}
+        grid = trend_grid(bt, vary, fixed, levels, MAX_RESOLUTION)
         assert grid.values.shape == (MAX_RESOLUTION, MAX_RESOLUTION)
         for i, k in rng.integers(0, MAX_RESOLUTION, (64, 2)):
-            d = np.array(grid.fixed)
+            d = np.array([fixed.get(j, 0.5) for j in range(12)])
             d[vary] = grid.axis[i], grid.axis[k]
             want = approx_forward(bt, minterm_transform(d), levels)
             assert abs(grid.values[i, k] - want) <= 1e-12

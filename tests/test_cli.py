@@ -268,11 +268,28 @@ class TestShapley:
         assert "Sh_a1=0.100" in out
         assert "Sh_a2=-0.200" in out
 
-    def test_threshold_is_not_an_option(self, ref16_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["shapley", "--weights-override", str(ref16_file), "--threshold", "0.3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --threshold 0.3" in capsys.readouterr().err
+
+# Only explain's outputs read the classifier threshold; no other command
+# takes --threshold, with or without a cell.
+THRESHOLD_ARGVS = {
+    "shapley": ["shapley", "--weights-override", "ref16.txt"],
+    "project": ["project", "--weights-override", "ref16.txt", "--keep", "1,2"],
+    "hypothesis": ["hypothesis", "--weights-override", "ref16.txt", "--hypothesis", "a1"],
+    "trend": ["trend", "--weights-override", "ref16.txt", "--vary", "1"],
+    "hypothesis2": ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b"],
+}
+
+
+@pytest.mark.parametrize("argv", THRESHOLD_ARGVS.values(), ids=THRESHOLD_ARGVS.keys())
+def test_threshold_is_not_an_option(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threshold", "0.3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --threshold 0.3\n")
 
 
 class TestProject:
@@ -461,6 +478,53 @@ REPEATED_NAMES = {
         "--names repeats column 's'"),
 }
 
+# Each case reaches a raise in cli.py or network.py that no other case in
+# this file does, and pins its message: a dataset, weights or model file
+# that cannot be read as one, or an option that is missing or out of range.
+UNREADABLE_INPUTS = {
+    "train-header-only": (
+        {"d.csv": "a,label\n"}, TRAIN_ARGV, "dataset has no rows"),
+    "train-empty-file": (
+        {"d.csv": ""}, TRAIN_ARGV, "dataset file is empty: d.csv"),
+    "train-no-label-column": (
+        {"d.csv": "a,b\n0.1,0.2\n"}, TRAIN_ARGV, "label column 'label' not in header ['a', 'b']"),
+    "weights-file-3-weights": (
+        {"w3.txt": "0.1\n0.2\n0.3\n"}, ["shapley", "--weights-override", "w3.txt"],
+        "weights file must hold a power-of-two count, got 3"),
+    "weights-file-missing": (
+        {}, ["shapley", "--weights-override", "missing.txt"],
+        "weights file not found: missing.txt"),
+    "weights-file-inf": (
+        {"w.txt": "0.1\ninf\n0.2\n0.3\n"}, ["shapley", "--weights-override", "w.txt"],
+        "weights must be finite"),
+    "shapley-model-without-cell": (
+        {"model.json": L1_MODEL}, ["shapley", "--model", "model.json"],
+        "--cell is required when extracting from a model"),
+    "trend-levels-not-a-number": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--levels", "x"],
+        "bad level set 'x'"),
+    "trend-levels-past-bcl-max": (
+        {}, ["trend", "--weights-override", "ref16.txt", "--vary", "1", "--levels", "7"],
+        "levels must lie in 0..3"),
+    "hypothesis2-without-names-or-data": (
+        {}, ["hypothesis", "--hypothesis", "a", "--hypothesis2", "b"],
+        "--names or --data required with --hypothesis2"),
+    **{f"model-{name}": ({"model.json": text}, ["shapley", "--model", "model.json", "--cell", "1"],
+                         message) for name, text, message in [
+        ("layers-do-not-chain", json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]],
+                                                      post_layers=[[[1.0, 1.0]]])),
+         "layer shapes do not chain: (1, 4) then (1, 2)"),
+        ("last-layer-two-rows", json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]],
+                                                      post_layers=[[[1.0], [1.0]]])),
+         "final layer must have exactly one output row"),
+        ("no-pre-layers", json.dumps(_model_doc([])),
+         "need at least one layer before and after ReLU"),
+        ("weight-1e999", L1_MODEL.replace("0.1,", "1e999,"), "weights must be finite"),
+        ("threshold-1e999", L1_MODEL.replace('"threshold": 0.5', '"threshold": 1e999'),
+         "threshold must be finite"),
+    ]},
+}
+
 
 BAD_INPUTS = {
     "model-not-an-object": (
@@ -598,9 +662,6 @@ BAD_INPUTS = {
     "hypothesis2-with-weights-override": (
         {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
              "--weights-override", "ref16.txt"]),
-    "hypothesis2-with-threshold": (
-        {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
-             "--threshold", "7"]),
     "hypothesis2-with-level": (
         {}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
              "--level", "9"]),
@@ -631,6 +692,7 @@ BAD_INPUTS = {
     **{f"model-{name}": ({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV)
        for name, (text, _) in NOT_JSON_NUMBERS.items()},
     **{name: (files, argv) for name, (files, argv, _) in REPEATED_NAMES.items()},
+    **{name: (files, argv) for name, (files, argv, _) in UNREADABLE_INPUTS.items()},
 }
 
 
@@ -767,10 +829,6 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
                       "--model", "missing.json", "--cell", "99"],
                  "--model cannot be combined with --hypothesis2", id="hypothesis2-with-model"),
     pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
-                      "--threshold", "7"],
-                 "--threshold cannot be combined with --hypothesis2",
-                 id="hypothesis2-with-threshold"),
-    pytest.param({}, ["hypothesis", "--names", "a,b", "--hypothesis", "a", "--hypothesis2", "b",
                       "--level", "9", "--bcl-max", "99"],
                  "--bcl-max cannot be combined with --hypothesis2",
                  id="hypothesis2-with-level-and-bcl-max"),
@@ -787,7 +845,7 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     *[pytest.param({"model.json": text, "d.csv": TWO_ATTRIBUTE_CSV}, CLASSIFY_ARGV, message,
                    id=f"model-{name}") for name, (text, message) in NOT_JSON_NUMBERS.items()],
     *[pytest.param(files, argv, message, id=name)
-      for name, (files, argv, message) in REPEATED_NAMES.items()],
+      for name, (files, argv, message) in [*REPEATED_NAMES.items(), *UNREADABLE_INPUTS.items()]],
 ])
 def test_error_message_is_printed_as_raised(tmp_path, monkeypatch, capsys,
                                             files, argv, message):

@@ -117,13 +117,12 @@ OPTIONS = {
     "explain": ({}, {"--threshold": floats, "--bcl-max": ints(-1, 60),
                      "--out-dir": out_dirs}, True),
     "shapley": ({}, {"--out": out_files}, True),
-    "project": ({"--keep": name_lists},
-                {"--threshold": floats, "--bcl-max": ints(-1, 60)}, True),
+    "project": ({"--keep": name_lists}, {"--bcl-max": ints(-1, 60)}, True),
     "hypothesis": ({"--hypothesis": formulas},
-                   {"--threshold": floats, "--bcl-max": ints(-1, 60), "--level": ints(-1, 5),
+                   {"--bcl-max": ints(-1, 60), "--level": ints(-1, 5),
                     "--hypothesis2": formulas, "--names": name_lists}, True),
     "trend": ({"--vary": name_lists},
-              {"--threshold": floats, "--bcl-max": ints(-1, 8), "--fixed": fixed,
+              {"--bcl-max": ints(-1, 8), "--fixed": fixed,
                "--levels": level_sets, "--resolution": ints(-1, 12), "--out": out_files},
               True),
     "classify": ({"--model": models, "--data": datasets}, {"--label": labels}, False),

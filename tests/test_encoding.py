@@ -65,6 +65,12 @@ class TestFitFuzzifier:
         lows, highs = fuzzify([[0.0], [4.0]], spec)[:, 0]
         assert lows < 0.5 < highs
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown fuzzifier kind 'gauss'$"):
+            fit_fuzzifier(make_samples([[0, 1, 2]]), "gauss")
+        with pytest.raises(ValueError, match="^unknown fuzzifier kind 'gauss'$"):
+            FuzzifierSpec("gauss", ((0.0,), (1.0,)))
+
 
 # each kind's parameter names in model-file order, written out
 FIELDS = {"minmax": ("lo", "hi"), "logistic": ("midpoint", "steepness")}
@@ -286,7 +292,7 @@ RECORDS = {
     "BitTensor": lambda: BitTensor([[0, 1, 1, 0]]),
     "NodeTable": lambda: NodeTable(np.array([-1, -1]), np.array([-1, -1]),
                                    np.array([-1, -1]), np.array([1, 1]), (1,)),
-    "TrendGrid": lambda: TrendGrid((0.0, 1.0), (0.5,), (0,), np.zeros(2)),
+    "TrendGrid": lambda: TrendGrid((0.0, 1.0), np.zeros(2)),
 }
 VALUE_RECORDS = ["FuzzifierSpec", "TrainConfig", "EnergyReport", "ComparisonMetrics"]
 

@@ -277,6 +277,11 @@ class TestEnergyReport:
         report = energy_report(sw, bitcode(sw, 3))
         assert report.relative_percent[0] == pytest.approx(100.0)
 
+    def test_lengths_must_match(self):
+        sw = scaled(REF16_WEIGHTS)
+        with pytest.raises(ValueError, match="^weight/bit tensor length mismatch$"):
+            energy_report(sw, bitcode(scaled(REF16_WEIGHTS[:8]), 3))
+
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 8).flatmap(lambda n: st.lists(
                st.floats(0, 1) | st.just(0.0), min_size=2**n, max_size=2**n)),

@@ -171,6 +171,11 @@ class TestTrain:
         (dict(seed=1.5), "seed must be a non-negative integer"),
         (dict(seed=True), "seed must be a non-negative integer"),
         (dict(seed=-1), "seed must be a non-negative integer"),
+        (dict(learning_rate=True), "learning rate must be a real number"),
+        (dict(learning_rate=np.bool_(True)), "learning rate must be a real number"),
+        (dict(learning_rate="0.5"), "learning rate must be a real number"),
+        (dict(learning_rate=None), "learning rate must be a real number"),
+        (dict(learning_rate=-0.5), "learning rate must be non-negative"),
     ])
     def test_config_field_rejected(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -181,6 +186,22 @@ class TestTrain:
         ann, _ = train(*self.toy_samples(), 2, cfg)
         want, _ = train(*self.toy_samples(), 2, TrainConfig(epochs=3, seed=0))
         assert np.array_equal(ann.pre_layers[0], want.pre_layers[0])
+
+    @pytest.mark.parametrize("rate", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+    def test_config_takes_a_real_learning_rate(self, rate):
+        ann, _ = train(*self.toy_samples(), 2, TrainConfig(learning_rate=rate, epochs=3))
+        want, _ = train(*self.toy_samples(), 2, TrainConfig(learning_rate=1.0, epochs=3))
+        assert np.array_equal(ann.pre_layers[0], want.pre_layers[0])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^no training samples$"):
+            train(np.empty((0, 2)), [], 2)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [[0, 1, 0]]], ids=["too-few", "2-d"])
+    def test_labels_not_one_per_row_rejected(self, labels):
+        mt = minterm_transform([[0.1], [0.5], [0.9]])
+        with pytest.raises(ValueError, match=r"^need an \(N, 2\^n\) minterm matrix and N labels$"):
+            train(mt, labels, 2)
 
     def test_single_class_rejected(self):
         mt = minterm_transform([[0.5], [0.5]])
