@@ -93,20 +93,19 @@ MUTANTS = [
      "if X.ndim == 2 and len(X) and not X.shape[1]:", "if False:",
      ["test_encoding.py", "test_cli.py"]),
     ("train-no-loss-check-after-last-update", "network.py",
-     "for epoch in range(cfg.epochs + 1):", "for epoch in range(cfg.epochs):",
+     "for epoch in range(epochs + 1):", "for epoch in range(epochs):",
      ["test_network.py"]),
     # the trainer's preallocated loop and its input checks
     ("train-g-pre-after-w-post-update", "network.py",
-     'np.multiply(w_post.T, d, out=d_relu.T, order="C")\n'
+     'np.multiply(w_post_t, d, out=d_relu_t, order="C")\n'
      "            np.multiply(d_relu, np.greater(pre, 0.0, out=active), out=d_relu)\n"
-     "            np.matmul(d_relu.T, X, out=g_pre)\n"
-     "            w_pre -= np.multiply(cfg.learning_rate, g_pre, out=g_pre)\n"
-     "            w_post -= np.multiply(cfg.learning_rate, g_post, out=g_post)\n",
-     "w_post -= np.multiply(cfg.learning_rate, g_post, out=g_post)\n"
-     '            np.multiply(w_post.T, d, out=d_relu.T, order="C")\n'
+     "            np.matmul(d_relu_t, X, out=g_pre)\n"
+     "            w -= np.multiply(rate, g, out=g)\n",
+     "w_post -= np.multiply(rate, g_post, out=g_post)\n"
+     '            np.multiply(w_post_t, d, out=d_relu_t, order="C")\n'
      "            np.multiply(d_relu, np.greater(pre, 0.0, out=active), out=d_relu)\n"
-     "            np.matmul(d_relu.T, X, out=g_pre)\n"
-     "            w_pre -= np.multiply(cfg.learning_rate, g_pre, out=g_pre)\n",
+     "            np.matmul(d_relu_t, X, out=g_pre)\n"
+     "            w_pre -= np.multiply(rate, g_pre, out=g_pre)\n",
      ["test_network.py"]),
     ("train-accepts-non-finite-minterms", "network.py",
      "if not np.isfinite([X.min(), X.max()]).all():", "if False:",
@@ -346,6 +345,24 @@ MUTANTS = [
     ("layers-chain-check-dropped", "network.py",
      "if b.shape[1] != a.shape[0]:", "if False:",
      ["test_cli.py"]),
+    # the trainer screens the loss with a dot and falls back to the exact
+    # sum; its first product keeps X @ w_pre.T, whose bits hold on every
+    # kernel (w_pre @ X.T into an (l, N) C-order array does not: this
+    # SkylakeX kernel gives the same bits, Haswell and Prescott do not);
+    # a ReLU node count is an integer, not a bool
+    ("train-divergence-pretest-only", "network.py",
+     "if not np.dot(d, d) < 1e300 and not math.isfinite(\n"
+     "                np.add.reduce(np.square(d, out=sq))\n"
+     "            ):",
+     "if not np.dot(d, d) < 1e300:",
+     ["test_network.py"]),
+    ("train-first-product-mirrored", "network.py",
+     "np.matmul(X, w_pre_t, out=pre)", "pre[...] = np.matmul(w_pre, X.T).T",
+     ["test_network.py"]),
+    ("train-relu-nodes-bool-accepted", "network.py",
+     "if isinstance(relu_nodes, bool) or not isinstance(relu_nodes,",
+     "if not isinstance(relu_nodes,",
+     ["test_network.py"]),
 ]
 
 

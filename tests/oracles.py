@@ -22,6 +22,7 @@ recursive evaluator, and the Shapley values by the Moebius transform.
 
 import argparse
 import csv
+import hashlib
 import sys
 import itertools
 import math
@@ -41,6 +42,7 @@ from annlogic.encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES, minterm_transform
 from annlogic.network import (
     INIT_SCALE,
     SimpleAnn,
+    TrainConfig,
     choose_threshold,
     forward,
 )
@@ -647,9 +649,11 @@ def seeded_training_sets(max_n, max_rows):
 
 # The trainer's epoch loop as it was before it wrote into preallocated
 # buffers: every step makes fresh arrays.
-def train_temporaries(mt, labels, relu_nodes, cfg):
+def train_temporaries(mt, labels, relu_nodes, cfg, sums=None):
     """Full-batch gradient descent on MSE for the 2^n -> relu_nodes -> 1
-    network, with no input checks.  Returns (ann, training accuracy)."""
+    network, with no input checks.  Returns (ann, training accuracy).  Each
+    epoch's sum of squared residuals, overflowed or not, is appended to the
+    list `sums` if one is given."""
     X = np.asarray(mt, dtype=float)
     labels = np.asarray(labels, dtype=float)
     rng = np.random.default_rng(cfg.seed)
@@ -662,6 +666,8 @@ def train_temporaries(mt, labels, relu_nodes, cfg):
             pre = X @ w_pre.T
             relu = np.maximum(pre, 0.0)
             out = (relu @ w_post.T)[:, 0]
+            if sums is not None:
+                sums.append(float(np.sum((out - labels) ** 2)))
             loss = float(np.mean((out - labels) ** 2))
             if not math.isfinite(loss):
                 raise ValueError(
@@ -677,6 +683,36 @@ def train_temporaries(mt, labels, relu_nodes, cfg):
 
     tau, acc = choose_threshold(out, labels)
     return SimpleAnn((w_pre,), (w_post,), tau), acc
+
+
+def seeded_trainings(count, seed=0):
+    """`count` fixed training calls (mt, labels, relu_nodes, cfg) drawn from
+    one seed: n = 0 .. 12 attributes, 2 to 299 rows (39 at n >= 10), 1 to 8
+    ReLU nodes, 1 to 29 epochs and a learning rate in [0, 2), or for one
+    call in seven 1e150, 1e200 or 1e300."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, 13))
+        rows = int(rng.integers(2, 300 if n < 10 else 40))
+        mt = minterm_transform(rng.random((rows, n)))
+        labels = np.concatenate(([0, 1], rng.integers(0, 2, rows - 2)))
+        if rng.random() < 1 / 7:
+            rate = float(rng.choice([1e150, 1e200, 1e300]))
+        else:
+            rate = float(rng.uniform(0, 2))
+        cfg = TrainConfig(rate, int(rng.integers(1, 30)), int(rng.integers(0, 2**32)))
+        yield mt, labels, int(rng.integers(1, 9)), cfg
+
+
+def train_outcome(trainer, *args):
+    """The SHA-256 of the bytes of a trainer's weights, threshold and
+    accuracy, or its error message."""
+    try:
+        ann, acc = trainer(*args)
+    except ValueError as exc:
+        return str(exc)
+    values = [ann.pre_layers[0].ravel(), ann.post_layers[0].ravel(), [ann.threshold, acc]]
+    return hashlib.sha256(np.concatenate(values).tobytes()).hexdigest()
 
 
 def train_layers(mt, labels, arch, cfg, relu_after=1):

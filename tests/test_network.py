@@ -1,12 +1,18 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annlogic
 from annlogic.encoding import FuzzifierSpec, minterm_transform
 from annlogic.network import (
     INIT_SCALE,
@@ -25,11 +31,13 @@ from oracles import (
     choose_threshold_loop,
     seeded_training_sets,
     train_layers,
+    train_outcome,
     train_temporaries,
     training_sets,
 )
 
-DIVERGED = "^" + re.escape("training diverged (non-finite loss); lower the learning rate") + "$"
+DIVERGED_MESSAGE = "training diverged (non-finite loss); lower the learning rate"
+DIVERGED = "^" + re.escape(DIVERGED_MESSAGE) + "$"
 
 
 def test_simple_ann_compares_and_hashes_by_identity():
@@ -164,6 +172,35 @@ class TestTrain:
             with pytest.raises(ValueError, match=DIVERGED):
                 train(*self.toy_samples(), 2, cfg)
 
+    # The loss check screens each epoch with a BLAS dot, and sums the
+    # squares exactly only when the dot is not below 1e300.  Minterms near
+    # 1e152 put the oracle's first sums of squares in [1e300, 1.8e308): in
+    # the first case training goes on, in the second the next sum overflows.
+    @pytest.mark.parametrize("scale,lr,seed,diverges", [
+        (1e152, 1e-303, 1, False),
+        (1e151, 1e-298, 0, True),
+    ], ids=["goes-on", "overflows"])
+    def test_loss_past_the_screen_is_checked_exactly(self, scale, lr, seed, diverges):
+        mt, labels = self.toy_samples()
+        args = (mt * scale, labels, 2, TrainConfig(learning_rate=lr, epochs=8, seed=seed))
+        sums = []
+        want = train_outcome(lambda *a: train_temporaries(*a, sums=sums), *args)
+        assert any(1e300 <= s < 1.8e308 for s in sums)
+        assert (sums[-1] == math.inf) is diverges
+        assert (want == DIVERGED_MESSAGE) is diverges
+        assert train_outcome(train, *args) == want
+
+    @pytest.mark.parametrize("nodes", [True, np.bool_(True), 2.5, np.float64(2.0), "3", None])
+    def test_relu_nodes_not_an_integer_rejected(self, nodes):
+        with pytest.raises(ValueError, match="^relu nodes must be an integer$"):
+            train(*self.toy_samples(), nodes)
+
+    @pytest.mark.parametrize("nodes", [np.int64(2), np.uint8(2), np.uint64(2)])
+    def test_relu_nodes_take_numpy_integers(self, nodes):
+        cfg = TrainConfig(epochs=3)
+        assert (train_outcome(train, *self.toy_samples(), nodes, cfg)
+                == train_outcome(train, *self.toy_samples(), 2, cfg))
+
     @pytest.mark.parametrize("fields,message", [
         (dict(epochs=2.5), "epochs must be an integer"),
         (dict(epochs=True), "epochs must be an integer"),
@@ -230,19 +267,8 @@ class TestTrain:
     def test_equals_trainer_with_temporaries(self, data, relu_nodes, epochs, lr, seed):
         # the same floats, and the same inputs diverge, as the loop that
         # made fresh arrays every step
-        mt, labels = data
-        cfg = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed)
-        try:
-            want, want_acc = train_temporaries(mt, labels, relu_nodes, cfg)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                train(mt, labels, relu_nodes, cfg)
-            return
-        got, acc = train(mt, labels, relu_nodes, cfg)
-        assert np.array_equal(got.pre_layers[0], want.pre_layers[0])
-        assert np.array_equal(got.post_layers[0], want.post_layers[0])
-        assert got.threshold == want.threshold
-        assert acc == want_acc
+        args = (*data, relu_nodes, TrainConfig(learning_rate=lr, epochs=epochs, seed=seed))
+        assert train_outcome(train, *args) == train_outcome(train_temporaries, *args)
 
     @settings(deadline=None, max_examples=50)
     @given(training_sets(3, 12), st.integers(1, 5), st.integers(1, 20),
@@ -264,6 +290,31 @@ class TestTrain:
         assert len(got.pre_layers) == len(got.post_layers) == 1
         assert got.threshold == want.threshold
         assert acc == want_acc
+
+
+# OpenBLAS, built with DYNAMIC_ARCH, reads its kernel and thread count when
+# it loads, so each setting runs in a fresh interpreter; the variables are
+# set on the child only.  The trainer and the oracle must give the same
+# bytes, or the same error, on every seeded call under every setting.
+SWEEP = ("import json; from annlogic.network import train; "
+         "from oracles import seeded_trainings, train_outcome, train_temporaries; "
+         "print(json.dumps([[train_outcome(t, *call) for t in (train, train_temporaries)] "
+         "for call in seeded_trainings(120)]))")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
+def test_equals_temporaries_on_every_blas_kernel(core, threads):
+    paths = (Path(annlogic.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run([sys.executable, "-c", SWEEP], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    pairs = json.loads(done.stdout)
+    assert [i for i, (got, want) in enumerate(pairs) if got != want] == []
+    # both the trained and the diverged paths ran
+    assert 0 < sum(got == DIVERGED_MESSAGE for got, _ in pairs) < len(pairs)
 
 
 class TestChooseThreshold:
