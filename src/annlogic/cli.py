@@ -9,7 +9,7 @@ import csv
 import io
 import sys
 import warnings
-from itertools import compress, count, islice, product
+from itertools import compress, count, product
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +17,12 @@ import numpy as np
 from . import analysis, logiccode, network, partition, qldt
 from .encoding import FUZZIFIER_KINDS, MAX_ATTRIBUTES, fit_fuzzifier, fuzzify, minterm_transform
 
+_CHUNK_CHARS = 2**16  # dataset body text per np.loadtxt call: ~420 rows of 9 repr numbers
+
 
 def load_dataset(path, label_column):
-    """Read a CSV with a header row; returns (attribute names, X, y): the
-    (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
+    """Read a UTF-8 CSV with a header row; returns (attribute names, X, y):
+    the (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
     numbered as in the file, the header being row 1; blank rows are
     skipped.  A body of plain text (see `_is_plain`) is read by np.loadtxt,
     any other again from the top by the csv reader, which parses every
@@ -28,27 +30,43 @@ def load_dataset(path, label_column):
     p = Path(path)
     if not p.exists():
         raise ValueError(f"dataset file not found: {path}")
-    with open(p, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError(f"dataset file is empty: {path}") from None
-        except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise ValueError(f"row 1: {exc}") from None
-        if label_column not in header:
-            raise ValueError(f"label column {label_column!r} not in header {header}")
-        if len(header) - 1 > MAX_ATTRIBUTES:
-            raise ValueError(
-                f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
-            )
-        _reject_repeats(header, "dataset header")
-        table, row_no = _split_body(fh, len(header)) or _csv_body(fh, len(header))
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ValueError(f"dataset file is empty: {path}") from None
+            except csv.Error as exc:  # a field over csv.field_size_limit()
+                raise ValueError(f"row 1: {exc}") from None
+            if label_column not in header:
+                raise ValueError(f"label column {label_column!r} not in header {header}")
+            if len(header) - 1 > MAX_ATTRIBUTES:
+                raise ValueError(
+                    f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
+                )
+            _reject_repeats(header, "dataset header")
+            table, row_no = _split_body(fh, len(header)) or _csv_body(fh, len(header))
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(p)) from None
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
     label_idx = header.index(label_column)
     labels = table[:, label_idx]
     _reject_rows(~np.isin(labels, (0.0, 1.0)), row_no, "has a label other than 0 or 1")
     names = header[:label_idx] + header[label_idx + 1:]
     return names, np.delete(table, label_idx, axis=1), labels.astype(int)
+
+
+def _not_utf8(path):
+    """The error for a file that is not UTF-8: it names the row of the first
+    byte that does not decode, counting CR, LF and CRLF as line ends, as
+    the csv reader does.  The decoder's own position counts from the start
+    of its current read, not of the file."""
+    data = path.read_bytes()
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        row = len((data[:exc.start] + b".").splitlines())
+        return f"row {row}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
 def _is_plain(text):
@@ -59,25 +77,34 @@ def _is_plain(text):
 
 
 def _split_body(fh, width):
-    """(table, row_no) of the body, read by np.loadtxt 1,024 lines at a time;
-    None if a block is not plain after CRLF -> LF, holds a line over the
-    csv field limit, or a row that is not `width` numbers."""
-    tables, row_nos, first = [np.empty((0, width))], [np.empty(0, np.intp)], 2
-    while block := list(islice(fh, 1024)):
-        text = "".join(block).replace("\r\n", "\n")
-        if not _is_plain(text) or max(map(len, block)) > csv.field_size_limit():
-            return None
+    """(table, row_no) of the body, read by np.loadtxt in chunks of
+    _CHUNK_CHARS characters, each cut after its last LF and the rest carried
+    into the next; None if a chunk is not plain after CRLF -> LF, a line is
+    over the csv field limit, or a row is not `width` numbers."""
+    tables, row_nos, first, tail = [np.empty((0, width))], [np.empty(0, np.intp)], 2, ""
+    limit = csv.field_size_limit()
+    while True:
+        read = fh.read(_CHUNK_CHARS)
+        text = tail + read
+        cut = text.rfind("\n") + 1 if read else len(text)
+        text, tail = text[:cut], text[cut:]
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
         lines = text.split("\n")
-        filled = np.flatnonzero(list(map(len, lines)))
-        if len(filled):  # np.loadtxt warns on a block of blank lines
+        lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+        if not _is_plain(text) or max(lengths.max(), len(tail)) > limit:
+            return None
+        filled = np.flatnonzero(lengths)
+        if len(filled):  # np.loadtxt warns on a chunk of blank lines
             try:
                 rows = np.loadtxt(lines, delimiter=",", comments=None)
                 tables.append(rows.reshape(len(filled), width))
             except ValueError:  # ragged, not `width` wide, or a field float() rejects
                 return None
-        row_nos.append(filled + first)
-        first += len(block)
-    return np.concatenate(tables), np.concatenate(row_nos)
+            row_nos.append(filled + first)
+        first += len(lines) - 1
+        if not read:
+            return np.concatenate(tables), np.concatenate(row_nos)
 
 
 def _csv_body(fh, width):
@@ -87,6 +114,8 @@ def _csv_body(fh, width):
     reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
     try:
         records = list(reader)
+    except UnicodeDecodeError:
+        raise
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
     widths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))

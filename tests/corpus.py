@@ -42,7 +42,7 @@ from annlogic import cli  # noqa: E402
 from annlogic.encoding import FuzzifierSpec  # noqa: E402
 from annlogic.network import save_model  # noqa: E402
 from conftest import REF16_WEIGHTS, random_simple_ann, synthetic_banknote  # noqa: E402
-from test_cli import BAD_INPUTS  # noqa: E402
+from test_cli import BAD_INPUTS, write_input  # noqa: E402
 
 # Header names that a csv writer must quote or that a DOT label must escape.
 ODD_NAMES = (['q"t', "back\\slash", "line\r\nend", "x,y"],
@@ -232,7 +232,7 @@ def run_call(cwd, files, argv):
     `cwd`, after writing its input `files` there."""
     written = {}
     for name, text in files.items():
-        (cwd / name).write_text(text)
+        write_input(cwd / name, text)
         written[name] = (cwd / name).read_bytes()
     stdout, stderr = io.StringIO(), io.StringIO()
     home = os.getcwd()

@@ -230,7 +230,7 @@ MUTANTS = [
      "return text.isascii()",
      ["test_dataset.py"]),
     ("fast-path-no-field-limit-check", "cli.py",
-     " or max(map(len, block)) > csv.field_size_limit()", "",
+     " or max(lengths.max(), len(tail)) > limit", "",
      ["test_dataset.py"]),
     ("fast-path-blank-lines-out-of-row-numbers", "cli.py",
      "row_nos.append(filled + first)", "row_nos.append(np.arange(len(filled)) + first)",
@@ -238,6 +238,34 @@ MUTANTS = [
     ("fast-path-accepts-wrong-width", "cli.py",
      "rows.reshape(len(filled), width)", "rows.reshape(-1, width)",
      ["test_dataset.py"]),
+    # the chunked reader: it is taken on plain text, rejoins a CRLF and a line
+    # cut by a read, reads the last line without an LF and counts every line;
+    # a byte that is not UTF-8 names its row, on either path
+    ("fast-path-never-taken", "cli.py",
+     "    limit = csv.field_size_limit()\n", "    return None\n",
+     ["test_dataset.py"]),
+    ("chunk-crlf-split-not-rejoined", "cli.py",
+     'text = tail + read\n'
+     '        cut = text.rfind("\\n") + 1 if read else len(text)\n'
+     '        text, tail = text[:cut], text[cut:]\n'
+     '        if "\\r" in text:\n'
+     '            text = text.replace("\\r\\n", "\\n")\n',
+     'text = tail + read.replace("\\r\\n", "\\n")\n'
+     '        cut = text.rfind("\\n") + 1 if read else len(text)\n'
+     '        text, tail = text[:cut], text[cut:]\n',
+     ["test_dataset.py"]),
+    ("chunk-last-line-dropped", "cli.py",
+     'cut = text.rfind("\\n") + 1 if read else len(text)', 'cut = text.rfind("\\n") + 1',
+     ["test_dataset.py"]),
+    ("chunk-row-count-off-by-one", "cli.py",
+     "first += len(lines) - 1", "first += len(lines)",
+     ["test_dataset.py"]),
+    ("not-utf8-row-counts-lf-only", "cli.py",
+     'len((data[:exc.start] + b".").splitlines())', 'data.count(b"\\n", 0, exc.start) + 1',
+     ["test_cli.py"]),
+    ("not-utf8-hidden-by-csv-reader", "cli.py",
+     "    except UnicodeDecodeError:\n        raise\n", "",
+     ["test_cli.py"]),
     # explain's weights.csv from whole columns, the parser of one subcommand
     # and unique column names
     ("weights-csv-body-lf", "cli.py",

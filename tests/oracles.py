@@ -813,7 +813,7 @@ def load_dataset_csv(path, label_column):
     p = Path(path)
     if not p.exists():
         raise ValueError(f"dataset file not found: {path}")
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -880,8 +880,9 @@ def dataset_texts(draw):
     """The text of a dataset CSV with a "label" column: runs of valid rows
     (repr floats, 0/1 labels) mixed with odd fields, odd lines and odd line
     ends (a lone CR, an LF line in a CRLF file), LF or CRLF throughout and
-    maybe no final newline.  A long run of rows spans more than one of
-    cli.load_dataset's 1,024-line blocks."""
+    maybe no final newline.  A long run of rows (1,000 to 1,100 rows of 1
+    to 4 fields, 2 to 75 KB) may span two of cli.load_dataset's 64 KiB
+    chunks; the tests also read each text in chunks of a few characters."""
     width = draw(st.integers(1, 4))
     header = [f"a{j}" for j in range(1, width)]
     header.insert(draw(st.integers(0, width - 1)), "label")

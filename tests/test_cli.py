@@ -412,6 +412,10 @@ QUOTED_EMPTY_CSV = 'a,b,label\n0.1,0.2,0\n0.3,"",0\n'
 # one field past the csv module's default field size limit of 131,072
 LONG_HEADER_CSV = "a" * 131_073 + ",label\n0.1,0\n"
 LONG_FIELD_CSV = "a,label\n0.1,0\n" + "1" * 131_073 + ",0\n"
+# bytes that are not UTF-8, written as they are; the body's is at file
+# offset 24,010, in the decoder's fourth 8 KiB read
+NOT_UTF8_HEADER_CSV = b"a\xff,label\n0.1,0\n"
+NOT_UTF8_BODY_CSV = b"a,label\n" + b"0.1,0\n" * 4000 + b"0.\xff,1\n"
 L1_MODEL = json.dumps(_model_doc([[[0.1, 0.2, 0.3, 0.4]]]))
 ONE_ATTRIBUTE_MODEL = json.dumps(dict(
     _model_doc([[[0.1, 0.2]]], fuzzifier={"kind": "minmax", "lo": [0.0], "hi": [1.0]}),
@@ -596,6 +600,11 @@ BAD_INPUTS = {
          "--out-dir", "out"]),
     "csv-row-wider-than-header": (
         {"bad.csv": WIDE_ROW_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-header-not-utf8": (
+        {"bad.csv": NOT_UTF8_HEADER_CSV}, ["train", "--data", "bad.csv", "--model", "m.json"]),
+    "csv-body-not-utf8": (
+        {"bad.csv": NOT_UTF8_BODY_CSV, "model.json": ONE_ATTRIBUTE_MODEL},
+        ["partition", "--model", "model.json", "--data", "bad.csv"]),
     "csv-13-attributes": (
         {"bad.csv": ",".join(f"a{j}" for j in range(13)) + ",label\n" + "0," * 13 + "1\n"},
         ["train", "--data", "bad.csv", "--model", "m.json"]),
@@ -696,6 +705,14 @@ BAD_INPUTS = {
 }
 
 
+def write_input(path, text):
+    """Write an input file given as text, or as bytes."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+
+
 @pytest.mark.parametrize("files,argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
                                                files, argv):
@@ -703,7 +720,7 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
     (tmp_path / "ref16.txt").write_text("\n".join(str(w) for w in REF16_WEIGHTS))
     synthetic_banknote(tmp_path / "bank.csv", rows=20)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        write_input(tmp_path / name, text)
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
@@ -724,10 +741,24 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
                  id="header-field-over-limit"),
     pytest.param(LONG_FIELD_CSV, "row 3: field larger than field limit (131072)",
                  id="row-field-over-limit"),
+    pytest.param(NOT_UTF8_HEADER_CSV, "row 1: byte 0xff is not UTF-8 (invalid start byte)",
+                 id="not-utf8-header"),
+    pytest.param(NOT_UTF8_BODY_CSV, "row 4002: byte 0xff is not UTF-8 (invalid start byte)",
+                 id="not-utf8-body"),
+    pytest.param(b"a,label\r0.1,0\r\n0.2,1\r\xe9\n",
+                 "row 4: byte 0xe9 is not UTF-8 (invalid continuation byte)",
+                 id="not-utf8-after-cr-line-ends"),
+    pytest.param(b"a,label\n0.1,0\n\xe2\x82",
+                 "row 3: byte 0xe2 is not UTF-8 (unexpected end of data)",
+                 id="not-utf8-cut-short"),
+    # the quote sends the body to the csv reader before the byte is decoded
+    pytest.param(b'a,label\n"0.1",0\n' + b"0.1,0\n" * 20_000 + b"\xff,1\n",
+                 "row 20003: byte 0xff is not UTF-8 (invalid start byte)",
+                 id="not-utf8-csv-reader"),
 ])
 def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     data = tmp_path / "bad.csv"
-    data.write_text(text)
+    write_input(data, text)
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -1,14 +1,22 @@
 """cli.load_dataset against the csv-reader oracle: the same (names, X, y)
 bit for bit, or the same error text, on any CSV text."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import annlogic
 from annlogic import cli
 from annlogic.cli import load_dataset
+from conftest import synthetic_banknote
 from oracles import dataset_texts, load_dataset_csv
 
 
@@ -100,11 +108,17 @@ def test_only_number_characters_commas_and_lf_are_plain(text, plain):
     assert cli._is_plain(text) is plain
 
 
+def tall_text(n_rows):
+    """A CSV as the benchmark's tall-n8 workload writes it: 8 repr floats and
+    a 0/1 label a row, LF line ends."""
+    return (",".join(f"x{j}" for j in range(8)) + ",label\n"
+            + "\n".join(rows(n_rows, width=9)) + "\n")
+
+
 @pytest.mark.parametrize("n_rows", [3000, 50_000])
 def test_peak_memory_is_no_higher_than_the_csv_reader(tmp_path, n_rows):
     data = tmp_path / "d.csv"
-    data.write_text(",".join(f"x{j}" for j in range(8)) + ",label\n"
-                    + "\n".join(rows(n_rows, width=9)) + "\n")
+    data.write_text(tall_text(n_rows))
     peaks = []
     for load in (load_dataset_csv, load_dataset):
         tracemalloc.start()
@@ -114,3 +128,72 @@ def test_peak_memory_is_no_higher_than_the_csv_reader(tmp_path, n_rows):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+
+
+# Chunk sizes, in characters, at which the reader runs again besides its
+# default: between them they split a CRLF across two reads, read a line
+# longer than a chunk and a chunk of blank lines only (see below).
+SMALL_CHUNKS = (1, 2, 7, 64)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+def test_reads_as_the_csv_reader_in_chunks_of(tmp_path, monkeypatch, text, chunk):
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+    assert_reads_as_oracle(tmp_path / "d.csv", text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset_texts(), st.sampled_from(SMALL_CHUNKS))
+def test_reads_as_the_csv_reader_in_small_chunks(tmp_path_factory, text, chunk):
+    with mock.patch.object(cli, "_CHUNK_CHARS", chunk):
+        assert_reads_as_oracle(tmp_path_factory.mktemp("csv") / "d.csv", text)
+
+
+def test_the_small_chunks_cross_every_kind_of_boundary():
+    """Some case's body, read in one of SMALL_CHUNKS, has a CRLF split across
+    two reads, a read inside one line, a read of blank lines only and a
+    last line without an LF."""
+    reads = [[body[i:i + chunk] for i in range(0, len(body), chunk)]
+             for body in (text.partition("\n")[2] for text in CASES.values()) if body
+             for chunk in SMALL_CHUNKS]
+    kinds = {
+        "crlf-split": lambda r: any(a[-1] == "\r" and b[0] == "\n" for a, b in zip(r, r[1:])),
+        "inside-a-line": lambda r: any("\n" not in a for a in r[:-1]),
+        "blank-lines-only": lambda r: any(set(a) == {"\n"} for a in r),
+        "last-line-without-lf": lambda r: r[-1][-1] != "\n",
+    }
+    for kind, seen in kinds.items():
+        assert any(map(seen, reads)), kind
+
+
+def _not_the_csv_reader(fh, width):
+    raise AssertionError("the csv reader ran")
+
+
+@pytest.mark.parametrize("chunk", [7, 64, cli._CHUNK_CHARS])
+@pytest.mark.parametrize("kind", ["tall-lf", "banknote-crlf"])
+def test_a_plain_file_is_read_without_the_csv_reader(tmp_path, monkeypatch, kind, chunk):
+    path = tmp_path / "d.csv"
+    if kind == "tall-lf":
+        path.write_text(tall_text(3000))
+    else:
+        synthetic_banknote(path)
+    want = outcome(load_dataset_csv, path)
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(cli, "_csv_body", _not_the_csv_reader)
+    assert outcome(load_dataset, path) == want
+
+
+def test_a_dataset_is_read_as_utf8_under_any_locale(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes("\u00e9,label\n0.5,1\n".encode())
+    code = ("import locale; from annlogic.cli import load_dataset; "
+            f"names, X, y = load_dataset({str(path)!r}, 'label'); "
+            "print(locale.getpreferredencoding(False), ascii(names))")
+    env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(annlogic.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ANSI_X3.4-1968", "['\\xe9']"]
