@@ -22,18 +22,20 @@ _CHUNK_CHARS = 2**16  # dataset body text per np.loadtxt call: ~420 rows of 9 re
 
 def load_dataset(path, label_column):
     """Read a UTF-8 CSV with a header row; returns (attribute names, X, y):
-    the (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
-    numbered as in the file, the header being row 1; blank rows are
-    skipped.  A body of plain text (see `_is_plain`) is read by np.loadtxt,
-    any other again from the top by the csv reader, which parses every
-    unquoted field as a number.  Both read a field as float() does."""
+    the (N, n) float attribute values and the (N,) 0/1 int labels.  A row is
+    numbered by the file line it starts on, the header's first line being 1;
+    blank rows are skipped.  A body of plain text (see `_is_plain`) is read
+    by np.loadtxt, any other again from the top by the csv reader, which
+    parses every unquoted field as a number.  Both read a field as float()
+    does."""
     p = Path(path)
     if not p.exists():
         raise ValueError(f"dataset file not found: {path}")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
+            head = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(head)
             except StopIteration:
                 raise ValueError(f"dataset file is empty: {path}") from None
             except csv.Error as exc:  # a field over csv.field_size_limit()
@@ -45,7 +47,8 @@ def load_dataset(path, label_column):
                     f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
                 )
             _reject_repeats(header, "dataset header")
-            table, row_no = _split_body(fh, len(header)) or _csv_body(fh, len(header))
+            table, row_no = (_split_body(fh, len(header), head.line_num + 1)
+                             or _csv_body(fh, len(header)))
     except UnicodeDecodeError:
         raise ValueError(_not_utf8(p)) from None
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
@@ -76,12 +79,13 @@ def _is_plain(text):
     return not text.encode().translate(None, b"0123456789+-.eE,\n")
 
 
-def _split_body(fh, width):
-    """(table, row_no) of the body, read by np.loadtxt in chunks of
-    _CHUNK_CHARS characters, each cut after its last LF and the rest carried
-    into the next; None if a chunk is not plain after CRLF -> LF, a line is
-    over the csv field limit, or a row is not `width` numbers."""
-    tables, row_nos, first, tail = [np.empty((0, width))], [np.empty(0, np.intp)], 2, ""
+def _split_body(fh, width, first):
+    """(table, row_no) of the body, whose first line is file line `first`, read
+    by np.loadtxt in chunks of _CHUNK_CHARS characters, each cut after its last
+    LF and the rest carried into the next; None if a chunk is not plain after
+    CRLF -> LF, a line is over the csv field limit, or a row is not `width`
+    numbers."""
+    tables, row_nos, tail = [np.empty((0, width))], [np.empty(0, np.intp)], ""
     limit = csv.field_size_limit()
     while True:
         read = fh.read(_CHUNK_CHARS)
@@ -108,19 +112,24 @@ def _split_body(fh, width):
 
 
 def _csv_body(fh, width):
-    """(table, row_no) of the body, read again from the top by the csv reader."""
+    """(table, row_no) of the body, read again from the top by the csv reader;
+    a record's row is the file line it starts on."""
     fh.seek(0)
-    next(csv.reader(fh))
+    head = csv.reader(fh)
+    next(head)
     reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+    records, ends = [], [head.line_num]  # the file line each record ends on
     try:
-        records = list(reader)
+        for record in reader:
+            records.append(record)
+            ends.append(head.line_num + reader.line_num)
     except UnicodeDecodeError:
         raise
     except (ValueError, csv.Error) as exc:
-        raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
+        raise ValueError(f"row {ends[-1] + 1}: {exc}") from None
     widths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     filled = widths > 0
-    row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
+    row_no = np.array(ends[:-1], dtype=np.intp)[filled] + 1  # file row of each non-blank record
     _reject_rows(widths[filled] != width, row_no,
                  f"has a column count other than the header's {width}")
     records = list(compress(records, filled))
@@ -380,10 +389,9 @@ def cmd_explain(args):
             f"level 2^-{bcl}: set_bits={set_bits} "
             f"energy={_fmt(absolute)} ({_fmt(relative, 1)}%)"
         )
-    trees = qldt.build_qldts(bt)
-    for bcl in range(len(trees.roots)):
+    for bcl, dot in enumerate(qldt.render(qldt.build_qldts(bt), names)):
         dot_path = out_dir / f"level_{bcl}.dot"
-        dot_path.write_text(qldt.render(trees, names, bcl))
+        dot_path.write_text(dot)
         print(f"tree level 2^-{bcl}: {dot_path}")
 
     if data is not None and spec is not None:

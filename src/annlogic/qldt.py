@@ -10,6 +10,7 @@ The trees of all levels share one `NodeTable`; a tree is a root in it.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -57,14 +58,11 @@ def build_qldts(bt: BitTensor) -> NodeTable:
         if not inner.size:
             depths.append((pos == width, inner, inner, inner))
             break
-        axis = _best_axes(truth[inner], pos[inner], index_bits)
+        rows = truth[inner]
+        axis = _best_axes(rows, pos[inner], index_bits)
         k, m, half = len(inner), attrs.shape[1], width // 2
-        children = np.empty((2, k, half), dtype=bool)  # the low halves, then the high ones
-        for a in range(m):  # a row over m attributes is a (2,)^m tensor; cut it on axis a
-            rows = axis == a
-            cut = truth[inner[rows]].reshape(-1, 2**a, 2, half >> a)
-            children[:, rows] = np.moveaxis(cut, 2, 0).reshape(2, -1, half)
-        children = children.reshape(2 * k, half)
+        high = index_bits[:width, -m:].T[axis] > 0  # each row's entries in its axis's 1-half
+        children = np.concatenate([rows[~high], rows[high]]).reshape(2 * k, half)  # low, high
         rest = np.tile(attrs[inner][np.arange(m) != axis[:, None]].reshape(k, m - 1), (2, 1))
         depth = (pos == width, inner, attrs[inner, axis])
         truth, attrs, child = _intern(children, rest)
@@ -130,30 +128,32 @@ _TAILS = (' [label="inactive", shape=box];\n  n', ' [label="active", shape=box];
           " -> n", " [style=dashed];\n  n", " -> n", " [style=solid];\n  n")
 
 
-def render(t: NodeTable, names: list[str] | None = None, level: int = 0) -> str:
-    """Deterministic DOT rendering of tree `level`: nodes numbered in preorder,
-    dashed low edges, solid high edges, low before high, a split's edges after
-    its subtrees.  A label escapes backslashes and double quotes and writes each
-    line end (CRLF, CR or LF) as \\n.  Pieces are placed one depth at a time:
-    a subtree of s nodes spans 3s - 2 of them, its edges the last four."""
+def render(t: NodeTable, names: list[str] | None = None) -> Iterator[str]:
+    """Deterministic DOT rendering of each tree, in `roots` order, made as it is
+    yielded: nodes numbered in preorder, dashed low edges, solid high edges, low
+    before high, a split's edges after its subtrees.  A label escapes \\ and " and
+    writes each line end (CRLF, CR or LF) as \\n.  Pieces are placed one depth at
+    a time: a subtree of s nodes spans 3s - 2 of them, its edges the last four."""
     labels = [re.sub(r"\r\n?|\n", r"\\n", name.replace("\\", "\\\\").replace('"', '\\"'))
               for name in names] if names else [f"a{a + 1}" for a in range(t.attribute.max() + 1)]
     tails = np.array([*_TAILS, *(f' [label="{x}"];\n  n' for x in labels)], dtype=object)
-    size, span, root = t.size, 3 * t.size - 2, t.roots[level]
-    kind, number = np.empty((2, span[root]), dtype=np.int64)
+    size, span = t.size, 3 * t.size - 2
     row = np.arange(len(size))
     row_kind = np.where(row > 1, t.attribute + len(_TAILS), row)
     # a node is (table row, preorder number, first piece); a split's children add these
     to_low = np.array([t.low - row, np.ones_like(row), np.ones_like(row)])
     to_high = np.array([t.high - row, 1 + size[t.low], 1 + span[t.low]])
-    nodes, splits = np.array([[root], [0], [0]]), []  # nodes: one depth's, as columns
-    while nodes.size:
-        kind[nodes[2]], number[nodes[2]] = row_kind[nodes[0]], nodes[1]
-        splits.append(nodes := nodes[:, nodes[0] > 1])
-        nodes = np.concatenate([nodes + to_low[:, nodes[0]], nodes + to_high[:, nodes[0]]], axis=1)
-    v, p, at = np.concatenate(splits, axis=1)
-    edges = (at + span[v] - 4)[:, None] + np.arange(4)
-    kind[edges], number[edges] = np.arange(2, 6), np.array([p, p + 1, p, p + to_high[1, v]]).T
-    ids = np.array(list(map(str, range(size[root]))), dtype=object)
-    text = np.array([ids[number], tails[kind]]).T.ravel().tolist()
-    return "digraph qldt {\n  n" + "".join(text)[:-3] + "}\n"
+    ids = np.array(list(map(str, range(size[list(t.roots)].max()))), dtype=object)
+    for root in t.roots:
+        kind, number = np.empty((2, span[root]), dtype=np.int64)
+        nodes, splits = np.array([[root], [0], [0]]), []  # nodes: one depth's, as columns
+        while nodes.size:
+            kind[nodes[2]], number[nodes[2]] = row_kind[nodes[0]], nodes[1]
+            splits.append(nodes := nodes[:, nodes[0] > 1])
+            nodes = np.hstack([nodes + to_low[:, nodes[0]], nodes + to_high[:, nodes[0]]])
+        v, p, at = np.concatenate(splits, axis=1)
+        edges = (at + span[v] - 4)[:, None] + np.arange(4)
+        kind[edges], number[edges] = np.arange(2, 6), np.array([p, p + 1, p, p + to_high[1, v]]).T
+        # unnamed, the pieces are freed before the caller gets the text
+        yield "digraph qldt {\n  n" + "".join(
+            np.array([ids[number], tails[kind]]).T.ravel().tolist())[:-3] + "}\n"

@@ -154,6 +154,9 @@ def calls(texts):
         ("explain-n12-cell7-bcl3", m12, ["explain", "--model", "m12.json", "--cell", "7", *out]),
         ("explain-n12-cell7-bcl5", m12, ["explain", "--model", "m12.json", "--cell", "7",
                                          "--bcl-max", "5", *out]),
+        # 53 trees of up to ~5,000 nodes: the most text that explain renders
+        ("explain-n12-cell7-bcl52", m12, ["explain", "--model", "m12.json", "--cell", "7",
+                                          "--bcl-max", "52", *out]),
         ("explain-n12-cell0", m12, ["explain", "--model", "m12.json", "--cell", "0", *out]),
         ("explain-l70-big-cell", m70, ["explain", "--model", "m3x70.json", "--cell", CELL_L70,
                                        "--data", "rows3.csv", *out]),

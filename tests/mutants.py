@@ -266,6 +266,13 @@ MUTANTS = [
     ("not-utf8-hidden-by-csv-reader", "cli.py",
      "    except UnicodeDecodeError:\n        raise\n", "",
      ["test_cli.py"]),
+    # a row is numbered by the file line it starts on, after every header line
+    ("fast-path-header-one-line", "cli.py",
+     "_split_body(fh, len(header), head.line_num + 1)", "_split_body(fh, len(header), 2)",
+     ["test_dataset.py"]),
+    ("csv-reader-rows-by-record", "cli.py",
+     "ends.append(head.line_num + reader.line_num)", "ends.append(ends[-1] + 1)",
+     ["test_dataset.py"]),
     # explain's weights.csv from whole columns, the parser of one subcommand
     # and unique column names
     ("weights-csv-body-lf", "cli.py",
@@ -344,12 +351,16 @@ MUTANTS = [
     ("memory-error-not-caught", "cli.py",
      "except (ValueError, OSError, MemoryError) as exc:", "except (ValueError, OSError) as exc:",
      ["test_cli.py"]),
-    # QLDT splits on the largest count gap, cut from the (2,)^m view of a truth row
+    # QLDT splits on the largest count gap, its halves cut by one mask a depth
     ("qldt-gap-signed", "qldt.py",
      "np.argmax(np.abs(2 * high - pos[:, None]), axis=1)", "np.argmax(2 * high - pos[:, None], axis=1)",
      ["test_qldt.py"]),
     ("qldt-split-halves-swapped", "qldt.py",
-     "np.moveaxis(cut, 2, 0)", "np.moveaxis(cut[:, :, ::-1], 2, 0)",
+     "np.concatenate([rows[~high], rows[high]])", "np.concatenate([rows[high], rows[~high]])",
+     ["test_qldt.py"]),
+    # render makes the node numbers once per table, for its largest tree
+    ("render-ids-sized-by-first-root", "qldt.py",
+     "range(size[list(t.roots)].max())", "range(size[t.roots[0]])",
      ["test_qldt.py"]),
     # read-only records: equal only within their type; a seed is a non-negative integer
     ("record-eq-ignores-type", "encoding.py",

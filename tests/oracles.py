@@ -807,15 +807,17 @@ def compose_cell_weights(singles, p):
 # commas: every row goes through the csv reader.
 def load_dataset_csv(path, label_column):
     """Read a CSV with a header row; returns (attribute names, X, y): the
-    (N, n) float attribute values and the (N,) 0/1 int labels.  Rows are
-    numbered as in the file, the header being row 1; blank rows are
-    skipped.  The csv reader parses every unquoted field as a number."""
+    (N, n) float attribute values and the (N,) 0/1 int labels.  A row is
+    numbered by the file line it starts on, the header's first line being 1;
+    blank rows are skipped.  The csv reader parses every unquoted field as a
+    number."""
     p = Path(path)
     if not p.exists():
         raise ValueError(f"dataset file not found: {path}")
     with open(p, newline="", encoding="utf-8") as fh:
+        head = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(head)
         except StopIteration:
             raise ValueError(f"dataset file is empty: {path}") from None
         except csv.Error as exc:  # a field over csv.field_size_limit()
@@ -827,13 +829,17 @@ def load_dataset_csv(path, label_column):
                 f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
             )
         reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+        records, starts, start = [], [], head.line_num + 1
         try:
-            records = list(reader)
+            for record in reader:
+                records.append(record)
+                starts.append(start)
+                start = head.line_num + reader.line_num + 1
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
+            raise ValueError(f"row {start}: {exc}") from None
     width = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     filled = width > 0
-    row_no = np.flatnonzero(filled) + 2  # file row of each non-blank record
+    row_no = np.array(starts, dtype=np.intp)[filled]  # file row of each non-blank record
     _reject_rows(width[filled] != len(header), row_no,
                  f"has a column count other than the header's {len(header)}")
     records = list(compress(records, filled))

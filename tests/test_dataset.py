@@ -74,6 +74,8 @@ CASES = {
     "number-over-field-limit": "a,label\n" + "0" * 131_072 + "1,0\n",
     "number-at-field-limit": "a,label\n" + "0" * 131_071 + "1,0\n",
     "quoted-header": '"a,1",b,label\n0.1,0.2,0\n',
+    "header-over-two-lines": 'a,"b\nc",label\n0.1,0.2,0\n\n0.3,0.4,2\n',
+    "record-over-two-lines": 'a,label\n"0.5\n",0\n0.2,2\n',
 }
 
 
@@ -87,6 +89,23 @@ def test_row_numbers_count_blank_lines_across_blocks(tmp_path, capsys):
     data.write_text("a,b,label\n\n" + LONG + "\n\n0.1,0.2,2\n")
     assert cli.main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == "error: row 1505 has a label other than 0 or 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(b'a,"b\nc",label\n0.1,0.2,0\n0.1,x,1\n',
+                 "row 4: could not convert string to float: 'x'", id="csv-reader"),
+    pytest.param(b'a,"b\nc",label\n0.1,0.2,2\n', "row 3 has a label other than 0 or 1",
+                 id="plain"),
+    pytest.param(b'a,"b\nc",label\n0.1,0.2,0\n0.1,\xff,1\n',
+                 "row 4: byte 0xff is not UTF-8 (invalid start byte)", id="not-utf8"),
+    pytest.param(b'a,label\n"0.5\n",0\n0.2,2\n', "row 4 has a label other than 0 or 1",
+                 id="after-a-record-over-two-lines"),
+])
+def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, capsys, text, message):
+    data = tmp_path / "d.csv"
+    data.write_bytes(text)
+    assert cli.main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text,plain", [

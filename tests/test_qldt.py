@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +83,8 @@ class TestBuildQldt:
         assert root.low.high is root.high.low
         assert root.low.low != root.low.high
         assert len(t.attribute) == 2 + 1 + 2 + 2
-        assert render(t).count("label=\"a3\"") == 4
+        [dot] = render(t)
+        assert dot.count("label=\"a3\"") == 4
 
     def test_two_levels_are_not_an_expression(self):
         with pytest.raises(ValueError, match="^a logic expression has one level$"):
@@ -96,8 +98,7 @@ class TestBuildQldts:
         _, tables = drawn
         trees = build_qldts(BitTensor(tables))
         assert len(trees.roots) == len(tables)
-        for level, t in enumerate(tables):
-            assert render(trees, level=level) == render_lines(qldt_recursive(expression(t)))
+        assert list(render(trees)) == [render_lines(qldt_recursive(expression(t))) for t in tables]
 
     @settings(deadline=None, max_examples=60)
     @given(truth_tables(8, 5))
@@ -106,17 +107,17 @@ class TestBuildQldts:
         bt = BitTensor(tables)
         levels = range(bt.bcl_max + 1)
         trees = build_qldts(bt)
-        assert [as_split(trees, b) for b in levels] == [as_split(build_qldt(level_expression(bt, b)))
-                                                    for b in levels]
+        alone = [build_qldt(level_expression(bt, b)) for b in levels]
+        assert [as_split(trees, b) for b in levels] == [as_split(t) for t in alone]
+        assert list(render(trees)) == [render_lines(as_split(t)) for t in alone]
 
     @pytest.mark.parametrize("n", range(4))
     def test_every_truth_table_matches_recursive_induction(self, n):
         # all 2^(2^n) tables, each as its own tree and all as the levels of one tensor
         tables = (np.arange(2 ** 2**n)[:, None] >> np.arange(2**n)) & 1
         want = [render_lines(qldt_recursive(expression(t))) for t in tables]
-        assert [render(build_qldt(expression(t))) for t in tables] == want
-        trees = build_qldts(BitTensor(tables))
-        assert [render(trees, level=b) for b in range(len(tables))] == want
+        assert [dot for t in tables for dot in render(build_qldt(expression(t)))] == want
+        assert list(render(build_qldts(BitTensor(tables)))) == want
 
     def test_gain_orders_splits_as_the_count_gap_does(self):
         # the premise of _best_axes: the halves of an axis hold `half` entries
@@ -227,19 +228,19 @@ class TestEvalQldt:
 
 class TestRender:
     def test_dot_edges(self):
-        dot = render(build_qldt(expression((0, 1, 1, 1))), names=["a1", "a2"])
+        [dot] = render(build_qldt(expression((0, 1, 1, 1))), names=["a1", "a2"])
         assert dot.count("style=dashed") == 2
         assert dot.count("style=solid") == 2
         assert '"a2"' in dot and '"a1"' in dot
 
     def test_single_leaf(self):
-        dot = render(build_qldt(expression((1, 1, 1, 1))))
+        [dot] = render(build_qldt(expression((1, 1, 1, 1))))
         assert "->" not in dot
         assert "active" in dot
 
     def test_deterministic(self):
         t = build_qldt(expression((0, 1, 1, 0, 1, 0, 0, 1)))
-        assert render(t) == render(t)
+        assert list(render(t)) == list(render(t))
 
     @settings(max_examples=100, deadline=None)
     @given(truth_tables(7, 4), st.data())
@@ -249,8 +250,8 @@ class TestRender:
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
         trees = build_qldts(BitTensor(tables))
-        for level in range(len(tables)):
-            assert render(trees, names, level) == render_lines(as_split(trees, level), labels)
+        assert list(render(trees, names)) == [render_lines(tree, labels)
+                                              for tree in table_trees(trees)]
 
     @settings(max_examples=100, deadline=None)
     @given(truth_tables(6, 1), st.data())
@@ -271,7 +272,8 @@ class TestRender:
 
         walk(as_split(t))
         got = []
-        for line in render(t, names).split("\n"):
+        [dot] = render(t, names)
+        for line in dot.split("\n"):
             # a DOT quoted string: no bare double quote, each backslash opens a pair
             node = re.fullmatch(r'  n\d+ \[label="((?:[^"\\\r\n]|\\.)*)"(, shape=box)?\];', line)
             if node:
@@ -292,6 +294,17 @@ def bit_tensors(draw):
     return n, BitTensor(tables)
 
 
+@st.composite
+def growing_tensors(draw):
+    """bit_tensors over n >= 1 whose level 0 is a leaf or, for n >= 2, one split,
+    and whose last level, the parity of all n attributes, is a tree of 2^(n+1) - 1
+    nodes: what render makes once per table must cover trees larger than the first."""
+    n, bt = draw(bit_tensors().filter(lambda d: d[0] > 0))
+    k = np.arange(2**n)
+    first = draw(st.sampled_from([k < 0, k >= 0] + [k >> j & 1 for j in range(n) if n > 1]))
+    return n, BitTensor([first, *bt.bits, np.bitwise_count(k) & 1])
+
+
 class TestNodeTable:
     """The table against the trees of one Split object per node."""
 
@@ -306,12 +319,36 @@ class TestNodeTable:
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
         degrees = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
-        for level, tree in enumerate(want):
-            dot = render(t, names, level)
+        for level, (tree, dot) in enumerate(zip(want, render(t, names), strict=True)):
             assert dot == render_lines(tree, labels)
             nodes = re.findall(r"^  n\d+ \[label=", dot, flags=re.M)
             assert t.size[t.roots[level]] == len(nodes)
             assert abs(eval_qldt(t, degrees, level) - eval_split(tree, degrees)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(growing_tensors(), st.data())
+    def test_renders_later_trees_larger_than_the_first(self, drawn, data):
+        n, bt = drawn
+        t = build_qldts(bt)
+        assert t.size[t.roots[0]] < t.size[t.roots[-1]]
+        names = data.draw(st.none() | column_names(n))
+        labels = names and [dot_label_loop(name) for name in names]
+        assert list(render(t, names)) == [render_lines(tree, labels) for tree in qldts_split(bt)]
+
+    def test_renders_one_tree_at_a_time(self):
+        # 100 levels that take turns between two random functions of 8 attributes:
+        # the table holds two trees, the texts are 100 trees; taking each text as
+        # it comes peaks far below what all of them take together
+        pair = np.random.default_rng(0).integers(0, 2, (2, 256))
+        t = build_qldts(BitTensor(np.tile(pair, (50, 1))))
+        total = sum(map(len, render(t)))
+        tracemalloc.start()
+        try:
+            sum(map(len, render(t)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < total / 4
 
     def test_layout(self):
         t = build_qldts(BitTensor([(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 1)]))
