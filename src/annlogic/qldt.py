@@ -119,41 +119,40 @@ def eval_qldt(t: NodeTable, degrees, level: int = 0) -> float:
             value[v] = (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
         return value[v]
 
+    if not 0 <= level < len(t.roots):
+        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")
     return walk(t.roots[level])
-
-
-# A DOT piece is a number and the text up to the next: the two leaves, a split's four
-# edge pieces, then (in `render`) a split's node line per attribute; lines start "  n".
-_TAILS = (' [label="inactive", shape=box];\n  n', ' [label="active", shape=box];\n  n',
-          " -> n", " [style=dashed];\n  n", " -> n", " [style=solid];\n  n")
 
 
 def render(t: NodeTable, names: list[str] | None = None) -> Iterator[str]:
     """Deterministic DOT rendering of each tree, in `roots` order, made as it is
     yielded: nodes numbered in preorder, dashed low edges, solid high edges, low
     before high, a split's edges after its subtrees.  A label escapes \\ and " and
-    writes each line end (CRLF, CR or LF) as \\n.  Pieces are placed one depth at
-    a time: a subtree of s nodes spans 3s - 2 of them, its edges the last four."""
+    writes each line end (CRLF, CR or LF) as \\n.  `names` (a1, a2, ... if None)
+    must name every attribute the table splits on."""
+    need = int(t.attribute.max()) + 1
+    names = [f"a{a + 1}" for a in range(need)] if names is None else names
+    if len(names) < need:
+        raise ValueError(f"the trees need {need} attribute names, {len(names)} given")
     labels = [re.sub(r"\r\n?|\n", r"\\n", name.replace("\\", "\\\\").replace('"', '\\"'))
-              for name in names] if names else [f"a{a + 1}" for a in range(t.attribute.max() + 1)]
-    tails = np.array([*_TAILS, *(f' [label="{x}"];\n  n' for x in labels)], dtype=object)
-    size, span = t.size, 3 * t.size - 2
-    row = np.arange(len(size))
-    row_kind = np.where(row > 1, t.attribute + len(_TAILS), row)
-    # a node is (table row, preorder number, first piece); a split's children add these
-    to_low = np.array([t.low - row, np.ones_like(row), np.ones_like(row)])
-    to_high = np.array([t.high - row, 1 + size[t.low], 1 + span[t.low]])
-    ids = np.array(list(map(str, range(size[list(t.roots)].max()))), dtype=object)
+              for name in names]
+    # a piece is a node number or the text up to the next one: row v's tail, or edges
+    split_tails = [f' [label="{x}"];\n  n' for x in labels]  # rows share their attribute's
+    tails = [' [label="inactive", shape=box];\n  n', ' [label="active", shape=box];\n  n',
+             *map(split_tails.__getitem__, t.attribute[2:].tolist())]
+    low, high = t.low.tolist(), t.high.tolist()
+    ids = list(map(str, range(t.size[list(t.roots)].max())))
     for root in t.roots:
-        kind, number = np.empty((2, span[root]), dtype=np.int64)
-        nodes, splits = np.array([[root], [0], [0]]), []  # nodes: one depth's, as columns
-        while nodes.size:
-            kind[nodes[2]], number[nodes[2]] = row_kind[nodes[0]], nodes[1]
-            splits.append(nodes := nodes[:, nodes[0] > 1])
-            nodes = np.hstack([nodes + to_low[:, nodes[0]], nodes + to_high[:, nodes[0]]])
-        v, p, at = np.concatenate(splits, axis=1)
-        edges = (at + span[v] - 4)[:, None] + np.arange(4)
-        kind[edges], number[edges] = np.arange(2, 6), np.array([p, p + 1, p, p + to_high[1, v]]).T
-        # unnamed, the pieces are freed before the caller gets the text
-        yield "digraph qldt {\n  n" + "".join(
-            np.array([ids[number], tails[kind]]).T.ravel().tolist())[:-3] + "}\n"
+        pieces, number = ["digraph qldt {\n  n"], iter(ids).__next__
+
+        def walk(v):
+            p = number()
+            pieces.append(p)
+            pieces.append(tails[v])
+            if v > 1:
+                lo, hi = walk(low[v]), walk(high[v])
+                pieces.append(f"{p} -> n{lo} [style=dashed];\n  n{p} -> n{hi} [style=solid];\n  n")
+            return p
+        walk(root)
+        pieces[-1] = pieces[-1][:-3] + "}\n"
+        yield "".join(pieces)

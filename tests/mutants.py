@@ -127,8 +127,8 @@ MUTANTS = [
      "return a.shape[-1].bit_length() - 1", "return a.shape[-1].bit_length()",
      ["test_logiccode.py", "test_partition.py"]),
     ("render-edge-styles-swapped", "qldt.py",
-     '" [style=dashed];\\n  n", " -> n", " [style=solid];\\n  n"',
-     '" [style=solid];\\n  n", " -> n", " [style=dashed];\\n  n"',
+     "[style=dashed];\\n  n{p} -> n{hi} [style=solid]",
+     "[style=solid];\\n  n{p} -> n{hi} [style=dashed]",
      ["test_qldt.py", "test_cli.py"]),
     # overflow checks on finite weights
     ("scale-no-span-check", "logiccode.py",
@@ -290,7 +290,7 @@ MUTANTS = [
      ["test_cli.py"]),
     # DOT labels, trend's stdout and the printed digits
     ("dot-labels-unescaped", "qldt.py",
-     "for x in labels)], dtype=object)", "for x in names or labels)], dtype=object)",
+     "for x in labels]", "for x in names]",
      ["test_qldt.py", "test_corpus.py"]),
     ("trend-stdout-bare-commas", "cli.py",
      'csv.writer(head).writerow([*varied, "level_set", "value"])',
@@ -328,7 +328,7 @@ MUTANTS = [
      ["test_cli.py"]),
     # QLDTs as one node table, its DOT text and weights.csv from bit patterns
     ("render-low-high-swapped", "qldt.py",
-     "np.array([p, p + 1, p, p + to_high[1, v]]).T", "np.array([p, p + to_high[1, v], p, p + 1]).T",
+     "-> n{lo} [style=dashed];\\n  n{p} -> n{hi}", "-> n{hi} [style=dashed];\\n  n{p} -> n{lo}",
      ["test_qldt.py"]),
     ("qldt-size-counts-low-twice", "qldt.py",
      "size[rows] = 1 + size[lo[keep]] + size[hi[keep]]",
@@ -360,7 +360,15 @@ MUTANTS = [
      ["test_qldt.py"]),
     # render makes the node numbers once per table, for its largest tree
     ("render-ids-sized-by-first-root", "qldt.py",
-     "range(size[list(t.roots)].max())", "range(size[t.roots[0]])",
+     "range(t.size[list(t.roots)].max())", "range(t.size[t.roots[0]])",
+     ["test_qldt.py"]),
+    # a tree's level is one of the table's roots; given names cover every split attribute
+    ("eval-qldt-level-unchecked", "qldt.py",
+     "    if not 0 <= level < len(t.roots):\n"
+     '        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")\n', "",
+     ["test_qldt.py"]),
+    ("render-names-count-unchecked", "qldt.py",
+     "if len(names) < need:", "if False:",
      ["test_qldt.py"]),
     # read-only records: equal only within their type; a seed is a non-negative integer
     ("record-eq-ignores-type", "encoding.py",

@@ -174,6 +174,12 @@ class TestEvalQldt:
         with pytest.raises(ValueError, match="^attribute index 2 out of range$"):
             eval_qldt(t, (0.5, 0.5))
 
+    def test_level_out_of_range(self):
+        t = build_qldts(BitTensor([(0, 1), (1, 0)]))
+        for level in (-1, 2):
+            with pytest.raises(ValueError, match=f"^level {level} out of range 0..1$"):
+                eval_qldt(t, (0.5,), level)
+
     def test_degree_out_of_range(self):
         t = build_qldt(expression((0, 1)))
         for bad in (1.5, -0.5, float("nan")):
@@ -237,6 +243,18 @@ class TestRender:
         [dot] = render(build_qldt(expression((1, 1, 1, 1))))
         assert "->" not in dot
         assert "active" in dot
+
+    def test_names_must_cover_every_split_attribute(self):
+        t = build_qldt(expression((0, 1, 1, 1)))  # splits on a1 and a2
+        for names in ([], ["x"]):
+            want = f"^the trees need 2 attribute names, {len(names)} given$"
+            with pytest.raises(ValueError, match=want):
+                list(render(t, names))
+        [dot] = render(t, ["x", "y", "unused"])
+        assert '"x"' in dot and '"y"' in dot and "unused" not in dot
+        # a table that splits on nothing needs no names
+        leaf = build_qldt(expression((1, 1)))
+        assert list(render(leaf, [])) == list(render(leaf))
 
     def test_deterministic(self):
         t = build_qldt(expression((0, 1, 1, 0, 1, 0, 0, 1)))
