@@ -42,7 +42,7 @@ from .logiccode import (
     project,
     scale_weights,
 )
-from .qldt import NodeTable, build_qldt, build_qldts, eval_qldt, render
+from .qldt import NodeTable, build_qldt, eval_qldt, render
 from .analysis import (
     ComparisonMetrics,
     TrendGrid,

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from .encoding import _Record, minterm_transform
+from .encoding import MAX_ATTRIBUTES, _is_int, _Record, minterm_transform
 from .logiccode import BitTensor
 
 MAX_RESOLUTION = 1001  # a 2-D grid holds ~1e6 points; writing them, not computing, bounds it
@@ -41,6 +41,8 @@ def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
             raise HypothesisSyntaxError(f"unexpected character {match[2]!r}", len(tokens) + 1)
         tokens.append(match[1])
     n = len(names)
+    if n > MAX_ATTRIBUTES:
+        raise ValueError(f"{n} attributes exceed the maximum of {MAX_ATTRIBUTES}")
     col = np.indices((2,) * n, dtype=bool).reshape(n, 2**n)
     # a repeated name binds its last column
     columns = {name: col[j] for j, name in enumerate(names)}
@@ -163,6 +165,8 @@ def trend_grid(
     fixed = fixed or {}
     if any(not 0 <= j < n for j in fixed):
         raise ValueError("fixed attribute index out of range")
+    if not _is_int(resolution):
+        raise ValueError("resolution must be an integer")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if resolution > MAX_RESOLUTION:

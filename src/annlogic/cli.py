@@ -389,7 +389,7 @@ def cmd_explain(args):
             f"level 2^-{bcl}: set_bits={set_bits} "
             f"energy={_fmt(absolute)} ({_fmt(relative, 1)}%)"
         )
-    for bcl, dot in enumerate(qldt.render(qldt.build_qldts(bt), names)):
+    for bcl, dot in enumerate(qldt.render(qldt.build_qldt(bt), names)):
         dot_path = out_dir / f"level_{bcl}.dot"
         dot_path.write_text(dot)
         print(f"tree level 2^-{bcl}: {dot_path}")

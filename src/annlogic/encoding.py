@@ -168,6 +168,11 @@ def fuzzify(X: np.ndarray, spec: FuzzifierSpec) -> np.ndarray:
     return np.clip(degrees, 0.0, 1.0)
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer and not a bool, which would read as 0 or 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _degrees(degrees) -> np.ndarray:
     """Degrees as a float array; NaN and values outside [0,1] are rejected."""
     d = np.asarray(degrees, dtype=float)

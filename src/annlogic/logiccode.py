@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoding import _Record
+from .encoding import _is_int, _Record
 from .partition import CellWeights, _arity, _freeze
 
 DEFAULT_BCL_MAX = 3
@@ -93,8 +93,11 @@ def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:
     """Round each weight to the nearest multiple of 2^-bcl_max (ties up)
     and expand it MSB-first over levels 2^0 .. 2^-bcl_max.  bcl_max is
     bounded by the 52-bit float mantissa, so the integer codes are exact."""
+    if not _is_int(bcl_max):
+        raise ValueError("bcl_max must be an integer")
     if not 0 <= bcl_max <= MAX_BCL:
         raise ValueError(f"bcl_max must lie in 0..{MAX_BCL}, got {bcl_max}")
+    bcl_max = int(bcl_max)  # a numpy uint8 would wrap in 2**bcl_max
     q = np.floor(sw.weights * 2**bcl_max + 0.5).astype(np.int64)
     shifts = np.arange(bcl_max, -1, -1)
     return BitTensor((q >> shifts[:, None]) & 1)
@@ -102,6 +105,8 @@ def bitcode(sw: ScaledCellWeights, bcl_max: int = DEFAULT_BCL_MAX) -> BitTensor:
 
 def level_expression(bt: BitTensor, bcl: int) -> BitTensor:
     """The logic expression of one bit-code level: its slice of the tensor."""
+    if not _is_int(bcl):
+        raise ValueError("level must be an integer")
     if not 0 <= bcl <= bt.bcl_max:
         raise ValueError(f"level {bcl} out of range 0..{bt.bcl_max}")
     return BitTensor(bt.bits[bcl:bcl + 1])

@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .encoding import MAX_ATTRIBUTES, FuzzifierSpec, _Record
+from .encoding import MAX_ATTRIBUTES, FuzzifierSpec, _is_int, _Record
 
 MAX_RELU_NODES = 1024  # at 2^12 inputs the pre layer holds 32 MB
 MAX_EPOCHS = 1_000_000
@@ -76,14 +76,14 @@ class TrainConfig(_Record):
             raise ValueError("learning rate must be non-negative")
         if not math.isfinite(rate):
             raise ValueError("learning rate must be finite")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+        if not _is_int(self.epochs):
             raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 
@@ -166,7 +166,7 @@ def train(
         raise ValueError("labels must be 0 or 1")
     if not 0 < labels.sum() < len(labels):
         raise ValueError("need at least one sample of each class")
-    if isinstance(relu_nodes, bool) or not isinstance(relu_nodes, (int, np.integer)):
+    if not _is_int(relu_nodes):
         raise ValueError("relu nodes must be an integer")
     if min(X.shape[1], relu_nodes) < 1:
         raise ValueError("every layer needs at least one node")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .encoding import _Record
+from .encoding import _is_int, _Record
 from .network import SimpleAnn, relu_status
 
 
@@ -71,8 +71,11 @@ def extract_cell_weights(ann: SimpleAnn, p: int) -> CellWeights:
     multiplication by bit m of p, MSB-first.  The single output row is
     composed from the output side, so every product is one row times a layer."""
     l = ann.relu_count
+    if not _is_int(p):
+        raise ValueError("cell number must be an integer")
     if not 0 <= p < 2**l:
         raise ValueError(f"cell number {p} out of range for l={l}")
+    p = int(p)  # a numpy uint8 cannot shift by l - 1 > 255
     h = np.ones((1, 1))
     for w in reversed(ann.post_layers):
         h = h @ w

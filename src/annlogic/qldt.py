@@ -1,10 +1,9 @@
 """Binary logic trees over minterm bit vectors.
 
-A tree is just another representation of an expression's active-minterm
-set: it is induced like a decision tree from the (2,)*n boolean truth
-tensor, but evaluated by summing, over all paths to active leaves, the
-products of the degrees (solid edge) or their complements (dashed edge).
-The trees of all levels share one `NodeTable`; a tree is a root in it.
+A tree is another form of an expression's active-minterm set: induced like a
+decision tree from the (2,)*n boolean truth tensor, evaluated by summing, over
+all paths to active leaves, the products of the degrees (solid edge) or their
+complements (dashed edge).  All levels' trees share one `NodeTable`, a root each.
 """
 
 from __future__ import annotations
@@ -14,15 +13,14 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .encoding import _degrees, _Record
+from .encoding import _degrees, _is_int, _Record
 from .logiccode import BitTensor
 
 
 class NodeTable(_Record):
-    """Row v splits on `attribute[v]` (0-based) into `low[v]` (negated
-    branch) and `high[v]`; `size[v]` counts its subtree's nodes, expanded.
-    Row 0 is the inactive leaf, row 1 the active one (attribute -1), and a
-    split comes after its children.  `roots` holds one row per level."""
+    """Row v splits on `attribute[v]` (0-based) into `low[v]` (negated branch) and `high[v]`;
+    `size[v]` counts its subtree's nodes, expanded.  Row 0 is the inactive leaf, row 1 the
+    active one (attribute -1), a split comes after its children; `roots` has one row a level."""
 
     __slots__ = ("attribute", "low", "high", "size", "roots")
     attribute: np.ndarray
@@ -32,20 +30,13 @@ class NodeTable(_Record):
     roots: tuple[int, ...]
 
 
-def build_qldt(e: BitTensor) -> NodeTable:
-    """The tree of one logic expression, a one-level tensor; see `build_qldts`."""
-    if len(e.bits) != 1:
-        raise ValueError("a logic expression has one level")
-    return build_qldts(e)
-
-
-def build_qldts(bt: BitTensor) -> NodeTable:
-    """Induce a lossless tree from each row of the bit tensor, the truth
-    table of one level.  Splits maximize information gain, ties go to the
+def build_qldt(bt: BitTensor) -> NodeTable:
+    """Induce a lossless tree from each level of a bit tensor, its truth table;
+    any number of levels.  Splits maximize information gain, ties go to the
     lowest attribute index; pure subtrees and splits with identical children
-    collapse.  Equal subfunctions over the same attributes are one row, as in
-    a reduced ordered BDD's unique table.  The unique nodes at depth d, rows
-    of one (K, 2^(n-d)) truth matrix, split at once; the table fills bottom up."""
+    collapse.  Equal subfunctions over the same attributes are one row, as in a
+    reduced ordered BDD's unique table.  The unique nodes at depth d, rows of one
+    (K, 2^(n-d)) truth matrix, split at once; the table fills bottom up."""
     n = bt.n
     index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T
     truth, attrs, roots = _intern(bt.bits.astype(bool),
@@ -94,10 +85,9 @@ def _intern(truth: np.ndarray, attrs: np.ndarray):
 
 
 def _best_axes(truth: np.ndarray, pos: np.ndarray, index_bits: np.ndarray) -> np.ndarray:
-    """Per row of a (K, 2^m) truth matrix, none of them constant, the axis
-    of highest information gain, the first one on a tie.  An axis's halves
-    are equal in size and binary entropy is strictly concave and symmetric,
-    so its gain grows with the gap between their positives, |2 high - pos|."""
+    """Per row of a (K, 2^m) truth matrix, none of them constant, the axis of highest
+    information gain, the first on a tie.  An axis's halves are equal in size, and binary
+    entropy is strictly concave and symmetric: the gain grows with the gap |2 high - pos|."""
     m = truth.shape[1].bit_length() - 1
     # positives in each axis's 1-slice; a float64 product runs in BLAS
     high = (truth.astype(float) @ index_bits[:truth.shape[1], -m:]).astype(np.int64)
@@ -106,22 +96,25 @@ def _best_axes(truth: np.ndarray, pos: np.ndarray, index_bits: np.ndarray) -> np
 
 def eval_qldt(t: NodeTable, degrees, level: int = 0) -> float:
     """Sum over the paths from the root of tree `level` to the active leaf
-    of the product of edge degrees (high edge: m_j, low edge: 1 - m_j) for
-    one object's n degrees.  The walk evaluates each node it reaches once."""
-    d, value = _degrees(degrees).tolist(), {0: 0.0, 1: 1.0}
+    of the product of edge degrees (high edge: m_j, low edge: 1 - m_j) for one
+    object's n degrees, on the expanded tree: at most 2^(n+1) - 1 nodes."""
+    d = _degrees(degrees).tolist()
+    if not _is_int(level):
+        raise ValueError("level must be an integer")
+    if not 0 <= level < len(t.roots):
+        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")
     attribute, low, high = t.attribute.tolist(), t.low.tolist(), t.high.tolist()
 
     def walk(v):
-        if v not in value:
-            a = attribute[v]
-            if a >= len(d):
-                raise ValueError(f"attribute index {a} out of range")
-            value[v] = (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
-        return value[v]
-
-    if not 0 <= level < len(t.roots):
-        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")
-    return walk(t.roots[level])
+        if v < 2:
+            return float(v)
+        a = attribute[v]
+        if a >= len(d):
+            raise ValueError(f"attribute index {a} out of range")
+        return (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
+    value = walk(t.roots[level])
+    del walk  # a closure that calls itself is a cycle: break it, or only the collector frees it
+    return value
 
 
 def render(t: NodeTable, names: list[str] | None = None) -> Iterator[str]:
@@ -154,5 +147,6 @@ def render(t: NodeTable, names: list[str] | None = None) -> Iterator[str]:
                 pieces.append(f"{p} -> n{lo} [style=dashed];\n  n{p} -> n{hi} [style=solid];\n  n")
             return p
         walk(root)
+        del walk
         pieces[-1] = pieces[-1][:-3] + "}\n"
         yield "".join(pieces)

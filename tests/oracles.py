@@ -325,7 +325,7 @@ class Split:
 
 
 def qldts_split(bt):
-    """`build_qldts` as one Split per unique inner node, built from the
+    """`build_qldt` as one Split per unique inner node, built from the
     deepest depth up: the same breadth-first induction, a tuple of trees."""
     n = bt.n
     index_bits = np.indices((2,) * n, dtype=float).reshape(n, 2**n).T

@@ -12,7 +12,7 @@ from annlogic.analysis import (
     parse_hypothesis,
     trend_grid,
 )
-from annlogic.encoding import minterm_transform
+from annlogic.encoding import MAX_ATTRIBUTES, minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward
 from oracles import expression, formulas, trend_grid_per_point, truth_table_loop
 
@@ -70,6 +70,13 @@ class TestParser:
     def test_unknown_attribute(self):
         with pytest.raises(ValueError, match="^unknown attribute 'q'; known: a, b$"):
             parse_hypothesis("a or q", AB)
+
+    def test_too_many_names(self):
+        # 13 names would truth-table 8,192 assignments; minterm_transform's bound and wording
+        names = [f"x{j}" for j in range(MAX_ATTRIBUTES + 1)]
+        with pytest.raises(ValueError, match="^13 attributes exceed the maximum of 12$"):
+            parse_hypothesis("x0", names)
+        assert active("x0", names[:-1]).shape == (2**MAX_ATTRIBUTES,)
 
     def test_known_names_listed_as_given(self):
         # the CLI rejects a repeated name before it parses; the library keeps it
@@ -320,6 +327,18 @@ class TestTrendGrid:
         for fixed in ({7: 0.3, 9: 5.0}, {2: 0.5}, {-1: 0.5}):
             with pytest.raises(ValueError, match="fixed attribute index"):
                 trend_grid(bt, [0], fixed, None, 3)
+
+    @pytest.mark.parametrize("resolution", [True, 3.0, np.float64(5.0), "3", None])
+    def test_resolution_not_an_integer_rejected(self, resolution):
+        bt = self.tensor([(0, 1, 1, 0)])
+        with pytest.raises(ValueError, match="^resolution must be an integer$"):
+            trend_grid(bt, [0], resolution=resolution)
+
+    def test_resolution_takes_numpy_integers(self):
+        bt = self.tensor([(0, 1, 1, 0)])
+        got = trend_grid(bt, [0, 1], resolution=np.uint16(300))
+        want = trend_grid(bt, [0, 1], resolution=300)
+        assert got.axis == want.axis and np.array_equal(got.values, want.values)
 
     def test_two_varied_axes_order(self):
         # expression a and not b: values[ia, ib] = a * (1 - b)

@@ -127,6 +127,16 @@ class TestBitcode:
         with pytest.raises(ValueError, match="0..52"):
             bitcode(scaled((0.3, 1.0)), bcl_max)
 
+    @pytest.mark.parametrize("bcl_max", [True, np.bool_(True), 2.0, np.float64(3.0), "3", None])
+    def test_bcl_max_not_an_integer_rejected(self, bcl_max):
+        with pytest.raises(ValueError, match="^bcl_max must be an integer$"):
+            bitcode(scaled((0.3, 1.0)), bcl_max)
+
+    @pytest.mark.parametrize("bcl_max", [np.uint8(52), np.int8(40), np.uint64(5), np.int64(3)])
+    def test_bcl_max_takes_numpy_integers(self, bcl_max):
+        sw = scaled((0.3, 1.0, 0.7, 0.123456789))
+        assert np.array_equal(bitcode(sw, bcl_max).bits, bitcode(sw, int(bcl_max)).bits)
+
     @settings(deadline=None)
     @given(
         st.integers(0, 5).flatmap(
@@ -157,6 +167,15 @@ class TestLevelExpression:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             level_expression(self.EXAMPLE, 4)
+
+    @pytest.mark.parametrize("bcl", [True, np.bool_(False), 1.0, np.float64(3.0), "1", None])
+    def test_level_not_an_integer_rejected(self, bcl):
+        with pytest.raises(ValueError, match="^level must be an integer$"):
+            level_expression(self.EXAMPLE, bcl)
+
+    def test_level_takes_numpy_integers(self):
+        got = level_expression(self.EXAMPLE, np.uint8(3)).bits
+        assert np.array_equal(got, level_expression(self.EXAMPLE, 3).bits)
 
 
 class TestEvalExpression:

@@ -107,6 +107,20 @@ class TestCellNumber:
             with pytest.raises(ValueError, match=f"^cell number {p} out of range for l=3$"):
                 extract_cell_weights(ann, p)
 
+    @pytest.mark.parametrize("p", [True, np.bool_(True), 1.0, np.float64(2.0), "1", None])
+    def test_cell_not_an_integer_rejected(self, p):
+        ann = random_simple_ann(np.random.default_rng(4), 2, 3)
+        with pytest.raises(ValueError, match="^cell number must be an integer$"):
+            extract_cell_weights(ann, p)
+
+    @pytest.mark.parametrize("l", [3, 300])
+    def test_cell_takes_numpy_integers(self, l):
+        # at l = 300 a uint8 cell's bits are read by shifts of up to 299
+        ann = random_simple_ann(np.random.default_rng(4), 2, l)
+        for p in (np.uint8(5), np.int64(7), np.uint64(6)):
+            got = extract_cell_weights(ann, p).weights
+            assert np.array_equal(got, extract_cell_weights(ann, int(p)).weights)
+
 
 class TestPartitionDataset:
     def test_all_active_single_cell(self):

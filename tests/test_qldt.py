@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward, level_expression
-from annlogic.qldt import build_qldt, build_qldts, eval_qldt, render
+from annlogic.qldt import build_qldt, eval_qldt, render
 from oracles import (Split, _entropy, column_names, dot_label_loop, eval_split, expression,
                      minterm_bits, qldt_recursive, qldt_rows, qldts_split, render_lines, splits,
                      table_trees, truth_tables)
@@ -86,17 +87,13 @@ class TestBuildQldt:
         [dot] = render(t)
         assert dot.count("label=\"a3\"") == 4
 
-    def test_two_levels_are_not_an_expression(self):
-        with pytest.raises(ValueError, match="^a logic expression has one level$"):
-            build_qldt(BitTensor([(0, 1, 1, 1), (1, 0, 0, 0)]))
-
 
 class TestBuildQldts:
     @settings(deadline=None, max_examples=60)
     @given(truth_tables(8, 5))
     def test_matches_recursive_induction(self, drawn):
         _, tables = drawn
-        trees = build_qldts(BitTensor(tables))
+        trees = build_qldt(BitTensor(tables))
         assert len(trees.roots) == len(tables)
         assert list(render(trees)) == [render_lines(qldt_recursive(expression(t))) for t in tables]
 
@@ -106,7 +103,7 @@ class TestBuildQldts:
         _, tables = drawn
         bt = BitTensor(tables)
         levels = range(bt.bcl_max + 1)
-        trees = build_qldts(bt)
+        trees = build_qldt(bt)
         alone = [build_qldt(level_expression(bt, b)) for b in levels]
         assert [as_split(trees, b) for b in levels] == [as_split(t) for t in alone]
         assert list(render(trees)) == [render_lines(as_split(t)) for t in alone]
@@ -117,7 +114,7 @@ class TestBuildQldts:
         tables = (np.arange(2 ** 2**n)[:, None] >> np.arange(2**n)) & 1
         want = [render_lines(qldt_recursive(expression(t))) for t in tables]
         assert [dot for t in tables for dot in render(build_qldt(expression(t)))] == want
-        assert list(render(build_qldts(BitTensor(tables)))) == want
+        assert list(render(build_qldt(BitTensor(tables)))) == want
 
     def test_gain_orders_splits_as_the_count_gap_does(self):
         # the premise of _best_axes: the halves of an axis hold `half` entries
@@ -136,7 +133,7 @@ class TestBuildQldts:
 
     def test_repeated_expression_is_one_tree(self):
         e = expression([0, 1, 1, 0, 1, 0, 0, 1])
-        trees = build_qldts(BitTensor([e.bits[0], 1 - e.bits[0], e.bits[0]]))
+        trees = build_qldt(BitTensor([e.bits[0], 1 - e.bits[0], e.bits[0]]))
         assert trees.roots[0] == trees.roots[2]
         first, other, again = table_trees(trees)
         assert first is again
@@ -146,7 +143,7 @@ class TestBuildQldts:
     def test_empty_list(self):
         # a bit tensor has at least one level, so there is always a tree
         with pytest.raises(ValueError, match="no axis empty"):
-            build_qldts(BitTensor(np.empty((0, 4))))
+            build_qldt(BitTensor(np.empty((0, 4))))
 
 
 class TestEvalQldt:
@@ -175,10 +172,20 @@ class TestEvalQldt:
             eval_qldt(t, (0.5, 0.5))
 
     def test_level_out_of_range(self):
-        t = build_qldts(BitTensor([(0, 1), (1, 0)]))
+        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
         for level in (-1, 2):
             with pytest.raises(ValueError, match=f"^level {level} out of range 0..1$"):
                 eval_qldt(t, (0.5,), level)
+
+    @pytest.mark.parametrize("level", [True, np.bool_(False), 1.0, np.float64(0.0), "1", None])
+    def test_level_not_an_integer_rejected(self, level):
+        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
+        with pytest.raises(ValueError, match="^level must be an integer$"):
+            eval_qldt(t, (0.5,), level)
+
+    def test_level_takes_numpy_integers(self):
+        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
+        assert [eval_qldt(t, (0.3,), np.uint8(b)) for b in (0, 1)] == [0.3, 0.7]
 
     def test_degree_out_of_range(self):
         t = build_qldt(expression((0, 1)))
@@ -215,7 +222,7 @@ class TestEvalQldt:
     def test_equals_expression_evaluation(self, drawn):
         (_, tables), degrees = drawn
         m = minterm_transform(degrees)
-        trees = build_qldts(BitTensor(tables))
+        trees = build_qldt(BitTensor(tables))
         for level, t in enumerate(tables):
             assert abs(eval_qldt(trees, degrees, level) - m @ t) <= 1e-12
 
@@ -267,7 +274,7 @@ class TestRender:
         n, tables = drawn
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
-        trees = build_qldts(BitTensor(tables))
+        trees = build_qldt(BitTensor(tables))
         assert list(render(trees, names)) == [render_lines(tree, labels)
                                               for tree in table_trees(trees)]
 
@@ -330,7 +337,7 @@ class TestNodeTable:
     @given(bit_tensors(), st.data())
     def test_equals_split_oracle(self, drawn, data):
         n, bt = drawn
-        t, want = build_qldts(bt), qldts_split(bt)
+        t, want = build_qldt(bt), qldts_split(bt)
         assert table_trees(t) == want
         # one row per distinct Split object: sharing is kept, and no more
         assert len(t.attribute) - 2 == len(splits(want))
@@ -347,7 +354,7 @@ class TestNodeTable:
     @given(growing_tensors(), st.data())
     def test_renders_later_trees_larger_than_the_first(self, drawn, data):
         n, bt = drawn
-        t = build_qldts(bt)
+        t = build_qldt(bt)
         assert t.size[t.roots[0]] < t.size[t.roots[-1]]
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
@@ -358,7 +365,7 @@ class TestNodeTable:
         # the table holds two trees, the texts are 100 trees; taking each text as
         # it comes peaks far below what all of them take together
         pair = np.random.default_rng(0).integers(0, 2, (2, 256))
-        t = build_qldts(BitTensor(np.tile(pair, (50, 1))))
+        t = build_qldt(BitTensor(np.tile(pair, (50, 1))))
         total = sum(map(len, render(t)))
         tracemalloc.start()
         try:
@@ -368,8 +375,27 @@ class TestNodeTable:
             tracemalloc.stop()
         assert peak < total / 4
 
+    def test_walks_leave_nothing_for_the_collector(self):
+        # each walk is a closure that calls itself, a reference cycle: with the
+        # collector off, a cycle left in place keeps what its walk made (a tree's
+        # text pieces, the table's columns as lists) allocated after the call
+        t = build_qldt(BitTensor(np.random.default_rng(0).integers(0, 2, (4, 4096))))
+        degrees = np.random.default_rng(1).uniform(0, 1, 12)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            sum(map(len, render(t)))
+            rendered = tracemalloc.get_traced_memory()[0]
+            eval_qldt(t, degrees, 3)
+            evaluated = tracemalloc.get_traced_memory()[0] - rendered
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert rendered < 64 * 1024
+        assert evaluated < 64 * 1024
+
     def test_layout(self):
-        t = build_qldts(BitTensor([(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 1)]))
+        t = build_qldt(BitTensor([(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 1)]))
         assert t.roots[:2] == (0, 1)
         assert t.attribute[:2].tolist() == [-1, -1] and t.size[:2].tolist() == [1, 1]
         # children first: every split's children are rows before it
