@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from .encoding import MAX_ATTRIBUTES, _is_int, _Record, minterm_transform
+from .encoding import MAX_ATTRIBUTES, _distinct_ints, _is_int, _is_real, _Record, minterm_transform
 from .logiccode import BitTensor
 
 MAX_RESOLUTION = 1001  # a 2-D grid holds ~1e6 points; writing them, not computing, bounds it
@@ -149,7 +149,8 @@ def trend_grid(
     """Evaluate the level-restricted approximation over a uniform [0,1] grid
     of one or two varied attributes; the rest sit at fixed degrees (default
     0.5), and a varied attribute takes the grid value even if it has one.
-    Degrees outside [0,1] and attribute indices outside 0..n-1 are a ValueError.
+    A degree must be a real number in [0,1] and an attribute index a distinct
+    integer in 0..n-1 (a bool is neither), else it is a ValueError.
 
     The minterm expansion of a degree vector is the multilinear extension
     of the (2,)*n coefficient tensor (Owen 1972), so the grid is one
@@ -158,13 +159,15 @@ def trend_grid(
     cost is 2^n + res^2, not res^2 * 2^n; the values agree with a minterm
     expansion per grid point within 1e-12."""
     n = bt.n
-    if not 1 <= len(vary) <= 2 or len(set(vary)) != len(vary):
+    if not 1 <= len(vary) <= 2 or not _distinct_ints(vary):
         raise ValueError("vary must name one or two distinct attributes")
     if any(not 0 <= j < n for j in vary):
         raise ValueError("varied attribute index out of range")
     fixed = fixed or {}
-    if any(not 0 <= j < n for j in fixed):
+    if not _distinct_ints(fixed) or any(not 0 <= j < n for j in fixed):
         raise ValueError("fixed attribute index out of range")
+    if not all(map(_is_real, fixed.values())):
+        raise ValueError("fixed degrees must be real numbers")
     if not _is_int(resolution):
         raise ValueError("resolution must be an integer")
     if resolution < 2:

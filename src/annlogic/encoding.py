@@ -173,6 +173,16 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy integer or float and not a bool; a string is not a number."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _distinct_ints(xs) -> bool:
+    """Indices that follow the integer rule, each given once."""
+    return all(map(_is_int, xs)) and len(set(xs)) == len(xs)
+
+
 def _degrees(degrees) -> np.ndarray:
     """Degrees as a float array; NaN and values outside [0,1] are rejected."""
     d = np.asarray(degrees, dtype=float)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoding import _is_int, _Record
+from .encoding import _distinct_ints, _is_int, _Record
 from .partition import CellWeights, _arity, _freeze
 
 DEFAULT_BCL_MAX = 3
@@ -51,8 +51,10 @@ class BitTensor(_Record):
         return _arity(self.bits)
 
     def reconstruction(self, levels: list[int] | None = None) -> np.ndarray:
-        """Sum over the chosen levels (all by default) of 2^-bcl * bits[bcl],
-        one coefficient per minterm."""
+        """Sum over the chosen levels (all by default), distinct integers, of
+        2^-bcl * bits[bcl], one coefficient per minterm."""
+        if levels is not None and not _distinct_ints(levels):
+            raise ValueError("levels must be distinct integers")
         levels = np.arange(len(self.bits)) if levels is None else np.asarray(levels, dtype=int)
         if ((levels < 0) | (levels > self.bcl_max)).any():
             raise ValueError("level outside 0..bcl_max")
@@ -112,9 +114,7 @@ def level_expression(bt: BitTensor, bcl: int) -> BitTensor:
     return BitTensor(bt.bits[bcl:bcl + 1])
 
 
-def approx_forward(
-    bt: BitTensor, mt, levels: list[int] | None = None
-) -> float | np.ndarray:
+def approx_forward(bt: BitTensor, mt, levels: list[int] | None = None) -> float | np.ndarray:
     """Sum over the chosen levels of 2^-bcl times the level expression's
     evaluation, all levels by default: one product of `mt`, one minterm
     vector or each row of an (N, 2^n) matrix, with the coefficients
@@ -144,13 +144,8 @@ def energy_report(sw: ScaledCellWeights, bt: BitTensor) -> EnergyReport:
                         tuple(relative.tolist()), bitcode_sum)
 
 
-def level_accuracy(
-    bt: BitTensor,
-    threshold: float,
-    samples: np.ndarray,
-    labels: np.ndarray,
-    levels: list[int] | None = None,
-) -> float:
+def level_accuracy(bt: BitTensor, threshold: float, samples: np.ndarray, labels: np.ndarray,
+                   levels: list[int] | None = None) -> float:
     """Fraction of the rows of the (N, 2^n) minterm matrix `samples` whose
     level-restricted evaluation, compared with the scaled `threshold`,
     matches the 0/1 label."""
@@ -161,13 +156,13 @@ def level_accuracy(
 
 
 def project(cw: CellWeights, keep: list[int]) -> CellWeights:
-    """Marginalize the minterm weights onto the kept attributes (0-based
-    indices) by summing over the dropped attributes' bit combinations.
+    """Marginalize the minterm weights onto the kept attributes (distinct 0-based
+    integers) by summing over the dropped attributes' bit combinations.
     Callers typically rescale afterwards."""
     n = cw.n
-    if not keep:
+    if len(keep) == 0:
         raise ValueError("keep set must be non-empty")
-    if len(set(keep)) != len(keep) or any(not 0 <= j < n for j in keep):
+    if not _distinct_ints(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
     dropped = tuple(j for j in range(n) if j not in keep)
     with np.errstate(over="ignore"):

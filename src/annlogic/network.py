@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .encoding import MAX_ATTRIBUTES, FuzzifierSpec, _is_int, _Record
+from .encoding import MAX_ATTRIBUTES, FuzzifierSpec, _is_int, _is_real, _Record
 
 MAX_RELU_NODES = 1024  # at 2^12 inputs the pre layer holds 32 MB
 MAX_EPOCHS = 1_000_000
@@ -70,7 +70,7 @@ class TrainConfig(_Record):
 
     def __post_init__(self):
         rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating)):
+        if not _is_real(rate):
             raise ValueError("learning rate must be a real number")
         if rate < 0:
             raise ValueError("learning rate must be non-negative")

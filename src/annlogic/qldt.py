@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .encoding import _degrees, _is_int, _Record
+from .encoding import _degrees, _Record
 from .logiccode import BitTensor
 
 
@@ -94,27 +94,18 @@ def _best_axes(truth: np.ndarray, pos: np.ndarray, index_bits: np.ndarray) -> np
     return np.argmax(np.abs(2 * high - pos[:, None]), axis=1)
 
 
-def eval_qldt(t: NodeTable, degrees, level: int = 0) -> float:
-    """Sum over the paths from the root of tree `level` to the active leaf
-    of the product of edge degrees (high edge: m_j, low edge: 1 - m_j) for one
-    object's n degrees, on the expanded tree: at most 2^(n+1) - 1 nodes."""
+def eval_qldt(t: NodeTable, degrees) -> tuple[float, ...]:
+    """Per tree, in `roots` order, the sum over its paths to the active leaf of the
+    product of edge degrees (high edge: m_j, low edge: 1 - m_j) for one object's n
+    degrees.  One pass in table order, where a split follows its children, values
+    every row: leaves 0.0 and 1.0, a split (1 - m_a) * low + m_a * high."""
     d = _degrees(degrees).tolist()
-    if not _is_int(level):
-        raise ValueError("level must be an integer")
-    if not 0 <= level < len(t.roots):
-        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")
-    attribute, low, high = t.attribute.tolist(), t.low.tolist(), t.high.tolist()
-
-    def walk(v):
-        if v < 2:
-            return float(v)
-        a = attribute[v]
-        if a >= len(d):
-            raise ValueError(f"attribute index {a} out of range")
-        return (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
-    value = walk(t.roots[level])
-    del walk  # a closure that calls itself is a cycle: break it, or only the collector frees it
-    return value
+    if (top := int(t.attribute.max())) >= len(d):
+        raise ValueError(f"attribute index {top} out of range")
+    value = [0.0, 1.0]
+    for a, lo, hi in zip(t.attribute[2:].tolist(), t.low[2:].tolist(), t.high[2:].tolist()):
+        value.append((1.0 - d[a]) * value[lo] + d[a] * value[hi])
+    return tuple(map(value.__getitem__, t.roots))
 
 
 def render(t: NodeTable, names: list[str] | None = None) -> Iterator[str]:

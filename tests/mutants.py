@@ -70,7 +70,7 @@ MUTANTS = [
      "dropped = tuple(j for j in range(n) if j in keep)",
      ["test_logiccode.py"]),
     ("trend-fixed-index-n-allowed", "analysis.py",
-     "if any(not 0 <= j < n for j in fixed):", "if any(not 0 <= j <= n for j in fixed):",
+     "or any(not 0 <= j < n for j in fixed):", "or any(not 0 <= j <= n for j in fixed):",
      ["test_analysis.py", "test_cli.py"]),
     ("compare-v10-v01-swapped", "analysis.py",
      "(ea & ha, ea & ~ha, ~ea & ha, ~(ea | ha))", "(ea & ha, ~ea & ha, ea & ~ha, ~(ea | ha))",
@@ -358,10 +358,9 @@ MUTANTS = [
     ("render-ids-sized-by-first-root", "qldt.py",
      "range(t.size[list(t.roots)].max())", "range(t.size[t.roots[0]])",
      ["test_qldt.py"]),
-    # a tree's level is one of the table's roots; given names cover every split attribute
-    ("eval-qldt-level-unchecked", "qldt.py",
-     "    if not 0 <= level < len(t.roots):\n"
-     '        raise ValueError(f"level {level} out of range 0..{len(t.roots) - 1}")\n', "",
+    # the degrees and the given names cover every attribute the table splits on
+    ("eval-qldt-attribute-check-dropped", "qldt.py",
+     "    if (top := int(t.attribute.max())) >= len(d):\n", "    if False:\n",
      ["test_qldt.py"]),
     ("render-names-count-unchecked", "qldt.py",
      "if len(names) < need:", "if False:",
@@ -383,7 +382,7 @@ MUTANTS = [
      "coded = cell + [bcl_max]", "coded = cell + [threshold, bcl_max]",
      ["test_cli.py"]),
     ("learning-rate-bool-accepted", "network.py",
-     "if isinstance(rate, bool) or not isinstance(rate,", "if not isinstance(rate,",
+     "if not _is_real(rate):", "if not (_is_real(rate) or isinstance(rate, bool)):",
      ["test_network.py"]),
     ("layers-chain-check-dropped", "network.py",
      "if b.shape[1] != a.shape[0]:", "if False:",
@@ -421,10 +420,21 @@ MUTANTS = [
     ("parse-hypothesis-names-unbounded", "analysis.py",
      "    if n > MAX_ATTRIBUTES:\n", "    if False:\n",
      ["test_analysis.py"]),
-    # the tree walks break their closures' self-reference before returning or yielding
-    ("eval-qldt-walk-cycle-kept", "qldt.py",
-     "    del walk  #", "    pass  #",
-     ["test_qldt.py"]),
+    # index lists follow the integer rule and name each index once, an integer
+    # array among them; a fixed degree is a real number
+    ("index-list-accepts-bool", "encoding.py",
+     "return all(map(_is_int, xs)) and", "return all(isinstance(x, (int, np.integer)) for x in xs) and",
+     ["test_logiccode.py", "test_analysis.py"]),
+    ("index-list-repeats-accepted", "encoding.py",
+     "all(map(_is_int, xs)) and len(set(xs)) == len(xs)", "all(map(_is_int, xs))",
+     ["test_logiccode.py", "test_analysis.py"]),
+    ("fixed-degree-string-accepted", "analysis.py",
+     "if not all(map(_is_real, fixed.values())):", "if False:",
+     ["test_analysis.py"]),
+    ("project-keep-truth-value", "logiccode.py",
+     "    if len(keep) == 0:\n", "    if not keep:\n",
+     ["test_logiccode.py"]),
+    # render breaks its walk closure's self-reference before it yields
     ("render-walk-cycle-kept", "qldt.py",
      "        del walk\n", "        pass\n",
      ["test_qldt.py"]),

@@ -17,7 +17,8 @@ parser built from parent parsers, the evaluation of a logic expression
 before it became a one-level BitTensor, the string-join cell number,
 the trend grid with one minterm expansion per grid point and its
 list-per-row writer, the QLDT as one `Split` object per node with its
-recursive evaluator, and the Shapley values by the Moebius transform.
+recursive evaluator, the walk that evaluated one tree of the node table,
+and the Shapley values by the Moebius transform.
 """
 
 import argparse
@@ -385,6 +386,25 @@ def table_trees(t):
     for a, lo, hi in zip(t.attribute[2:].tolist(), t.low[2:].tolist(), t.high[2:].tolist()):
         nodes.append(Split(a, nodes[lo], nodes[hi]))
     return tuple(nodes[r] for r in t.roots)
+
+
+# The evaluator of one tree before one pass over the table valued every root.
+def eval_qldt_walk(t, degrees, level):
+    """Sum over the paths from the root of tree `level` to the active leaf
+    of the product of edge degrees, one call per node of the expanded tree."""
+    d = _degrees(degrees).tolist()
+    attribute, low, high = t.attribute.tolist(), t.low.tolist(), t.high.tolist()
+
+    def walk(v):
+        if v < 2:
+            return float(v)
+        a = attribute[v]
+        if a >= len(d):
+            raise ValueError(f"attribute index {a} out of range")
+        return (1.0 - d[a]) * walk(low[v]) + d[a] * walk(high[v])
+    value = walk(t.roots[level])
+    del walk
+    return value
 
 
 def splits(trees):

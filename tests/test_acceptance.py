@@ -211,7 +211,7 @@ def test_criterion_08_qldt_equivalence():
                 for b in grid2:
                     f = (a, b)
                     want = al.approx_forward(e, minterm_transform(f))
-                    assert abs(al.eval_qldt(tree, f) - want) < 1e-9
+                    assert abs(al.eval_qldt(tree, f)[0] - want) < 1e-9
         rng = np.random.default_rng(46)
         for n in (3, 4):
             for _ in range(100):
@@ -221,12 +221,12 @@ def test_criterion_08_qldt_equivalence():
                 for _ in range(4):
                     f = rng.uniform(0, 1, n)
                     want = al.approx_forward(e, minterm_transform(f))
-                    assert abs(al.eval_qldt(tree, f) - want) < 1e-9
+                    assert abs(al.eval_qldt(tree, f)[0] - want) < 1e-9
         # the worked two-attribute tree formula
         tree = al.build_qldt(expression((0, 1, 1, 1)))
         for m1, m2 in [(0.2, 0.7), (0.0, 1.0), (0.5, 0.5), (0.9, 0.1)]:
             want = m2 + (1 - m2) * m1
-            got = al.eval_qldt(tree, (m1, m2))
+            [got] = al.eval_qldt(tree, (m1, m2))
             assert math.isclose(got, want, abs_tol=1e-9)
 
 

@@ -328,6 +328,41 @@ class TestTrendGrid:
             with pytest.raises(ValueError, match="fixed attribute index"):
                 trend_grid(bt, [0], fixed, None, 3)
 
+    @pytest.mark.parametrize("vary, fixed, levels, message", [
+        ([True], None, None, "^vary must name one or two distinct attributes$"),
+        ([0.0], None, None, "^vary must name one or two distinct attributes$"),
+        ([0, np.True_], None, None, "^vary must name one or two distinct attributes$"),
+        ([0], {True: 0.2}, None, "^fixed attribute index out of range$"),
+        ([0], {1.0: 0.2}, None, "^fixed attribute index out of range$"),
+        ([0], None, [True], "^levels must be distinct integers$"),
+        ([0], None, [0.0], "^levels must be distinct integers$"),
+        ([0], None, [0, 0], "^levels must be distinct integers$"),
+    ])
+    def test_indices_are_integers_given_once(self, vary, fixed, levels, message):
+        # a bool or a float is no index, and a repeated level is no coefficient of 2
+        bt = self.tensor([(0, 1, 1, 0), (1, 0, 0, 1)])
+        with pytest.raises(ValueError, match=message):
+            trend_grid(bt, vary, fixed, levels, 3)
+
+    def test_indices_take_numpy_integers(self):
+        bt = self.tensor([(0, 1, 1, 0), (1, 0, 0, 1)])
+        got = trend_grid(bt, [np.int64(0)], {np.uint8(1): 0.2}, [np.int8(1)], 3)
+        want = trend_grid(bt, [0], {1: 0.2}, [1], 3)
+        assert got.axis == want.axis and np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("degree", ["0.5", True, np.True_, None, [0.5], 1j])
+    def test_fixed_degrees_are_real_numbers(self, degree):
+        # a string or a bool is no degree, even where float() would read one
+        bt = self.tensor([(0, 1, 1, 0)])
+        with pytest.raises(ValueError, match="^fixed degrees must be real numbers$"):
+            trend_grid(bt, [0], {1: degree}, None, 3)
+
+    def test_fixed_degrees_take_numpy_and_integer_numbers(self):
+        bt = self.tensor([(0, 1, 1, 0)])
+        want = trend_grid(bt, [0], {1: 1.0}, None, 3).values
+        for degree in (1, np.int64(1), np.float32(1.0)):
+            assert np.array_equal(trend_grid(bt, [0], {1: degree}, None, 3).values, want)
+
     @pytest.mark.parametrize("resolution", [True, 3.0, np.float64(5.0), "3", None])
     def test_resolution_not_an_integer_rejected(self, resolution):
         bt = self.tensor([(0, 1, 1, 0)])

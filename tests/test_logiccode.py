@@ -263,6 +263,24 @@ class TestApproxForward:
         with pytest.raises(ValueError):
             approx_forward(bt, minterm_transform([0.5]), [0, 3])
 
+    @pytest.mark.parametrize("levels", [[1.7], [True], [0.5], [np.True_], ["1"], [0, 0],
+                                        [1, np.int64(1)]])
+    def test_levels_are_distinct_integers(self, levels):
+        # a float or a bool is no level, and a repeat would count its level twice
+        bt = bitcode(scaled((0.5, 0.5)), 2)
+        mt = minterm_transform([0.5])
+        for call in (lambda: bt.reconstruction(levels),
+                     lambda: approx_forward(bt, mt, levels),
+                     lambda: level_accuracy(bt, 0.5, mt[None], [1], levels)):
+            with pytest.raises(ValueError, match="^levels must be distinct integers$"):
+                call()
+
+    def test_levels_take_numpy_integers(self):
+        bt = bitcode(scaled((0.25, 1.0)), 2)
+        want = bt.reconstruction([0, 2])
+        assert np.array_equal(bt.reconstruction(np.array([0, 2])), want)
+        assert np.array_equal(bt.reconstruction([np.uint8(0), np.int16(2)]), want)
+
     def test_batch_is_sum_of_level_evaluations(self):
         rng = np.random.default_rng(12)
         bt = bitcode(scaled(tuple(rng.uniform(0, 1, 8))), 3)
@@ -363,6 +381,25 @@ class TestProject:
     def test_empty_keep(self):
         with pytest.raises(ValueError):
             project(CellWeights((1.0, 2.0)), [])
+
+    @pytest.mark.parametrize("keep", [[True], [1.0], [np.True_], [np.float64(0.0)], ["1"],
+                                      [0, True]])
+    def test_keep_not_integers_rejected(self, keep):
+        # True and 1.0 would keep attribute 2, and "1" is no index either
+        with pytest.raises(ValueError, match="^keep must be distinct attribute indices below n$"):
+            project(CellWeights((1.0, 2.0, 3.0, 4.0)), keep)
+
+    def test_keep_takes_numpy_integers(self):
+        w = CellWeights((1.0, 2.0, 3.0, 4.0))
+        assert np.array_equal(project(w, [np.uint8(1)]).weights, project(w, [1]).weights)
+
+    def test_keep_takes_an_integer_array(self):
+        # an integer array is an index list; its truth value is not its emptiness
+        w = CellWeights((1.0, 2.0, 3.0, 4.0))
+        for keep in ([0], [0, 1]):
+            assert np.array_equal(project(w, np.array(keep)).weights, project(w, keep).weights)
+        with pytest.raises(ValueError, match="^keep set must be non-empty$"):
+            project(w, np.array([], dtype=int))
 
     def test_marginal_consistency(self):
         # projecting weights then evaluating on the reduced minterms equals

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from annlogic.encoding import minterm_transform
 from annlogic.logiccode import BitTensor, approx_forward, level_expression
 from annlogic.qldt import build_qldt, eval_qldt, render
-from oracles import (Split, _entropy, column_names, dot_label_loop, eval_split, expression,
-                     minterm_bits, qldt_recursive, qldt_rows, qldts_split, render_lines, splits,
-                     table_trees, truth_tables)
+from oracles import (Split, _entropy, column_names, dot_label_loop, eval_qldt_walk, eval_split,
+                     expression, minterm_bits, qldt_recursive, qldt_rows, qldts_split, render_lines,
+                     splits, table_trees, truth_tables)
 
 
 def as_split(t, level=0):
@@ -36,7 +36,7 @@ class TestBuildQldt:
         # semantics must equal a1 or a2 regardless of split order
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
-            assert eval_qldt(tree, degrees) == float(k > 0)
+            assert eval_qldt(tree, degrees) == (float(k > 0),)
 
     def test_all_zero(self):
         assert build_qldt(expression((0, 0, 0, 0))).roots == (0,)
@@ -48,7 +48,7 @@ class TestBuildQldt:
         tree = build_qldt(expression((1, 0, 0, 0)))
         for k in range(4):
             degrees = tuple(float(b) for b in minterm_bits(k, 2))
-            assert eval_qldt(tree, degrees) == float(k == 0)
+            assert eval_qldt(tree, degrees) == (float(k == 0),)
 
     def test_structure_invariants(self):
         rng = np.random.default_rng(0)
@@ -151,7 +151,7 @@ class TestEvalQldt:
         t = build_qldt(expression((0, 1, 1, 1)))
         assert as_split(t) == Split(0, Split(1, False, True), True)
         for m1, m2 in [(0.3, 0.9), (0.0, 0.0), (1.0, 0.5), (0.42, 0.17)]:
-            got = eval_qldt(t, (m1, m2))
+            [got] = eval_qldt(t, (m1, m2))
             assert got == pytest.approx(m2 + (1 - m2) * m1, abs=1e-12)
 
     def test_boolean_degrees_classical(self):
@@ -161,31 +161,28 @@ class TestEvalQldt:
             t = build_qldt(expression(bits))
             for k in range(8):
                 degrees = tuple(float(b) for b in minterm_bits(k, 3))
-                assert eval_qldt(t, degrees) == float(bits[k])
+                assert eval_qldt(t, degrees) == (float(bits[k]),)
 
     def test_constant_true(self):
-        assert eval_qldt(build_qldt(expression((1, 1))), (0.3,)) == 1.0
+        assert eval_qldt(build_qldt(expression((1, 1))), (0.3,)) == (1.0,)
 
     def test_index_out_of_range(self):
         t = build_qldt(expression((0, 1, 0, 1, 0, 1, 0, 1)))  # the split on a3
         with pytest.raises(ValueError, match="^attribute index 2 out of range$"):
             eval_qldt(t, (0.5, 0.5))
 
-    def test_level_out_of_range(self):
-        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
-        for level in (-1, 2):
-            with pytest.raises(ValueError, match=f"^level {level} out of range 0..1$"):
-                eval_qldt(t, (0.5,), level)
-
-    @pytest.mark.parametrize("level", [True, np.bool_(False), 1.0, np.float64(0.0), "1", None])
-    def test_level_not_an_integer_rejected(self, level):
-        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
-        with pytest.raises(ValueError, match="^level must be an integer$"):
-            eval_qldt(t, (0.5,), level)
+    def test_checks_every_split_of_the_table(self):
+        # level 0 splits on a1 only, level 1 on a2: the one pass values both
+        t = build_qldt(BitTensor([(0, 0, 1, 1), (0, 1, 0, 1)]))
+        with pytest.raises(ValueError, match="^attribute index 1 out of range$"):
+            eval_qldt(t, (0.5,))
 
     def test_level_takes_numpy_integers(self):
-        t = build_qldt(BitTensor([(0, 1), (1, 0)]))
-        assert [eval_qldt(t, (0.3,), np.uint8(b)) for b in (0, 1)] == [0.3, 0.7]
+        # one value per root, in roots order; a level picks it by any integer
+        t = build_qldt(BitTensor([(0, 1), (1, 0), (1, 1)]))
+        values = eval_qldt(t, (0.3,))
+        assert values == (0.3, 0.7, 1.0)
+        assert [values[np.uint8(b)] for b in (0, 1)] == [0.3, 0.7]
 
     def test_degree_out_of_range(self):
         t = build_qldt(expression((0, 1)))
@@ -202,7 +199,7 @@ class TestEvalQldt:
                 for b in grid:
                     f = (a, b)
                     want = approx_forward(e, minterm_transform(f))
-                    assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
+                    assert eval_qldt(tree, f)[0] == pytest.approx(want, abs=1e-9)
 
     def test_equivalence_random_n3_n4(self):
         rng = np.random.default_rng(2)
@@ -214,7 +211,7 @@ class TestEvalQldt:
                 for _ in range(5):
                     f = rng.uniform(0, 1, n)
                     want = approx_forward(e, minterm_transform(f))
-                    assert eval_qldt(tree, f) == pytest.approx(want, abs=1e-9)
+                    assert eval_qldt(tree, f)[0] == pytest.approx(want, abs=1e-9)
 
     @settings(deadline=None, max_examples=60)
     @given(truth_tables(6, 3).flatmap(lambda d: st.tuples(
@@ -222,9 +219,9 @@ class TestEvalQldt:
     def test_equals_expression_evaluation(self, drawn):
         (_, tables), degrees = drawn
         m = minterm_transform(degrees)
-        trees = build_qldt(BitTensor(tables))
-        for level, t in enumerate(tables):
-            assert abs(eval_qldt(trees, degrees, level) - m @ t) <= 1e-12
+        values = eval_qldt(build_qldt(BitTensor(tables)), degrees)
+        for value, t in zip(values, tables, strict=True):
+            assert abs(value - m @ t) <= 1e-12
 
     def test_complementarity(self):
         rng = np.random.default_rng(3)
@@ -234,7 +231,7 @@ class TestEvalQldt:
             t1 = build_qldt(e)
             t2 = build_qldt(BitTensor(1 - e.bits))
             f = rng.uniform(0, 1, 3)
-            assert eval_qldt(t1, f) + eval_qldt(t2, f) == pytest.approx(
+            assert eval_qldt(t1, f)[0] + eval_qldt(t2, f)[0] == pytest.approx(
                 1.0, abs=1e-9
             )
 
@@ -309,9 +306,9 @@ class TestRender:
 
 
 @st.composite
-def bit_tensors(draw):
-    """1-4 levels over n = 0..8 attributes, any of them made constant."""
-    n, tables = draw(truth_tables(8, 4))
+def bit_tensors(draw, max_levels=4):
+    """1..max_levels levels over n = 0..8 attributes, any of them made constant."""
+    n, tables = draw(truth_tables(8, max_levels))
     for i in range(len(tables)):
         constant = draw(st.sampled_from([None, None, False, True]))
         if constant is not None:
@@ -344,11 +341,23 @@ class TestNodeTable:
         names = data.draw(st.none() | column_names(n))
         labels = names and [dot_label_loop(name) for name in names]
         degrees = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
-        for level, (tree, dot) in enumerate(zip(want, render(t, names), strict=True)):
+        values = eval_qldt(t, degrees)
+        for level, (tree, dot, value) in enumerate(zip(want, render(t, names), values, strict=True)):
             assert dot == render_lines(tree, labels)
             nodes = re.findall(r"^  n\d+ \[label=", dot, flags=re.M)
             assert t.size[t.roots[level]] == len(nodes)
-            assert abs(eval_qldt(t, degrees, level) - eval_split(tree, degrees)) <= 1e-12
+            assert abs(value - eval_split(tree, degrees)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_tensors(5), st.data())
+    def test_equals_walk_on_every_level_bit_for_bit(self, drawn, data):
+        # interior degrees and 0/1; each level's value has the one-tree walk's bits
+        n, bt = drawn
+        t = build_qldt(bt)
+        degree = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+        degrees = data.draw(st.lists(degree, min_size=n, max_size=n))
+        want = [eval_qldt_walk(t, degrees, level).hex() for level in range(len(t.roots))]
+        assert [value.hex() for value in eval_qldt(t, degrees)] == want
 
     @settings(max_examples=100, deadline=None)
     @given(growing_tensors(), st.data())
@@ -386,7 +395,7 @@ class TestNodeTable:
         try:
             sum(map(len, render(t)))
             rendered = tracemalloc.get_traced_memory()[0]
-            eval_qldt(t, degrees, 3)
+            eval_qldt(t, degrees)
             evaluated = tracemalloc.get_traced_memory()[0] - rendered
         finally:
             tracemalloc.stop()
