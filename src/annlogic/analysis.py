@@ -14,12 +14,6 @@ from .logiccode import BitTensor
 MAX_RESOLUTION = 1001  # a 2-D grid holds ~1e6 points; writing them, not computing, bounds it
 
 
-class HypothesisSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at token {position})")
-        self.position = position
-
-
 _TOKEN = re.compile(r"([()&|!~]|\w+)|(\S)")  # a token, or a character no token holds
 _KEYWORDS = {"and": "and", "or": "or", "xor": "xor", "not": "not",
              "&": "and", "|": "or", "!": "not", "~": "not"}
@@ -38,7 +32,7 @@ def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
     tokens = []
     for match in _TOKEN.finditer(text):
         if match[2]:
-            raise HypothesisSyntaxError(f"unexpected character {match[2]!r}", len(tokens) + 1)
+            raise ValueError(f"unexpected character {match[2]!r} (at token {len(tokens) + 1})")
         tokens.append(match[1])
     n = len(names)
     if n > MAX_ATTRIBUTES:
@@ -58,11 +52,11 @@ def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
         kind = _KEYWORDS.get(tok.lower())
         if operand and (tok == "(" or kind == "not"):
             if waiting.count("(") + waiting.count("not") == MAX_NESTING:
-                raise HypothesisSyntaxError("formula nests too deeply", pos)
+                raise ValueError(f"formula nests too deeply (at token {pos})")
             waiting.append(kind or tok)
         elif operand:
             if tok == ")" or kind is not None:
-                raise HypothesisSyntaxError(f"unexpected token {tok!r}", pos)
+                raise ValueError(f"unexpected token {tok!r} (at token {pos})")
             if tok not in columns:
                 raise ValueError(
                     f"unknown attribute {tok!r}; known: {', '.join(names)}"
@@ -78,12 +72,12 @@ def parse_hypothesis(text: str, names: list[str]) -> BitTensor:
             waiting.pop()
         else:
             why = "expected ')'" if "(" in waiting else f"unexpected token {tok!r}"
-            raise HypothesisSyntaxError(why, pos)
+            raise ValueError(f"{why} (at token {pos})")
     if operand:
-        raise HypothesisSyntaxError("unexpected end of input", len(tokens) + 1)
+        raise ValueError(f"unexpected end of input (at token {len(tokens) + 1})")
     fold(1)
     if waiting:
-        raise HypothesisSyntaxError("expected ')'", len(tokens) + 1)
+        raise ValueError(f"expected ')' (at token {len(tokens) + 1})")
     return BitTensor(truths[0][None])
 
 
@@ -91,7 +85,6 @@ class ComparisonMetrics(_Record):
     __slots__ = ("v11", "v10", "v01", "v00", "accuracy", "precision", "recall",
                  "precision_degenerate", "recall_degenerate", "implies_forward",
                  "implies_backward", "equivalent")
-    _eq = True
     v11: int
     v10: int
     v01: int

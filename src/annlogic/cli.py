@@ -21,7 +21,7 @@ _CHUNK_CHARS = 2**16  # dataset body text per np.loadtxt call: ~420 rows of 9 re
 
 
 def load_dataset(path, label_column):
-    """Read a UTF-8 CSV with a header row; returns (attribute names, X, y):
+    """Read a UTF-8 CSV, BOM optional, with a header row; returns (attribute names, X, y):
     the (N, n) float attribute values and the (N,) 0/1 int labels.  A row is
     numbered by the file line it starts on, the header's first line being 1;
     blank rows are skipped.  A body of plain text (see `_is_plain`) is read
@@ -32,7 +32,7 @@ def load_dataset(path, label_column):
     if not p.exists():
         raise ValueError(f"dataset file not found: {path}")
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
             head = csv.reader(fh)
             try:
                 header = next(head)
@@ -167,7 +167,7 @@ def load_weights_file(path):
     p = Path(path)
     if not p.exists():
         raise ValueError(f"weights file not found: {path}")
-    text = p.read_text().replace(",", "\n")
+    text = p.read_text(encoding="utf-8-sig").replace(",", "\n")
     weights = [float(tok) for tok in text.split() if tok]
     if not weights or len(weights) & (len(weights) - 1):
         raise ValueError(f"weights file must hold a power-of-two count, got {len(weights)}")
@@ -332,7 +332,7 @@ def cmd_partition(args):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -354,7 +354,7 @@ def _write_weights(path, names, cw, scaled, bt):
         _digits(bt.bits.T[first], ","), (pattern[first] * 2.0**-bt.bcl_max).tolist())]
     columns = (_digits(_minterm_codes(cw.n), ","), cw.weights.tolist(),
                scaled.weights.tolist(), map(tails.__getitem__, inverse.tolist()))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.write("".join([f"{k},{a_bits}{w!r},{s!r},{tail}"
                           for k, a_bits, w, s, tail in zip(count(), *columns)]))
@@ -391,7 +391,7 @@ def cmd_explain(args):
         )
     for bcl, dot in enumerate(qldt.render(qldt.build_qldt(bt), names)):
         dot_path = out_dir / f"level_{bcl}.dot"
-        dot_path.write_text(dot)
+        dot_path.write_text(dot, encoding="utf-8")
         print(f"tree level 2^-{bcl}: {dot_path}")
 
     if data is not None and spec is not None:
@@ -514,7 +514,7 @@ def _write_trend(path, varied, level_tag, grid):
     end = "\r\n" if path else "\n"
     text = head.getvalue()[:-2] + end + "".join(
         [f"{p}{level_tag},{v!r}{end}" for p, v in zip(points, grid.values.ravel().tolist())])
-    Path(path).write_text(text, newline="") if path else sys.stdout.write(text)
+    Path(path).write_text(text, encoding="utf-8", newline="") if path else sys.stdout.write(text)
 
 
 def cmd_classify(args):

@@ -21,12 +21,10 @@ _BLOCK_VALUES = 2**16  # minterm values expanded per block: 512 KB of float64
 
 class _Record:
     """A read-only record whose fields are its class's `__slots__`, set from
-    positional or keyword arguments, then checked by `__post_init__`.  A
-    class with `_eq` compares and hashes records by type and fields; any
-    other compares them by identity."""
+    positional or keyword arguments, then checked by `__post_init__`.
+    Records compare and hash by identity."""
 
     __slots__ = ()
-    _eq = False
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -54,14 +52,6 @@ class _Record:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
         return f"{type(self).__name__}({fields})"
 
-    def __eq__(self, other):
-        if self._eq and type(other) is type(self):
-            return self._fields() == other._fields()
-        return self is other or NotImplemented
-
-    def __hash__(self):
-        return hash((type(self), self._fields())) if self._eq else object.__hash__(self)
-
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), self._fields()
 
@@ -77,7 +67,6 @@ class FuzzifierSpec(_Record):
     """
 
     __slots__ = ("kind", "params")
-    _eq = True
     kind: str
     params: tuple[tuple[float, ...], tuple[float, ...]]
 

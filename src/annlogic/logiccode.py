@@ -66,7 +66,6 @@ class EnergyReport(_Record):
     energy and relative energy in percent."""
 
     __slots__ = ("weight_sum", "set_bits", "absolute", "relative_percent", "bitcode_sum")
-    _eq = True
     weight_sum: float
     set_bits: tuple[int, ...]
     absolute: tuple[float, ...]

@@ -60,7 +60,6 @@ class SimpleAnn(_Record):
 
 class TrainConfig(_Record):
     __slots__ = ("learning_rate", "epochs", "seed")
-    _eq = True
     learning_rate: float
     epochs: int
     seed: int
@@ -247,12 +246,12 @@ def save_model(path, ann: SimpleAnn, fuzzifier: FuzzifierSpec | None = None) -> 
         "threshold": ann.threshold,
         "fuzzifier": fuzzifier.to_dict() if fuzzifier else None,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
 
 
 def load_model(path) -> tuple[SimpleAnn, FuzzifierSpec | None]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_nonfinite)
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested

@@ -146,7 +146,7 @@ MUTANTS = [
     ("train-warning-not-recorded", "cli.py",
      'warnings.simplefilter("always", UserWarning)', "pass",
      ["test_cli.py"]),
-    # the hypothesis parser's precedence, associativity and nesting bound
+    # the hypothesis parser's precedence, associativity, error type and nesting bound
     ("parser-and-binds-like-or", "analysis.py",
      '_BINDS = {"or": 1, "xor": 1, "and": 2, "not": 3}',
      '_BINDS = {"or": 1, "xor": 1, "and": 1, "not": 3}',
@@ -165,6 +165,10 @@ MUTANTS = [
     ("parser-right-associative", "analysis.py",
      "fold(_BINDS[kind])", "fold(_BINDS[kind] + 1)",
      ["test_analysis.py"]),
+    ("parser-error-not-a-value-error", "analysis.py",
+     """raise ValueError(f"{why} (at token {pos})")""",
+     """raise TypeError(f"{why} (at token {pos})")""",
+     ["test_analysis.py", "test_cli.py"]),
     ("parser-no-nesting-check", "analysis.py",
      'if waiting.count("(") + waiting.count("not") == MAX_NESTING:', "if False:",
      ["test_analysis.py"]),
@@ -365,9 +369,13 @@ MUTANTS = [
     ("render-names-count-unchecked", "qldt.py",
      "if len(names) < need:", "if False:",
      ["test_qldt.py"]),
-    # read-only records: equal only within their type; a seed is a non-negative integer
-    ("record-eq-ignores-type", "encoding.py",
-     "if self._eq and type(other) is type(self):", "if self._eq and isinstance(other, _Record):",
+    # read-only records: each equal only to itself; a seed is a non-negative integer
+    ("record-compares-by-fields", "encoding.py",
+     '    __slots__ = ("kind", "params")\n',
+     '    __slots__ = ("kind", "params")\n'
+     "    def __eq__(self, other):\n"
+     "        return type(other) is type(self) and self._fields() == other._fields()\n"
+     "    __hash__ = lambda self: hash(self._fields())\n",
      ["test_encoding.py"]),
     ("record-field-assignable", "encoding.py",
      'raise AttributeError(f"{type(self).__name__} is read-only")',

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from annlogic.analysis import (
     MAX_NESTING,
     MAX_RESOLUTION,
-    HypothesisSyntaxError,
     TrendGrid,
     compare,
     parse_hypothesis,
@@ -41,9 +40,8 @@ class TestParser:
         assert np.array_equal(active("not (a and b)", AB), (1, 1, 1, 0))
 
     def test_double_operator(self):
-        with pytest.raises(HypothesisSyntaxError) as exc:
+        with pytest.raises(ValueError, match=r"^unexpected token 'and' \(at token 3\)$"):
             parse_hypothesis("a and and b", AB)
-        assert exc.value.position == 3
 
     def test_aliases_and_case(self):
         assert np.array_equal(active("!a & b", AB), active("NOT a AND b", AB))
@@ -85,15 +83,15 @@ class TestParser:
         assert str(raised.value) == "unknown attribute 'q'; known: a, b, a"
 
     def test_unbalanced_paren(self):
-        with pytest.raises(HypothesisSyntaxError):
+        with pytest.raises(ValueError):
             parse_hypothesis("(a or b", AB)
 
     def test_empty(self):
-        with pytest.raises(HypothesisSyntaxError):
+        with pytest.raises(ValueError):
             parse_hypothesis("", AB)
 
     def test_nests_too_deeply(self):
-        with pytest.raises(HypothesisSyntaxError, match="formula nests too deeply"):
+        with pytest.raises(ValueError, match="formula nests too deeply"):
             parse_hypothesis("(" * 2000 + "a" + ")" * 2000, AB)
 
     @pytest.mark.parametrize("text,message,position", [
@@ -127,10 +125,10 @@ class TestParser:
         ("$", "unexpected character '$'", 1),
     ])
     def test_malformed_formula_message(self, text, message, position):
-        with pytest.raises(HypothesisSyntaxError) as exc:
+        with pytest.raises(ValueError) as exc:
             parse_hypothesis(text, AB)
+        assert type(exc.value) is ValueError
         assert str(exc.value) == f"{message} (at token {position})"
-        assert exc.value.position == position
 
     @pytest.mark.parametrize("text,name", [("q and (", "q"), ("b or é", "é")])
     def test_unknown_attribute_raised_when_read(self, text, name):
@@ -144,7 +142,7 @@ class TestParser:
         text, _ = nested(MAX_NESTING, heads)
         assert parse_hypothesis(text, AB).n == 2
         text, position = nested(MAX_NESTING + 1, heads)
-        with pytest.raises(HypothesisSyntaxError) as exc:
+        with pytest.raises(ValueError) as exc:
             parse_hypothesis(text, AB)
         assert str(exc.value) == f"formula nests too deeply (at token {position})"
 

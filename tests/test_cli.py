@@ -951,6 +951,46 @@ def _fresh_interpreter(code, cwd):
     return done.stdout.splitlines()[-1]
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r\n", ","], ids=["lf", "crlf", "comma"])
+def test_a_weights_file_with_a_byte_order_mark(tmp_path, sep):
+    text = sep.join(map(repr, REF16_WEIGHTS)) + "\n"
+    (tmp_path / "plain.txt").write_bytes(text.encode())
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = cli.load_weights_file(tmp_path / "plain.txt").weights
+    assert np.array_equal(cli.load_weights_file(tmp_path / "bom.txt").weights, want)
+    assert np.array_equal(want, REF16_WEIGHTS)
+
+
+def test_output_files_are_utf8_under_any_locale(tmp_path):
+    # the same calls in UTF-8 mode and under the C locale write the same bytes
+    lines = ["\u00e9t\u00e9,b,c,label",
+             *(",".join([*map(repr, r[:3]), str(int(r[3] > 0.5))])
+               for r in np.random.default_rng(3).uniform(0, 1, (20, 4)).tolist())]
+    (tmp_path / "d.csv").write_bytes("\n".join(lines).encode() + b"\n")
+    _, X, _ = cli.load_dataset(tmp_path / "d.csv", "label")
+    save_model(tmp_path / "m.json", random_simple_ann(np.random.default_rng(3), 3, 2),
+               fit_fuzzifier(X))
+    calls = [["explain", "--model", "../m.json", "--cell", "1", "--data", "../d.csv",
+              "--out-dir", "out"],
+             ["trend", "--model", "../m.json", "--cell", "1", "--data", "../d.csv",
+              "--vary", "1,2", "--resolution", "3", "--out", "trend.csv"]]
+    code = f"import sys; from annlogic.cli import main; sys.exit(any(map(main, {calls!r})))"
+    env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(annlogic.__file__).resolve().parents[1])}
+    written = []
+    for mode in ("utf8=1", "utf8=0"):
+        (tmp_path / mode).mkdir()
+        done = subprocess.run([sys.executable, "-X", mode, "-c", code], cwd=tmp_path / mode,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append({p.relative_to(tmp_path / mode): p.read_bytes()
+                        for p in sorted((tmp_path / mode).rglob("*")) if p.is_file()})
+    assert written[0] == written[1]
+    assert "\u00e9t\u00e9".encode() in written[0][Path("trend.csv")]
+    assert "\u00e9t\u00e9".encode() in written[0][Path("out", "weights.csv")]
+
+
 # argv on which the parser of the named subcommand alone must act as the
 # parser of all: no argv, an unknown command, help at both levels, an
 # unrecognized option or argument, a missing required option, a bad type=

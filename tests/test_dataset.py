@@ -211,8 +211,36 @@ def test_a_dataset_is_read_as_utf8_under_any_locale(tmp_path):
             f"names, X, y = load_dataset({str(path)!r}, 'label'); "
             "print(locale.getpreferredencoding(False), ascii(names))")
     env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(annlogic.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ANSI_X3.4-1968", "['\\xe9']"]
+
+
+# body rows of attributes a1, a2 and a 0/1 label, the label placed last
+BOM_BODIES = {
+    "plain": [b"0.5,-1.25,1", b"2.5,3,0"],
+    "quoted": [b'"0.5",-1.25,1', b"2.5,3,0"],  # read by the csv reader, after seek(0)
+    "bad-label": [b"0.5,-1.25,1", b"2.5,3,2"],
+    "not-utf8": [b"0.5,-1.25,1", b"2.5,3\xff,0"],
+}
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("label_first", [False, True], ids=["label-last", "label-first"])
+@pytest.mark.parametrize("body", BOM_BODIES)
+def test_a_byte_order_mark_is_skipped(tmp_path, end, label_first, body):
+    # Excel's "CSV UTF-8" files start with a BOM; it is not part of the first name
+    lines = [b"a1,a2,label", *BOM_BODIES[body]]
+    if label_first:
+        lines = [b",".join([line.split(b",")[-1], *line.split(b",")[:-1]]) for line in lines]
+    (tmp_path / "plain.csv").write_bytes(end.join(lines) + end)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + end.join(lines) + end)
+    want = outcome(load_dataset, tmp_path / "plain.csv")
+    assert outcome(load_dataset, tmp_path / "bom.csv") == want
+    if body in ("plain", "quoted"):
+        assert want[0] == ["a1", "a2"]
+    else:
+        assert want[0] is ValueError and want[1].startswith("row 3")

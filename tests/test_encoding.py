@@ -93,7 +93,8 @@ def specs(draw):
 class TestFuzzifierTable:
     @given(specs())
     def test_dict_round_trip(self, spec):
-        assert FuzzifierSpec.from_dict(spec.to_dict()) == spec
+        again = FuzzifierSpec.from_dict(spec.to_dict())
+        assert (again.kind, again.params) == (spec.kind, spec.params)
 
     @given(specs())
     def test_json_text_keeps_the_key_order(self, spec):
@@ -278,8 +279,8 @@ class TestMintermBits:
             minterm_bits(8, 3)
 
 
-# One record of each type, built positionally; the first four compare by
-# type and fields, the other six by identity.
+# One record of each type, built positionally; every record compares and
+# hashes by identity.
 RECORDS = {
     "FuzzifierSpec": lambda: FuzzifierSpec("minmax", ((0.0, 1.0), (2.0, 3.0))),
     "TrainConfig": lambda: TrainConfig(0.1, 5, 1),
@@ -294,7 +295,6 @@ RECORDS = {
                                    np.array([-1, -1]), np.array([1, 1]), (1,)),
     "TrendGrid": lambda: TrendGrid((0.0, 1.0), np.zeros(2)),
 }
-VALUE_RECORDS = ["FuzzifierSpec", "TrainConfig", "EnergyReport", "ComparisonMetrics"]
 
 
 def fields(record):
@@ -346,17 +346,14 @@ class TestRecord:
     def test_equality(self, make):
         record, twin = make(), make()
         cls = type(record)
-        # a record type of the same fields and equality that is not this one
-        other = type("Other", (encoding._Record,), {"__slots__": cls.__slots__, "_eq": cls._eq})
-        assert record == record
+        # a record type of the same fields that is not this one
+        other = type("Other", (encoding._Record,), {"__slots__": cls.__slots__})
+        assert record == record and not record != record
         assert record != fields(record)
         assert record != other(*fields(record)) and other(*fields(record)) != record
-        if cls.__name__ in VALUE_RECORDS:
-            assert record == twin and hash(record) == hash(twin)
-            assert not record != twin
-        else:
-            assert record != twin
-            assert hash(record) == object.__hash__(record)
+        assert repr(twin) == repr(record)  # equal fields, yet another record
+        assert record != twin and not record == twin
+        assert hash(record) == object.__hash__(record)
 
     def test_copy_and_pickle_rebuild_the_record(self, make):
         record = make()
@@ -367,4 +364,4 @@ class TestRecord:
 
 def test_train_config_defaults():
     assert fields(TrainConfig()) == (0.5, 2000, 0)
-    assert TrainConfig(epochs=7) == TrainConfig(0.5, 7, 0)
+    assert fields(TrainConfig(epochs=7)) == fields(TrainConfig(0.5, 7, 0))
