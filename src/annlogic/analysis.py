@@ -152,12 +152,14 @@ def trend_grid(
     cost is 2^n + res^2, not res^2 * 2^n; the values agree with a minterm
     expansion per grid point within 1e-12."""
     n = bt.n
-    if not 1 <= len(vary) <= 2 or not _distinct_ints(vary):
+    if not _distinct_ints(vary) or not 1 <= len(vary) <= 2:
         raise ValueError("vary must name one or two distinct attributes")
     if any(not 0 <= j < n for j in vary):
         raise ValueError("varied attribute index out of range")
-    fixed = fixed or {}
-    if not _distinct_ints(fixed) or any(not 0 <= j < n for j in fixed):
+    fixed = {} if fixed is None else fixed
+    if not isinstance(fixed, dict):
+        raise ValueError("fixed must be a dict of attribute index to degree")
+    if not all(map(_is_int, fixed)) or any(not 0 <= j < n for j in fixed):
         raise ValueError("fixed attribute index out of range")
     if not all(map(_is_real, fixed.values())):
         raise ValueError("fixed degrees must be real numbers")

@@ -5,6 +5,7 @@ and a designated binary label column; models are JSON files."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import sys
@@ -28,29 +29,23 @@ def load_dataset(path, label_column):
     by np.loadtxt, any other again from the top by the csv reader, which
     parses every unquoted field as a number.  Both read a field as float()
     does."""
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"dataset file not found: {path}")
-    try:
-        with open(p, newline="", encoding="utf-8-sig") as fh:
-            head = csv.reader(fh)
-            try:
-                header = next(head)
-            except StopIteration:
-                raise ValueError(f"dataset file is empty: {path}") from None
-            except csv.Error as exc:  # a field over csv.field_size_limit()
-                raise ValueError(f"row 1: {exc}") from None
-            if label_column not in header:
-                raise ValueError(f"label column {label_column!r} not in header {header}")
-            if len(header) - 1 > MAX_ATTRIBUTES:
-                raise ValueError(
-                    f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
-                )
-            _reject_repeats(header, "dataset header")
-            table, row_no = (_split_body(fh, len(header), head.line_num + 1)
-                             or _csv_body(fh, len(header)))
-    except UnicodeDecodeError:
-        raise ValueError(_not_utf8(p)) from None
+    with _input(path, "dataset") as p, open(p, newline="", encoding="utf-8-sig") as fh:
+        head = csv.reader(fh)
+        try:
+            header = next(head)
+        except StopIteration:
+            raise ValueError(f"dataset file is empty: {path}") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ValueError(f"row 1: {exc}") from None
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not in header {header}")
+        if len(header) - 1 > MAX_ATTRIBUTES:
+            raise ValueError(
+                f"{len(header) - 1} attributes exceed the maximum of {MAX_ATTRIBUTES}"
+            )
+        _reject_repeats(header, "dataset header")
+        table, row_no = (_split_body(fh, len(header), head.line_num + 1)
+                         or _csv_body(fh, len(header)))
     _reject_rows(~np.isfinite(table).all(axis=1), row_no, "holds a value that is not finite")
     label_idx = header.index(label_column)
     labels = table[:, label_idx]
@@ -59,17 +54,26 @@ def load_dataset(path, label_column):
     return names, np.delete(table, label_idx, axis=1), labels.astype(int)
 
 
-def _not_utf8(path):
-    """The error for a file that is not UTF-8: it names the row of the first
-    byte that does not decode, counting CR, LF and CRLF as line ends, as
-    the csv reader does.  The decoder's own position counts from the start
-    of its current read, not of the file."""
-    data = path.read_bytes()
+@contextlib.contextmanager
+def _input(path, what):
+    """The Path of an existing input file, else "{what} file not found".  A
+    UnicodeDecodeError the block raises becomes the row of the file's first
+    byte that is not UTF-8, CR, LF and CRLF ending a line as in the csv
+    reader: the decoder's own position counts from its current read."""
+    p = Path(path)
+    if not p.exists():
+        raise ValueError(f"{what} file not found: {path}")
     try:
-        data.decode()
-    except UnicodeDecodeError as exc:
-        row = len((data[:exc.start] + b".").splitlines())
-        return f"row {row}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        yield p
+    except UnicodeDecodeError:
+        data = p.read_bytes()
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            row = len((data[:exc.start] + b".").splitlines())
+            raise ValueError(f"row {row}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                             f"({exc.reason})") from None
+        raise
 
 
 def _is_plain(text):
@@ -164,10 +168,8 @@ def _reject_repeats(names, where):
 def load_weights_file(path):
     """One weight per line, or comma-separated; length must be 2^n with
     n <= MAX_ATTRIBUTES."""
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"weights file not found: {path}")
-    text = p.read_text(encoding="utf-8-sig").replace(",", "\n")
+    with _input(path, "weights") as p:
+        text = p.read_text(encoding="utf-8-sig").replace(",", "\n")
     weights = [float(tok) for tok in text.split() if tok]
     if not weights or len(weights) & (len(weights) - 1):
         raise ValueError(f"weights file must hold a power-of-two count, got {len(weights)}")
@@ -177,13 +179,6 @@ def load_weights_file(path):
             f"2^{MAX_ATTRIBUTES} minterms"
         )
     return partition.CellWeights(weights)
-
-
-def _load_model(path):
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"model file not found: {path}")
-    return network.load_model(p)
 
 
 def _parse_levels(text, bcl_max):
@@ -240,7 +235,8 @@ def _cell_weights_from_args(args):
     elif threshold is not None:
         raise ValueError("--threshold applies only to --weights-override")
     else:
-        ann, spec = _load_model(args.model)
+        with _input(args.model, "model") as p:
+            ann, spec = network.load_model(p)
         if args.cell is None:
             raise ValueError("--cell is required when extracting from a model")
         cw = partition.extract_cell_weights(ann, args.cell)
@@ -305,7 +301,8 @@ def cmd_train(args):
 def _model_rows(args):
     """The --model network, the minterm matrix of the --data rows under the
     model's fuzzifier, and their labels."""
-    ann, spec = _load_model(args.model)
+    with _input(args.model, "model") as p:
+        ann, spec = network.load_model(p)
     if spec is None:
         raise ValueError("model has no fuzzifier; cannot ingest raw data")
     _, X, y = load_dataset(args.data, args.label)

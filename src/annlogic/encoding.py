@@ -168,8 +168,9 @@ def _is_real(x) -> bool:
 
 
 def _distinct_ints(xs) -> bool:
-    """Indices that follow the integer rule, each given once."""
-    return all(map(_is_int, xs)) and len(set(xs)) == len(xs)
+    """A list, tuple, range or 1-D array of indices under the integer rule, each once."""
+    return (isinstance(xs, (list, tuple, range, np.ndarray)) and getattr(xs, "ndim", 1) == 1
+            and all(map(_is_int, xs)) and len(set(xs)) == len(xs))
 
 
 def _degrees(degrees) -> np.ndarray:

@@ -159,10 +159,10 @@ def project(cw: CellWeights, keep: list[int]) -> CellWeights:
     integers) by summing over the dropped attributes' bit combinations.
     Callers typically rescale afterwards."""
     n = cw.n
-    if len(keep) == 0:
-        raise ValueError("keep set must be non-empty")
     if not _distinct_ints(keep) or any(not 0 <= j < n for j in keep):
         raise ValueError("keep must be distinct attribute indices below n")
+    if len(keep) == 0:
+        raise ValueError("keep set must be non-empty")
     dropped = tuple(j for j in range(n) if j not in keep)
     with np.errstate(over="ignore"):
         projected = cw.weights.reshape((2,) * n).sum(axis=dropped).ravel()

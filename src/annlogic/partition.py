@@ -75,11 +75,11 @@ def extract_cell_weights(ann: SimpleAnn, p: int) -> CellWeights:
         raise ValueError("cell number must be an integer")
     if not 0 <= p < 2**l:
         raise ValueError(f"cell number {p} out of range for l={l}")
-    p = int(p)  # a numpy uint8 cannot shift by l - 1 > 255
+    p = int(p)  # a numpy integer has no to_bytes
     h = np.ones((1, 1))
     for w in reversed(ann.post_layers):
         h = h @ w
-    h = h * np.array([p >> (l - 1 - m) & 1 for m in range(l)], dtype=float)
+    h = h * np.unpackbits(np.frombuffer(p.to_bytes(-(-l // 8), "big"), np.uint8))[-l:]
     for w in reversed(ann.pre_layers):
         h = h @ w
     return CellWeights(h[0])

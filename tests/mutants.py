@@ -79,7 +79,7 @@ MUTANTS = [
      "absolute / weight_sum * 100.0", "absolute / float(bt.reconstruction().sum()) * 100.0",
      ["test_logiccode.py", "test_acceptance.py"]),
     ("cell-status-bits-reversed", "partition.py",
-     "[p >> (l - 1 - m) & 1 for m in range(l)]", "[p >> m & 1 for m in range(l)]",
+     "np.uint8))[-l:]", "np.uint8))[-l:][::-1]",
      ["test_partition.py"]),
     # a cell is the int whose bit m, MSB-first, is the status of ReLU node m
     ("cell-number-pad-dropped", "partition.py",
@@ -270,6 +270,10 @@ MUTANTS = [
     ("not-utf8-hidden-by-csv-reader", "cli.py",
      "    except UnicodeDecodeError:\n        raise\n", "",
      ["test_cli.py"]),
+    ("input-decode-error-unwrapped", "cli.py",
+     "        yield p\n    except UnicodeDecodeError:\n",
+     "        yield p\n    except LookupError:\n",
+     ["test_cli.py"]),
     # a row is numbered by the file line it starts on, after every header line
     ("fast-path-header-one-line", "cli.py",
      "_split_body(fh, len(header), head.line_num + 1)", "_split_body(fh, len(header), 2)",
@@ -431,11 +435,15 @@ MUTANTS = [
     # index lists follow the integer rule and name each index once, an integer
     # array among them; a fixed degree is a real number
     ("index-list-accepts-bool", "encoding.py",
-     "return all(map(_is_int, xs)) and", "return all(isinstance(x, (int, np.integer)) for x in xs) and",
+     "and all(map(_is_int, xs)) and", "and all(isinstance(x, (int, np.integer)) for x in xs) and",
      ["test_logiccode.py", "test_analysis.py"]),
     ("index-list-repeats-accepted", "encoding.py",
      "all(map(_is_int, xs)) and len(set(xs)) == len(xs)", "all(map(_is_int, xs))",
      ["test_logiccode.py", "test_analysis.py"]),
+    ("index-list-accepts-bare-int", "encoding.py",
+     '(isinstance(xs, (list, tuple, range, np.ndarray)) and getattr(xs, "ndim", 1) == 1\n'
+     "            and all(", "(all(",
+     ["test_analysis.py"]),
     ("fixed-degree-string-accepted", "analysis.py",
      "if not all(map(_is_real, fixed.values())):", "if False:",
      ["test_analysis.py"]),

@@ -12,7 +12,8 @@ from annlogic.analysis import (
     trend_grid,
 )
 from annlogic.encoding import MAX_ATTRIBUTES, minterm_transform
-from annlogic.logiccode import BitTensor, approx_forward
+from annlogic.logiccode import BitTensor, approx_forward, level_accuracy, project
+from annlogic.partition import CellWeights
 from oracles import expression, formulas, trend_grid_per_point, truth_table_loop
 
 AB = ["a", "b"]
@@ -341,6 +342,29 @@ class TestTrendGrid:
         bt = self.tensor([(0, 1, 1, 0), (1, 0, 0, 1)])
         with pytest.raises(ValueError, match=message):
             trend_grid(bt, vary, fixed, levels, 3)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda bt, mt: bt.reconstruction(1), "^levels must be distinct integers$",
+                     id="reconstruction-int"),
+        pytest.param(lambda bt, mt: bt.reconstruction(np.array(1)),
+                     "^levels must be distinct integers$", id="reconstruction-0d-array"),
+        pytest.param(lambda bt, mt: approx_forward(bt, mt, 1),
+                     "^levels must be distinct integers$", id="approx-forward-int"),
+        pytest.param(lambda bt, mt: level_accuracy(bt, 0.5, mt[None], [1], 1),
+                     "^levels must be distinct integers$", id="level-accuracy-int"),
+        pytest.param(lambda bt, mt: project(CellWeights((1.0, 2.0, 3.0, 4.0)), 0),
+                     "^keep must be distinct attribute indices below n$", id="project-int"),
+        pytest.param(lambda bt, mt: trend_grid(bt, 0),
+                     "^vary must name one or two distinct attributes$", id="trend-vary-int"),
+        pytest.param(lambda bt, mt: trend_grid(bt, [0], [1]),
+                     "^fixed must be a dict of attribute index to degree$",
+                     id="trend-fixed-list"),
+    ])
+    def test_a_bare_index_or_a_fixed_list_is_a_value_error(self, call, message):
+        # an index list is a list, tuple, range or 1-D array, and fixed is a dict
+        bt = self.tensor([(0, 1, 1, 0), (1, 0, 0, 1)])
+        with pytest.raises(ValueError, match=message):
+            call(bt, minterm_transform([0.5, 0.5]))
 
     def test_indices_take_numpy_integers(self):
         bt = self.tensor([(0, 1, 1, 0), (1, 0, 0, 1)])

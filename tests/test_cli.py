@@ -605,6 +605,11 @@ BAD_INPUTS = {
     "csv-body-not-utf8": (
         {"bad.csv": NOT_UTF8_BODY_CSV, "model.json": ONE_ATTRIBUTE_MODEL},
         ["partition", "--model", "model.json", "--data", "bad.csv"]),
+    "weights-file-not-utf8": (
+        {"w.txt": b"0.1\n0.2\n0.3\xe9\n0.4\n"}, ["shapley", "--weights-override", "w.txt"]),
+    "model-not-utf8": (
+        {"model.json": b'{"input_size": 4,\n "x": "\xff"}'},
+        ["shapley", "--model", "model.json", "--cell", "0"]),
     "csv-13-attributes": (
         {"bad.csv": ",".join(f"a{j}" for j in range(13)) + ",label\n" + "0," * 13 + "1\n"},
         ["train", "--data", "bad.csv", "--model", "m.json"]),
@@ -761,6 +766,65 @@ def test_bad_csv_names_the_row(tmp_path, capsys, text, message):
     write_input(data, text)
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+WEIGHTS_ARGV = ["shapley", "--weights-override", "in.txt"]
+MODEL_ARGV = ["shapley", "--model", "in.txt", "--cell", "1"]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    pytest.param(WEIGHTS_ARGV, b"0.1\n0.2\n0.3\xe9\n0.4\n",
+                 "row 3: byte 0xe9 is not UTF-8 (invalid continuation byte)", id="weights-lf"),
+    pytest.param(WEIGHTS_ARGV, b"0.1\r0.2\r\xff\r0.4\r",
+                 "row 3: byte 0xff is not UTF-8 (invalid start byte)", id="weights-cr-only"),
+    pytest.param(WEIGHTS_ARGV, b"0.1,0.2\r\n0.3,\xe2\x82",
+                 "row 2: byte 0xe2 is not UTF-8 (unexpected end of data)", id="weights-cut-short"),
+    pytest.param(MODEL_ARGV, b'{"input_size": 4,\n "x": "\xff"}',
+                 "row 2: byte 0xff is not UTF-8 (invalid start byte)", id="model-lf"),
+    pytest.param(MODEL_ARGV, b'{\r"input_size": 4,\r"x": "\xe9"}',
+                 "row 3: byte 0xe9 is not UTF-8 (invalid continuation byte)", id="model-cr-only"),
+    pytest.param(MODEL_ARGV, b'{"input_size": 4,\r\n"x": "\xe2\x82',
+                 "row 2: byte 0xe2 is not UTF-8 (unexpected end of data)", id="model-cut-short"),
+])
+def test_bad_weights_or_model_file_names_the_row(tmp_path, monkeypatch, capsys,
+                                                 argv, text, message):
+    # a row is a file line, as in a dataset, and a byte-order mark is on row 1
+    monkeypatch.chdir(tmp_path)
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "in.txt").write_bytes(prefix + text)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_decode_error_the_file_does_not_hold_passes_unchanged(tmp_path):
+    (tmp_path / "w.txt").write_text("0.5\n")
+    raised = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    with pytest.raises(UnicodeDecodeError) as caught, cli._input(tmp_path / "w.txt", "weights"):
+        raise raised
+    assert caught.value is raised
+
+
+@pytest.mark.parametrize("argv,text", [(WEIGHTS_ARGV, "\n".join(map(repr, REF16_WEIGHTS))),
+                                       (MODEL_ARGV, L1_MODEL)], ids=["weights", "model"])
+def test_a_weights_or_model_file_with_a_byte_order_mark_loads(tmp_path, monkeypatch, capsys,
+                                                               argv, text):
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "in.txt").write_bytes(prefix + text.encode())
+        assert main(argv) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and printed[0].out and not printed[0].err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["train", "--data", "in.txt", "--model", "m.json"], "dataset"), (MODEL_ARGV, "model"),
+    (["classify", "--model", "in.txt", "--data", "d.csv"], "model"),
+])
+def test_a_missing_input_file_is_named(tmp_path, monkeypatch, capsys, argv, what):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} file not found: in.txt\n"
 
 
 @pytest.mark.parametrize("files,argv,message", [

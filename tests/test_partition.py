@@ -240,6 +240,17 @@ class TestComposeCellWeights:
             direct = extract_cell_weights(ann, p)
             assert composed.weights == pytest.approx(direct.weights, abs=1e-9)
 
+    @pytest.mark.parametrize("l", [8, 16])
+    def test_whole_bytes_of_nodes(self, l):
+        # l status bits fill whole bytes: no pad bit may become a node's bit
+        rng = np.random.default_rng(l)
+        ann = random_simple_ann(rng, 2, l, extra_post=True)
+        singles = self.singles(ann, l)
+        for p in (0, 1, 2**(l - 1), 2**l - 1, *map(int, rng.integers(0, 2**l, 20))):
+            composed = compose_cell_weights(singles, p)
+            direct = extract_cell_weights(ann, p)
+            assert composed.weights == pytest.approx(direct.weights, abs=1e-9)
+
     def test_missing_single(self):
         rng = np.random.default_rng(8)
         ann = random_simple_ann(rng, 2, 3)
